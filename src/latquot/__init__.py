@@ -1,6 +1,6 @@
 """Exact arithmetic for lattices, their quotient tori, and spaces of lattices."""
 
-from .exactnum import MatQ, MatZ, Rational, det, hnf, inverse, is_positive_definite, ldl
+from .exactnum import MatQ, MatZ, Rational, det, hnf, inverse, is_positive_definite, ldl, lll_gram
 from .lattice_core import (
     Lattice,
     change_of_basis_witness,

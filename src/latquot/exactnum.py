@@ -2,9 +2,10 @@
 
 This is the bedrock of the package: arbitrary-precision rationals
 (``fractions.Fraction``), dense square rational matrices (``MatQ``) and
-integer matrices (``MatZ``), with exact determinants, inverses, Hermite
-normal forms and LDL^T factorizations.  Nothing in this module rounds;
-floating point belongs to the explicitly metric outputs elsewhere.
+integer matrices (``MatZ``), with exact determinants, inverses (by
+elimination), Hermite normal forms, LDL^T factorizations and integral LLL
+reduction of Gram forms.  Nothing in this module rounds; floating point
+belongs to the explicitly metric outputs elsewhere.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -15,14 +16,17 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, NotSymmetric, PivotBreakdown, SingularMatrix
+from .errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    NotSymmetric,
+    PivotBreakdown,
+    SingularMatrix,
+)
 
 # The scalar of the exact layer.  Fraction already guarantees the invariants
 # we need: positive denominator and gcd(|num|, den) = 1 after construction.
 Rational = Fraction
-
-# Inverses switch from adjugate/Cramer to straight elimination above this size.
-_ADJUGATE_LIMIT = 6
 
 
 def _frac(x) -> Fraction:
@@ -161,35 +165,9 @@ class MatQ:
         return Fraction(_int_det_bareiss(lift), d**self.n)
 
     def inverse(self) -> "MatQ":
-        """Exact inverse; adjugate/Cramer for small sizes, elimination above."""
-        d = self.det()
-        if d == 0:
+        """Exact inverse by Gauss-Jordan elimination."""
+        if self.det() == 0:
             raise SingularMatrix("matrix has determinant 0")
-        if self.n <= _ADJUGATE_LIMIT:
-            return self._inverse_adjugate(d)
-        return self._inverse_elimination()
-
-    def _minor(self, i: int, j: int) -> "MatQ":
-        return MatQ([
-            [x for c, x in enumerate(row) if c != j]
-            for r, row in enumerate(self.rows)
-            if r != i
-        ])
-
-    def _inverse_adjugate(self, d: Fraction) -> "MatQ":
-        n = self.n
-        if n == 1:
-            return MatQ([[1 / d]])
-        inv = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                cof = self._minor(i, j).det()
-                if (i + j) % 2:
-                    cof = -cof
-                inv[j][i] = cof / d
-        return MatQ(inv)
-
-    def _inverse_elimination(self) -> "MatQ":
         n = self.n
         a = [list(row) for row in self.rows]
         inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -346,6 +324,85 @@ def ldl(s: MatQ) -> tuple[MatQ, tuple[Fraction, ...]]:
             else:
                 low[i][j] = r / dj
     return MatQ(low), tuple(diag)
+
+
+def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
+    """Integral LLL reduction (delta = 3/4) of a positive-definite Gram form.
+
+    Returns (G', V) with G' = V^T G V and V unimodular, where the basis that
+    G' describes is size-reduced (|mu_kj| <= 1/2) and satisfies the Lovasz
+    condition.  This is de Weger's fraction-free LLL (Cohen, Alg. 2.6.7) run
+    on the form scaled to integers: it keeps the Gram determinants d_k of the
+    leading k vectors and lambda_kj = d_j * mu_kj, all integers, and every
+    division below is exact.
+    """
+    if g != g.transpose():
+        raise NotSymmetric("Gram matrix is not symmetric")
+    n = g.n
+    scale = math.lcm(*[x.denominator for row in g.rows for x in row])
+    b = [[int(x * scale) for x in row] for row in g.rows]  # b[i][j] = b_i . b_j
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns of V
+    d = [1] + [0] * n  # d[k + 1] is the Gram determinant of b_0 .. b_k
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k: int, j: int) -> None:
+        dj = d[j + 1]
+        if 2 * abs(lam[k][j]) <= dj:
+            return
+        q = (2 * lam[k][j] + dj) // (2 * dj)  # nearest integer to lam / d
+        b[k][k] += q * q * b[j][j] - 2 * q * b[k][j]
+        for r in range(n):
+            if r != k:
+                b[r][k] -= q * b[r][j]
+                b[k][r] = b[r][k]
+        cols[k] = [x - q * y for x, y in zip(cols[k], cols[j])]
+        lam[k][j] -= q * dj
+        for i in range(j):
+            lam[k][i] -= q * lam[j][i]
+
+    def swap(k: int, kmax: int) -> None:
+        cols[k], cols[k - 1] = cols[k - 1], cols[k]
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for row in b:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        big = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = big
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:
+            # incremental Gram-Schmidt for the next untouched vector
+            kmax = k
+            for j in range(k + 1):
+                u = b[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise NotPositiveDefinite("Gram matrix must be positive definite")
+                else:
+                    d[k + 1] = u
+            if k == 0:
+                k = 1
+                continue
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                red(k, j)
+            k += 1
+    reduced = MatQ([[Fraction(x, scale) for x in row] for row in b])
+    return reduced, MatZ(tuple(zip(*cols)))
 
 
 def is_positive_definite(s: MatQ) -> bool:

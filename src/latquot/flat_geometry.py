@@ -5,7 +5,11 @@ squared lengths of closed geodesics (one homotopy class per lattice vector),
 the angles at which they meet, the injectivity radius of the quotient map,
 and isometry of two quotients by an ambient rotation.  Minimality claims are
 exact: the enumeration runs over the rational LDL^T factorization of the
-Gram form, never over floating-point approximations.
+LLL-reduced Gram form, never over floating-point approximations.  Each
+lattice computes its reduced form, transform and factorization once and
+keeps them (``Lattice.reduced_gram``); enumeration and the isometry search
+work in reduced coordinates and map their answers back through the
+transform, so results never depend on the presentation.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     NotSymmetric,
     ZeroVector,
 )
-from .exactnum import MatQ, MatZ, is_positive_definite, ldl
+from .exactnum import MatQ, MatZ, is_positive_definite
 from .lattice_core import Lattice, equals
 
 _ISOMETRY_MAX_DIM = 4
@@ -107,51 +111,13 @@ def _floor_sqrt(r: Fraction) -> int:
     return math.isqrt(r.numerator // r.denominator)
 
 
-def _nearest_int(r: Fraction) -> int:
-    return math.floor(r + Fraction(1, 2))
-
-
-def _size_reduce(gram_matrix: MatQ) -> tuple[MatQ, MatZ]:
-    """Cheap unimodular column reduction of a Gram form.
-
-    Returns (G', V) with G' = V^T G V and V unimodular, where repeated
-    pairwise reduction steps shrink the diagonal.  Only a speedup for the
-    enumeration windows; results are mapped back through V, so semantics
-    never depend on how far the reduction got.
-    """
-    n = gram_matrix.n
-    g = [list(row) for row in gram_matrix.rows]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(32):
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or g[j][j] == 0:
-                    continue
-                k = _nearest_int(g[i][j] / g[j][j])
-                if k == 0:
-                    continue
-                new_ii = g[i][i] - 2 * k * g[i][j] + k * k * g[j][j]
-                if new_ii >= g[i][i]:
-                    continue
-                # column op c_i <- c_i - k c_j on the form and on V
-                for r in range(n):
-                    if r != i:
-                        g[r][i] -= k * g[r][j]
-                        g[i][r] = g[r][i]
-                g[i][i] = new_ii
-                for r in range(n):
-                    v[r][i] -= k * v[r][j]
-                changed = True
-        if not changed:
-            break
-    return MatQ(g), MatZ(v)
-
-
-def _enumerate_bounded(gram_matrix: MatQ, bound: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+def _enumerate_bounded(
+    factor: tuple[MatQ, tuple[Fraction, ...]], bound: Fraction
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """All nonzero integer vectors with value <= bound, one per +- pair.
 
-    With G = L diag(D) L^T the form splits as sum_k D_k (x_k + t_k)^2 where
+    ``factor`` is the LDL^T factorization (L, D) of the form G.  With
+    G = L diag(D) L^T the form splits as sum_k D_k (x_k + t_k)^2 where
     t_k depends only on the coordinates above k, so choosing x_{n-1} first
     and descending gives exact interval bounds at every level.  The
     representative of each +-c pair is the one whose highest-index nonzero
@@ -160,8 +126,8 @@ def _enumerate_bounded(gram_matrix: MatQ, bound: Fraction) -> Iterator[tuple[tup
     """
     if bound < 0:
         return
-    lmat, diag = ldl(gram_matrix)
-    n = gram_matrix.n
+    lmat, diag = factor
+    n = lmat.n
     lrows = lmat.rows
     coeff = [0] * n
 
@@ -201,11 +167,11 @@ def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
     Exact: the initial bound is the smallest diagonal entry of the reduced
     Gram form (always attained) and the enumeration below it is complete.
     """
-    reduced, v = _size_reduce(lattice.gram_matrix())
+    reduced, v, factor = lattice.reduced_gram()
     start = min(reduced.rows[i][i] for i in range(reduced.n))
     best: Fraction | None = None
     found: list[tuple[int, ...]] = []
-    for coeffs, value in _enumerate_bounded(reduced, start):
+    for coeffs, value in _enumerate_bounded(factor, start):
         if best is None or value < best:
             best = value
             found = [coeffs]
@@ -220,9 +186,8 @@ def geodesic_spectrum(lattice: Lattice, bound) -> list[tuple[Fraction, int]]:
     bound = Fraction(bound)
     if bound <= 0:
         raise NonPositiveBound("spectrum bound must be positive")
-    reduced, _ = _size_reduce(lattice.gram_matrix())
     tally: dict[Fraction, int] = {}
-    for _, value in _enumerate_bounded(reduced, bound):
+    for _, value in _enumerate_bounded(lattice.reduced_gram()[2], bound):
         tally[value] = tally.get(value, 0) + 1
     return sorted(tally.items())
 
@@ -279,12 +244,13 @@ def is_orthogonal(t: MatQ) -> bool:
     return t.transpose() @ t == MatQ.identity(t.n)
 
 
-def _vectors_with_norm(gram_matrix: MatQ, value: Fraction) -> list[tuple[int, ...]]:
+def _vectors_with_norm(
+    factor: tuple[MatQ, tuple[Fraction, ...]], value: Fraction
+) -> list[tuple[int, ...]]:
     """Both signs of every integer vector with exact form value ``value``."""
     if value <= 0:
         return []
-    reduced, v = _size_reduce(gram_matrix)
-    reps = [v.mul_vec(c) for c, q in _enumerate_bounded(reduced, value) if q == value]
+    reps = [c for c, q in _enumerate_bounded(factor, value) if q == value]
     return sorted(reps + [tuple(-x for x in c) for c in reps])
 
 
@@ -293,8 +259,10 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
 
     Such a U certifies an ambient orthogonal map taking the first lattice
     onto the second, i.e. that the two quotient tori are isometric by a
-    rotation.  The search matches the second basis's Gram data against
-    enumerated vectors of the first lattice, column by column.
+    rotation.  The search runs on the LLL-reduced forms G1' = V1^T G1 V1 and
+    G2' = V2^T G2 V2: it matches G2' column by column against enumerated
+    vectors of G1', and a witness U' with U'^T G1' U' = G2' maps back to
+    U = V1 U' V2^-1.
 
     With ``oriented`` the witness must additionally have determinant +1 and
     the implied ambient map must preserve orientation.
@@ -303,19 +271,22 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
         raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
     if l1.n > _ISOMETRY_MAX_DIM:
         raise DimensionTooLarge(f"isometry search is limited to dimension {_ISOMETRY_MAX_DIM}")
-    g1 = l1.gram_matrix()
-    g2 = l2.gram_matrix()
-    if g1.det() != g2.det():
+    g1, v1, factor1 = l1.reduced_gram()
+    g2, v2, factor2 = l2.reduced_gram()
+    # det G is the product of the LDL^T pivots
+    if math.prod(factor1[1]) != math.prod(factor2[1]):
         return None
     if oriented and (l1.basis.det() > 0) != (l2.basis.det() > 0):
         return None
     n = l1.n
+    # det U = det U' * det V1 * det V2, as det V2^-1 = det V2 = +-1
+    sign = v1.det() * v2.det()
 
     candidates: dict[Fraction, list[tuple[int, ...]]] = {}
     for j in range(n):
         value = g2.rows[j][j]
         if value not in candidates:
-            candidates[value] = _vectors_with_norm(g1, value)
+            candidates[value] = _vectors_with_norm(factor1, value)
         if not candidates[value]:
             return None
 
@@ -324,7 +295,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     def backtrack(j: int) -> MatZ | None:
         if j == n:
             u = MatZ([[cols[c][r] for c in range(n)] for r in range(n)])
-            d = u.det()
+            d = u.det() * sign
             if abs(d) != 1 or (oriented and d != 1):
                 return None
             return u
@@ -338,4 +309,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
                     return result
         return None
 
-    return backtrack(0)
+    u = backtrack(0)
+    if u is None:
+        return None
+    return v1 @ u @ v2.to_matq().inverse().to_matz()

@@ -19,7 +19,7 @@ from .errors import (
     SingularBasis,
     ZeroScale,
 )
-from .exactnum import MatQ, MatZ, hnf
+from .exactnum import MatQ, MatZ, hnf, ldl, lll_gram
 
 
 def _vector(x: Sequence, n: int) -> tuple[Fraction, ...]:
@@ -31,7 +31,7 @@ def _vector(x: Sequence, n: int) -> tuple[Fraction, ...]:
 class Lattice:
     """Lattice basis(Z^n); the columns of ``basis`` are the generators."""
 
-    __slots__ = ("n", "basis", "_canonical", "_gram")
+    __slots__ = ("n", "basis", "_canonical", "_gram", "_reduced")
 
     def __init__(self, basis: MatQ):
         if basis.det() == 0:
@@ -40,6 +40,7 @@ class Lattice:
         self.basis = basis
         self._canonical: MatQ | None = None
         self._gram: MatQ | None = None
+        self._reduced: tuple | None = None
 
     def canonical_basis(self) -> MatQ:
         """Presentation-independent basis: the scaled column Hermite form.
@@ -58,6 +59,18 @@ class Lattice:
         if self._gram is None:
             self._gram = self.basis.transpose() @ self.basis
         return self._gram
+
+    def reduced_gram(self) -> tuple[MatQ, MatZ, tuple[MatQ, tuple[Fraction, ...]]]:
+        """(G', V, ldl(G')): the LLL-reduced Gram form G' = V^T G V, its
+        unimodular transform V and the LDL^T factorization of G'.
+
+        Computed on first use and kept; the lattice is immutable, so the
+        cache never goes stale.
+        """
+        if self._reduced is None:
+            reduced, v = lll_gram(self.gram_matrix())
+            self._reduced = (reduced, v, ldl(reduced))
+        return self._reduced
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice):

@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrix,
 )
 from .exactnum import MatQ, MatZ, is_positive_definite, ldl
-from .flat_geometry import is_orthogonal, isometric_mod_rotation
+from .flat_geometry import isometric_mod_rotation
 from .lattice_core import Lattice, covolume
 
 
@@ -55,16 +55,12 @@ def gram_map(t: MatQ) -> PosDefForm:
 def same_left_coset(t1: MatQ, t2: MatQ) -> bool:
     """Whether t2 = R t1 for some orthogonal R.
 
-    Decided two ways, as equality of the Gram images and as orthogonality of
-    t2 * t1^-1; the characterizations provably coincide and both are
-    computed here as a self-check.
+    Decided as equality of the Gram images t1^T t1 == t2^T t2, which holds
+    exactly when t2 * t1^-1 is orthogonal.
     """
     if t1.det() == 0 or t2.det() == 0:
         raise SingularMatrix("matrices must be invertible")
-    by_gram = t1.transpose() @ t1 == t2.transpose() @ t2
-    by_factor = is_orthogonal(t2 @ t1.inverse())
-    assert by_gram == by_factor
-    return by_gram
+    return t1.transpose() @ t1 == t2.transpose() @ t2
 
 
 def posdef_witness(s: PosDefForm | MatQ) -> list[list[float]]:

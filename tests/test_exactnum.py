@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latquot.errors import NotSymmetric, PivotBreakdown, SingularMatrix
-from latquot.exactnum import MatQ, MatZ, det, hnf, inverse, is_positive_definite, ldl
+from latquot.errors import NotPositiveDefinite, NotSymmetric, PivotBreakdown, SingularMatrix
+from latquot.exactnum import MatQ, MatZ, det, hnf, inverse, is_positive_definite, ldl, lll_gram
 
 from conftest import rand_invertible, rand_matq, rand_unimodular, rand_unimodular_pm
 
@@ -101,8 +101,7 @@ class TestInverse:
             m = rand_invertible(rng, rng.randint(1, 4))
             assert m @ inverse(m) == MatQ.identity(m.n)
 
-    def test_elimination_path_agrees_with_adjugate(self):
-        # n = 7 exercises the elimination branch
+    def test_product_is_identity_at_n7(self):
         rng = random.Random(13)
         m = rand_invertible(rng, 7, height=3)
         assert m @ m.inverse() == MatQ.identity(7)
@@ -216,6 +215,78 @@ class TestLdl:
     def test_positive_definiteness_detects_indefinite(self):
         assert not is_positive_definite(MatQ([[1, 2], [2, 1]]))
         assert is_positive_definite(MatQ([[2, 1], [1, 2]]))
+
+
+def lll_invariants(g: MatQ):
+    """Oracle for the integral LLL quantities of a Gram form, by minors alone.
+
+    d[j] is the Gram determinant of the leading j vectors and lam[k, j] the
+    minor on rows 0..j-1, k and columns 0..j, which equals d[j + 1] * mu_kj.
+    """
+    n = g.n
+
+    def minor(rows, cols):
+        return MatQ([[g.rows[r][c] for c in cols] for r in rows]).det()
+
+    d = [Fraction(1)] + [minor(range(j), range(j)) for j in range(1, n + 1)]
+    lam = {(k, j): minor([*range(j), k], range(j + 1)) for k in range(n) for j in range(k)}
+    return d, lam
+
+
+# rational bases times random unimodular shears, n <= 6
+sheared_grams = st.tuples(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32),
+).map(lambda t: _sheared_gram(random.Random(t[3]), *t[:3]))
+
+
+def _sheared_gram(rng, n, ops, kmax):
+    b = rand_invertible(rng, n) @ rand_unimodular(rng, n, ops, kmax).to_matq()
+    return b.transpose() @ b
+
+
+class TestLllGram:
+    def test_identity_is_fixed(self):
+        assert lll_gram(MatQ.identity(3)) == (MatQ.identity(3), MatZ.identity(3))
+
+    def test_hand_reduction(self):
+        # one size-reduction step: b1 <- b1 - b0 turns [[1, 1], [1, 2]] into I
+        assert lll_gram(MatQ([[1, 1], [1, 2]])) == (MatQ.identity(2), MatZ([[1, -1], [0, 1]]))
+
+    def test_lovasz_swap(self):
+        # |b1|^2 = 1 is far below 3/4 |b0|^2 = 3, so the two vectors swap
+        assert lll_gram(MatQ([[4, 0], [0, 1]])) == (MatQ([[1, 0], [0, 4]]), MatZ([[0, 1], [1, 0]]))
+
+    def test_rational_form(self):
+        g = MatQ([["1/2", "1/3"], ["1/3", "5"]])
+        reduced, v = lll_gram(g)
+        assert v.to_matq().transpose() @ g @ v.to_matq() == reduced
+
+    def test_not_positive_definite(self):
+        for m in ([[1, 2], [2, 1]], [[1, 0], [0, 0]], [[-1]]):
+            with pytest.raises(NotPositiveDefinite):
+                lll_gram(MatQ(m))
+
+    def test_not_symmetric(self):
+        with pytest.raises(NotSymmetric):
+            lll_gram(MatQ([[1, 2], [0, 1]]))
+
+    @given(sheared_grams)
+    def test_reduced_equivalent_form(self, g):
+        reduced, v = lll_gram(g)
+        assert v.to_matq().transpose() @ g @ v.to_matq() == reduced
+        assert abs(v.det()) == 1
+
+    @given(sheared_grams)
+    def test_size_reduced_and_lovasz(self, g):
+        reduced, _ = lll_gram(g)
+        d, lam = lll_invariants(reduced)
+        for (k, j), x in lam.items():
+            assert 2 * abs(x) <= d[j + 1]
+        for k in range(1, g.n):
+            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k, k - 1] ** 2
 
 
 class TestMatrixBasics:

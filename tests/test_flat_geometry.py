@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -28,9 +30,9 @@ from latquot.flat_geometry import (
     signed_cos_squared,
     squared_length,
 )
-from latquot.lattice_core import Lattice, from_basis, scale, standard
+from latquot.lattice_core import Lattice, equals, from_basis, scale, standard
 
-from conftest import rand_lattice, rand_orthogonal, rand_unimodular_pm
+from conftest import rand_invertible, rand_lattice, rand_orthogonal, rand_unimodular, rand_unimodular_pm
 
 
 def brute_force_classes(lattice, box):
@@ -317,3 +319,81 @@ class TestIsometry:
     def test_dimension_too_large(self):
         with pytest.raises(DimensionTooLarge):
             isometric_mod_rotation(standard(5), standard(5))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test with TimeoutError instead of hanging past ``seconds``."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestShearedPresentations:
+    """Heavily sheared bases of Z^n, which a pairwise size reduction cannot untangle."""
+
+    def test_shortest_on_sheared_z6(self):
+        lat = from_basis(rand_unimodular(random.Random(19), 6, 40, 5).to_matq())
+        with time_limit(5):
+            vs = shortest_vectors(lat)
+        # one class per coordinate axis: the ambient vectors are +-e_i
+        assert sorted(tuple(abs(x) for x in v.ambient()) for v in vs) == sorted(MatQ.identity(6).rows)
+
+    def test_isometry_to_sheared_z3(self):
+        l2 = from_basis(rand_unimodular(random.Random(7), 3, 16, 3).to_matq())
+        with time_limit(5):
+            u = isometric_mod_rotation(standard(3), l2)
+        assert u is not None
+        assert u.to_matq().transpose() @ u.to_matq() == l2.gram_matrix()
+        assert abs(u.det()) == 1
+
+    def test_oriented_witness_through_both_transforms(self):
+        rng = random.Random(81)
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            l1 = from_basis(rand_unimodular_pm(rng, n, ops=20, kmax=4).to_matq())
+            l2 = from_basis(rand_orthogonal(rng, n) @ rand_unimodular_pm(rng, n, ops=20, kmax=4).to_matq())
+            with time_limit(5):
+                w = isometric_mod_rotation(l1, l2)
+                ow = isometric_mod_rotation(l1, l2, oriented=True)
+            assert w is not None
+            assert w.to_matq().transpose() @ l1.gram_matrix() @ w.to_matq() == l2.gram_matrix()
+            if (l1.basis.det() > 0) == (l2.basis.det() > 0):
+                assert ow is not None and ow.det() == 1
+            else:
+                assert ow is None
+
+    def test_reduced_gram_is_cached(self):
+        lat = from_basis(rand_unimodular(random.Random(3), 4, 20, 4).to_matq())
+        assert lat.reduced_gram() is lat.reduced_gram()
+
+
+class TestSympyLllOracle:
+    """sympy's LLL (test-only) must present the same lattice with the same minimum."""
+
+    def test_integer_bases(self):
+        dm = pytest.importorskip("sympy.polys.matrices")
+        zz = pytest.importorskip("sympy").ZZ
+        rng = random.Random(82)
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            b = MatQ([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+            if b.det() == 0:
+                continue
+            b = b @ rand_unimodular(rng, n, ops=20, kmax=4).to_matq()
+            lat = from_basis(b)
+            _, v, _ = lat.reduced_gram()
+            # sympy reduces row bases; the rows of b^T are our generators
+            rows = dm.DomainMatrix([[zz(int(x)) for x in col] for col in zip(*b.rows)], (n, n), zz)
+            theirs = from_basis(MatQ(rows.lll().to_Matrix().tolist()).transpose())
+            ours = from_basis(b @ v.to_matq())
+            assert equals(ours, theirs) and equals(ours, lat)
+            assert squared_length(shortest_vectors(theirs)[0]) == squared_length(shortest_vectors(lat)[0])

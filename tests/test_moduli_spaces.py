@@ -5,6 +5,7 @@ import pytest
 
 from latquot.errors import CovolumeMismatch, NotPositiveDefinite, SingularMatrix
 from latquot.exactnum import MatQ, is_positive_definite
+from latquot.flat_geometry import is_orthogonal
 from latquot.lattice_core import from_basis, scale, standard
 from latquot.moduli_spaces import (
     PosDefForm,
@@ -80,8 +81,7 @@ class TestSameLeftCoset:
         assert not same_left_coset(MatQ.identity(2), 2 * MatQ.identity(2))
 
     def test_characterizations_agree(self):
-        # the assert inside same_left_coset cross-checks the Gram test against
-        # orthogonality of t2 * t1^-1 on every call
+        # oracle: t2 = R t1 with R orthogonal iff t2 * t1^-1 is orthogonal
         rng = random.Random(103)
         for i in range(60):
             n = rng.randint(2, 3)
@@ -91,7 +91,7 @@ class TestSameLeftCoset:
                 assert same_left_coset(t1, t2)
             else:
                 t2 = rand_invertible(rng, n)
-                same_left_coset(t1, t2)
+            assert same_left_coset(t1, t2) == is_orthogonal(t2 @ t1.inverse())
 
 
 class TestPosdefWitness:
