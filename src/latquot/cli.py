@@ -3,27 +3,29 @@
 Each subcommand wraps exactly one library operation: inputs are JSON files
 (rationals as strings, never floats), the output is a single JSON document
 on stdout (or --output), and identical inputs produce byte-identical output.
-Exit codes: 0 success, 1 domain error, 2 parse/schema failure; errors are
-emitted as {"error": {"kind", "message", "input"}}.
+Exit codes: 0 success, 1 domain error or internal failure, 2 parse/schema
+failure; errors are emitted as {"error": {"kind", "message", "input"}}.
+
+The subcommands are the rows of ``COMMANDS``: help line, library module,
+flags and handler.  ``run`` builds the argument parser of the named
+subcommand only, imports that subcommand's module and hands it to the
+handler, so one call loads only the code its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from . import complex_lattices, flat_geometry, lattice_core, moduli_spaces, quotient_torus
 from .errors import InputError, LatquotError, SchemaError
 from .serialize import (
-    complex_matrix_to_json,
     format_float,
     format_rational,
-    lattice_to_json,
     matrix_to_json,
     matz_to_json,
     parse_complex_matrix,
@@ -35,92 +37,6 @@ from .serialize import (
     parse_vector,
     point_to_json,
 )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="latquot",
-        description="Exact computations with lattices, quotient tori, and spaces of lattices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--output", metavar="PATH", help="write the result document here instead of stdout")
-        return p
-
-    p = cmd("reduce", "canonical quotient map: reduce an ambient vector modulo a lattice")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--vector", required=True)
-
-    p = cmd("add", "add two torus points (pass --point twice)")
-    p.add_argument("--point", action="append", required=True)
-
-    p = cmd("induce", "validate A(L1) = L2 and report the induced map (optionally apply it)")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--point")
-
-    p = cmd("volume", "covolume of a lattice (volume of its quotient torus)")
-    p.add_argument("--lattice", required=True)
-
-    p = cmd("volume-scaled", "volume of the quotient by c*L for a real scale c")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--scale", required=True, help='rational "p/q" or the token "2pi"')
-
-    p = cmd("gram", "Gram form of the lattice basis")
-    p.add_argument("--lattice", required=True)
-
-    p = cmd("shortest", "all shortest nonzero vector classes of a lattice")
-    p.add_argument("--lattice", required=True)
-
-    p = cmd("spectrum", "squared geodesic lengths up to a bound, with multiplicities")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--bound", required=True, help='rational bound "p/q"')
-
-    p = cmd("angle", "angle between two geodesic classes (pass --vector twice)")
-    p.add_argument("--vector", action="append", required=True)
-
-    p = cmd("injectivity", "injectivity radius of the quotient map")
-    p.add_argument("--lattice", required=True)
-
-    p = cmd("isometric", "rotation-isometry test for two lattices (pass --lattice twice)")
-    p.add_argument("--lattice", action="append", required=True)
-    p.add_argument("--oriented", action="store_true")
-
-    p = cmd("realify", "real 2n x 2n matrix of a complex matrix")
-    p.add_argument("--cmatrix", required=True)
-
-    p = cmd("is-unitary", "complex-linearity plus orthogonality test")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--cdim", required=True, type=int, help="complex dimension n")
-
-    p = cmd("complex-induce", "validate that a complex matrix takes one lattice onto another")
-    p.add_argument("--cmatrix", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-
-    p = cmd("gram-map", "T -> T^T T into the positive-definite forms")
-    p.add_argument("--matrix", required=True)
-
-    p = cmd("coset-eq", "orthogonal left-coset test for two matrices (pass --matrix twice)")
-    p.add_argument("--matrix", action="append", required=True)
-
-    p = cmd("in-m", "symmetric positive definite with determinant 1")
-    p.add_argument("--matrix", required=True)
-
-    p = cmd("in-sigma", "integer entries with determinant 1")
-    p.add_argument("--matrix", required=True)
-
-    p = cmd("orientation", "sign of the determinant")
-    p.add_argument("--matrix", required=True)
-
-    p = cmd("double-coset", "rotation equivalence of equal-covolume lattices (pass --lattice twice)")
-    p.add_argument("--lattice", action="append", required=True)
-    p.add_argument("--oriented", action="store_true")
-
-    return parser
 
 
 def _load_json(path: str) -> Any:
@@ -147,147 +63,210 @@ def _parse_file(path: str, parse):
         raise
 
 
-def _pair(paths, flag: str) -> tuple[str, str]:
+def _parse_pair(paths, flag: str, parse) -> tuple:
+    """The two inputs of a flag given twice, parsed in order."""
     if len(paths) != 2:
         raise SchemaError(f"expected exactly two {flag} arguments, got {len(paths)}")
-    return paths[0], paths[1]
-
-
-def _parse_scale(text: str) -> float | Fraction:
-    if text == "2pi":
-        return 2 * math.pi
-    return parse_rational(text)
+    return _parse_file(paths[0], parse), _parse_file(paths[1], parse)
 
 
 def _witness_doc(witness) -> Any:
     return matz_to_json(witness) if witness is not None else None
 
 
-def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
-    cmd = args.command
+def _induced_doc(f) -> dict[str, Any]:
+    from .quotient_torus import volume_scale
 
-    if cmd == "reduce":
-        lattice = _parse_file(args.lattice, parse_lattice)
-        vector = _parse_file(args.vector, parse_vector)
-        return point_to_json(quotient_torus.reduce(lattice, vector))
+    return {"volume_scale": format_rational(volume_scale(f)), "witness": matz_to_json(f.witness)}
 
-    if cmd == "add":
-        a, b = _pair(args.point, "--point")
-        p = _parse_file(a, parse_point)
-        q = _parse_file(b, parse_point)
-        return point_to_json(quotient_torus.torus_add(p, q))
 
-    if cmd == "induce":
-        matrix = _parse_file(args.matrix, parse_matrix)
-        source = _parse_file(args.source, parse_lattice)
-        target = _parse_file(args.target, parse_lattice)
-        f = quotient_torus.make_induced_map(matrix, source, target)
-        if args.point is not None:
-            point = _parse_file(args.point, parse_point)
-            return point_to_json(quotient_torus.apply_induced(f, point))
-        return {
-            "volume_scale": format_rational(quotient_torus.volume_scale(f)),
-            "witness": matz_to_json(f.witness),
-        }
+# --- handlers: (library module, parsed arguments) -> the result document ---
 
-    if cmd == "volume":
-        lattice = _parse_file(args.lattice, parse_lattice)
-        return {"covolume": format_rational(lattice_core.covolume(lattice))}
+def _reduce(lib, args):
+    lattice = _parse_file(args.lattice, parse_lattice)
+    return point_to_json(lib.reduce(lattice, _parse_file(args.vector, parse_vector)))
 
-    if cmd == "volume-scaled":
-        lattice = _parse_file(args.lattice, parse_lattice)
-        value = quotient_torus.volume_of_scaled(lattice, _parse_scale(args.scale))
-        return {"volume_float": format_float(value)}
 
-    if cmd == "gram":
-        lattice = _parse_file(args.lattice, parse_lattice)
-        return {"gram": matrix_to_json(flat_geometry.gram(lattice).matrix)}
+def _add(lib, args):
+    return point_to_json(lib.torus_add(*_parse_pair(args.point, "--point", parse_point)))
 
-    if cmd == "shortest":
-        lattice = _parse_file(args.lattice, parse_lattice)
-        vectors = flat_geometry.shortest_vectors(lattice)
-        value = flat_geometry.squared_length(vectors[0])
-        return {
-            "squared_length": format_rational(value),
-            "length_float": format_float(math.sqrt(float(value))),
-            "vectors": [list(v.coeffs) for v in vectors],
-        }
 
-    if cmd == "spectrum":
-        lattice = _parse_file(args.lattice, parse_lattice)
-        bound = parse_rational(args.bound)
-        spectrum = flat_geometry.geodesic_spectrum(lattice, bound)
-        return {"spectrum": [[format_rational(q), mult] for q, mult in spectrum]}
+def _induce(lib, args):
+    matrix = _parse_file(args.matrix, parse_matrix)
+    source = _parse_file(args.source, parse_lattice)
+    target = _parse_file(args.target, parse_lattice)
+    f = lib.make_induced_map(matrix, source, target)
+    if args.point is None:
+        return _induced_doc(f)
+    return point_to_json(lib.apply_induced(f, _parse_file(args.point, parse_point)))
 
-    if cmd == "angle":
-        a, b = _pair(args.vector, "--vector")
-        v = _parse_file(a, parse_lattice_vector)
-        w = _parse_file(b, parse_lattice_vector)
-        return {
-            "cos_squared_signed": format_rational(flat_geometry.signed_cos_squared(v, w)),
-            "angle_float": format_float(flat_geometry.angle(v, w)),
-        }
 
-    if cmd == "injectivity":
-        lattice = _parse_file(args.lattice, parse_lattice)
-        r_sq, r = flat_geometry.injectivity_radius(lattice)
-        return {"radius_squared": format_rational(r_sq), "radius_float": format_float(r)}
+def _volume(lib, args):
+    return {"covolume": format_rational(lib.covolume(_parse_file(args.lattice, parse_lattice)))}
 
-    if cmd == "isometric":
-        a, b = _pair(args.lattice, "--lattice")
-        l1 = _parse_file(a, parse_lattice)
-        l2 = _parse_file(b, parse_lattice)
-        witness = flat_geometry.isometric_mod_rotation(l1, l2, oriented=args.oriented)
-        return {"isometric": witness is not None, "witness": _witness_doc(witness)}
 
-    if cmd == "realify":
-        cm = _parse_file(args.cmatrix, parse_complex_matrix)
-        return {"matrix": matrix_to_json(complex_lattices.realify(cm))}
+def _volume_scaled(lib, args):
+    lattice = _parse_file(args.lattice, parse_lattice)
+    c = 2 * math.pi if args.scale == "2pi" else parse_rational(args.scale)
+    return {"volume_float": format_float(lib.volume_of_scaled(lattice, c))}
 
-    if cmd == "is-unitary":
-        matrix = _parse_file(args.matrix, parse_matrix)
-        return {"unitary": complex_lattices.is_unitary(matrix, args.cdim)}
 
-    if cmd == "complex-induce":
-        cm = _parse_file(args.cmatrix, parse_complex_matrix)
-        source = _parse_file(args.source, parse_lattice)
-        target = _parse_file(args.target, parse_lattice)
-        f = complex_lattices.complex_map_check(cm, source, target)
-        return {
-            "volume_scale": format_rational(quotient_torus.volume_scale(f)),
-            "witness": matz_to_json(f.witness),
-        }
+def _gram(lib, args):
+    return {"gram": matrix_to_json(lib.gram(_parse_file(args.lattice, parse_lattice)).matrix)}
 
-    if cmd == "gram-map":
-        matrix = _parse_file(args.matrix, parse_matrix)
-        return {"gram": matrix_to_json(moduli_spaces.gram_map(matrix).matrix)}
 
-    if cmd == "coset-eq":
-        a, b = _pair(args.matrix, "--matrix")
-        t1 = _parse_file(a, parse_matrix)
-        t2 = _parse_file(b, parse_matrix)
-        return {"same_coset": moduli_spaces.same_left_coset(t1, t2)}
+def _shortest(lib, args):
+    vectors = lib.shortest_vectors(_parse_file(args.lattice, parse_lattice))
+    value = lib.squared_length(vectors[0])
+    return {
+        "squared_length": format_rational(value),
+        "length_float": format_float(math.sqrt(float(value))),
+        "vectors": [list(v.coeffs) for v in vectors],
+    }
 
-    if cmd == "in-m":
-        matrix = _parse_file(args.matrix, parse_matrix)
-        return {"in_m": moduli_spaces.in_M(matrix)}
 
-    if cmd == "in-sigma":
-        matrix = _parse_file(args.matrix, parse_matrix)
-        return {"in_sigma": moduli_spaces.in_Sigma(matrix)}
+def _spectrum(lib, args):
+    lattice = _parse_file(args.lattice, parse_lattice)
+    spectrum = lib.geodesic_spectrum(lattice, parse_rational(args.bound))
+    return {"spectrum": [[format_rational(q), mult] for q, mult in spectrum]}
 
-    if cmd == "orientation":
-        matrix = _parse_file(args.matrix, parse_matrix)
-        return {"orientation": moduli_spaces.orientation(matrix)}
 
-    if cmd == "double-coset":
-        a, b = _pair(args.lattice, "--lattice")
-        l1 = _parse_file(a, parse_lattice)
-        l2 = _parse_file(b, parse_lattice)
-        witness = moduli_spaces.double_coset_equivalent(l1, l2, oriented=args.oriented)
-        return {"equivalent": witness is not None, "witness": _witness_doc(witness)}
+def _angle(lib, args):
+    v, w = _parse_pair(args.vector, "--vector", parse_lattice_vector)
+    return {
+        "cos_squared_signed": format_rational(lib.signed_cos_squared(v, w)),
+        "angle_float": format_float(lib.angle(v, w)),
+    }
 
-    raise SchemaError(f"unknown subcommand {cmd!r}")
+
+def _injectivity(lib, args):
+    r_sq, r = lib.injectivity_radius(_parse_file(args.lattice, parse_lattice))
+    return {"radius_squared": format_rational(r_sq), "radius_float": format_float(r)}
+
+
+def _isometric(lib, args):
+    l1, l2 = _parse_pair(args.lattice, "--lattice", parse_lattice)
+    witness = lib.isometric_mod_rotation(l1, l2, oriented=args.oriented)
+    return {"isometric": witness is not None, "witness": _witness_doc(witness)}
+
+
+def _realify(lib, args):
+    return {"matrix": matrix_to_json(lib.realify(_parse_file(args.cmatrix, parse_complex_matrix)))}
+
+
+def _is_unitary(lib, args):
+    return {"unitary": lib.is_unitary(_parse_file(args.matrix, parse_matrix), args.cdim)}
+
+
+def _complex_induce(lib, args):
+    cm = _parse_file(args.cmatrix, parse_complex_matrix)
+    source = _parse_file(args.source, parse_lattice)
+    target = _parse_file(args.target, parse_lattice)
+    return _induced_doc(lib.complex_map_check(cm, source, target))
+
+
+def _gram_map(lib, args):
+    return {"gram": matrix_to_json(lib.gram_map(_parse_file(args.matrix, parse_matrix)).matrix)}
+
+
+def _coset_eq(lib, args):
+    return {"same_coset": lib.same_left_coset(*_parse_pair(args.matrix, "--matrix", parse_matrix))}
+
+
+def _in_m(lib, args):
+    return {"in_m": lib.in_M(_parse_file(args.matrix, parse_matrix))}
+
+
+def _in_sigma(lib, args):
+    return {"in_sigma": lib.in_Sigma(_parse_file(args.matrix, parse_matrix))}
+
+
+def _orientation(lib, args):
+    return {"orientation": lib.orientation(_parse_file(args.matrix, parse_matrix))}
+
+
+def _double_coset(lib, args):
+    l1, l2 = _parse_pair(args.lattice, "--lattice", parse_lattice)
+    witness = lib.double_coset_equivalent(l1, l2, oriented=args.oriented)
+    return {"equivalent": witness is not None, "witness": _witness_doc(witness)}
+
+
+_ONE = {"required": True}
+_TWO = {"action": "append", "required": True}  # the flag is given twice, in order
+_ORIENTED = ("--oriented", {"action": "store_true"})
+
+# name -> (help line, library module, (flag, add_argument keywords) pairs,
+# handler); every subcommand also takes --output.  --help lists them in this
+# order.
+COMMANDS = {
+    "reduce": ("canonical quotient map: reduce an ambient vector modulo a lattice", "quotient_torus",
+               (("--lattice", _ONE), ("--vector", _ONE)), _reduce),
+    "add": ("add two torus points (pass --point twice)", "quotient_torus", (("--point", _TWO),), _add),
+    "induce": ("validate A(L1) = L2 and report the induced map (optionally apply it)", "quotient_torus",
+               (("--matrix", _ONE), ("--source", _ONE), ("--target", _ONE), ("--point", {})), _induce),
+    "volume": ("covolume of a lattice (volume of its quotient torus)", "lattice_core",
+               (("--lattice", _ONE),), _volume),
+    "volume-scaled": ("volume of the quotient by c*L for a real scale c", "quotient_torus",
+                      (("--lattice", _ONE),
+                       ("--scale", {"required": True, "help": 'rational "p/q" or the token "2pi"'})),
+                      _volume_scaled),
+    "gram": ("Gram form of the lattice basis", "flat_geometry", (("--lattice", _ONE),), _gram),
+    "shortest": ("all shortest nonzero vector classes of a lattice", "flat_geometry",
+                 (("--lattice", _ONE),), _shortest),
+    "spectrum": ("squared geodesic lengths up to a bound, with multiplicities", "flat_geometry",
+                 (("--lattice", _ONE), ("--bound", {"required": True, "help": 'rational bound "p/q"'})),
+                 _spectrum),
+    "angle": ("angle between two geodesic classes (pass --vector twice)", "flat_geometry",
+              (("--vector", _TWO),), _angle),
+    "injectivity": ("injectivity radius of the quotient map", "flat_geometry",
+                    (("--lattice", _ONE),), _injectivity),
+    "isometric": ("rotation-isometry test for two lattices (pass --lattice twice)", "flat_geometry",
+                  (("--lattice", _TWO), _ORIENTED), _isometric),
+    "realify": ("real 2n x 2n matrix of a complex matrix", "complex_lattices",
+                (("--cmatrix", _ONE),), _realify),
+    "is-unitary": ("complex-linearity plus orthogonality test", "complex_lattices",
+                   (("--matrix", _ONE),
+                    ("--cdim", {"required": True, "type": int, "help": "complex dimension n"})),
+                   _is_unitary),
+    "complex-induce": ("validate that a complex matrix takes one lattice onto another", "complex_lattices",
+                       (("--cmatrix", _ONE), ("--source", _ONE), ("--target", _ONE)), _complex_induce),
+    "gram-map": ("T -> T^T T into the positive-definite forms", "moduli_spaces",
+                 (("--matrix", _ONE),), _gram_map),
+    "coset-eq": ("orthogonal left-coset test for two matrices (pass --matrix twice)", "moduli_spaces",
+                 (("--matrix", _TWO),), _coset_eq),
+    "in-m": ("symmetric positive definite with determinant 1", "moduli_spaces",
+             (("--matrix", _ONE),), _in_m),
+    "in-sigma": ("integer entries with determinant 1", "moduli_spaces", (("--matrix", _ONE),), _in_sigma),
+    "orientation": ("sign of the determinant", "moduli_spaces", (("--matrix", _ONE),), _orientation),
+    "double-coset": ("rotation equivalence of equal-covolume lattices (pass --lattice twice)", "moduli_spaces",
+                     (("--lattice", _TWO), _ORIENTED), _double_coset),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; for a known ``command``, with only its subparser.
+
+    The one-subcommand parser still names every subcommand in its usage
+    line, so each message it prints is the full parser's.  It never sees an
+    unknown or missing subcommand: ``run`` passes those to the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="latquot",
+        description="Exact computations with lattices, quotient tori, and spaces of lattices.",
+    )
+    if command in COMMANDS:
+        names = [command]
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS))
+    else:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, _, flags, _ = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--output", metavar="PATH", help="write the result document here instead of stdout")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+    return parser
 
 
 def _emit(doc: dict[str, Any], output: str | None) -> None:
@@ -298,25 +277,27 @@ def _emit(doc: dict[str, Any], output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _error(kind: str, message: str, input_path: str | None) -> None:
+    _emit({"error": {"kind": kind, "message": message, "input": input_path}}, None)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    _, module, _, handler = COMMANDS[args.command]
     try:
-        doc = _dispatch(args)
+        lib = importlib.import_module(f".{module}", __package__)
+        _emit(handler(lib, args), args.output)
     except LatquotError as exc:
-        error_doc = {
-            "error": {
-                "kind": exc.kind,
-                "message": str(exc),
-                "input": getattr(exc, "input_path", None),
-            }
-        }
-        sys.stdout.write(json.dumps(error_doc, separators=(",", ":")) + "\n")
+        _error(exc.kind, str(exc), getattr(exc, "input_path", None))
         return 2 if isinstance(exc, InputError) else 1
-    _emit(doc, args.output)
+    except Exception as exc:  # the contract: one JSON document, never a traceback
+        _error("InternalError", f"{type(exc).__name__}: {exc}", None)
+        return 1
     return 0
 
 

@@ -3,9 +3,10 @@
 This is the bedrock of the package: arbitrary-precision rationals
 (``fractions.Fraction``), dense square rational matrices (``MatQ``) and
 integer matrices (``MatZ``), with exact determinants, inverses (by
-elimination), Hermite normal forms, LDL^T factorizations and integral LLL
-reduction of Gram forms.  Nothing in this module rounds; floating point
-belongs to the explicitly metric outputs elsewhere.
+elimination), Hermite normal forms, LDL^T factorizations, integral LLL
+reduction of Gram forms, and the positive-definite form type.  Nothing in
+this module rounds; floating point belongs to the explicitly metric outputs
+elsewhere.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -412,3 +413,27 @@ def is_positive_definite(s: MatQ) -> bool:
     except PivotBreakdown:
         return False
     return all(d > 0 for d in diag)
+
+
+class PosDefForm:
+    """A symmetric positive-definite rational matrix (exact pivot test).
+
+    Gram forms of lattice bases (``flat_geometry.GramForm``) and the images
+    T^T T of ``moduli_spaces.gram_map`` are both of this type.
+    """
+
+    __slots__ = ("n", "matrix")
+
+    def __init__(self, matrix: MatQ):
+        if matrix != matrix.transpose():
+            raise NotSymmetric("form must be symmetric")
+        if not is_positive_definite(matrix):
+            raise NotPositiveDefinite("form must be positive definite")
+        self.n = matrix.n
+        self.matrix = matrix
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PosDefForm) and self.matrix == other.matrix
+
+    def __repr__(self) -> str:
+        return f"PosDefForm({self.matrix!r})"

@@ -23,34 +23,16 @@ from .errors import (
     DimensionTooLarge,
     LatticeMismatch,
     NonPositiveBound,
-    NotPositiveDefinite,
-    NotSymmetric,
     ZeroVector,
 )
-from .exactnum import MatQ, MatZ, is_positive_definite
+from .exactnum import MatQ, MatZ, PosDefForm
 from .lattice_core import Lattice, equals
 
 _ISOMETRY_MAX_DIM = 4
 
 
-class GramForm:
-    """Symmetric positive-definite form basis^T * basis; all metric data."""
-
-    __slots__ = ("n", "matrix")
-
-    def __init__(self, matrix: MatQ):
-        if matrix != matrix.transpose():
-            raise NotSymmetric("Gram matrix must be symmetric")
-        if not is_positive_definite(matrix):
-            raise NotPositiveDefinite("Gram matrix must be positive definite")
-        self.n = matrix.n
-        self.matrix = matrix
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GramForm) and self.matrix == other.matrix
-
-    def __repr__(self) -> str:
-        return f"GramForm({self.matrix!r})"
+# the Gram form basis^T * basis of a lattice; all of its metric data
+GramForm = PosDefForm
 
 
 class LatticeVector:
@@ -86,6 +68,10 @@ class LatticeVector:
         if self.lattice.n != other.lattice.n or not equals(self.lattice, other.lattice):
             return False
         return self.ambient() == other.ambient()
+
+    def __hash__(self) -> int:
+        # equal vectors lie in equal lattices and have the same ambient point
+        return hash((self.lattice, self.ambient()))
 
     def __repr__(self) -> str:
         return f"LatticeVector({self.lattice!r}, {list(self.coeffs)})"

@@ -10,39 +10,11 @@ is decided by the exact arithmetic isometry search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CovolumeMismatch,
-    NotPositiveDefinite,
-    NotSymmetric,
-    PivotBreakdown,
-    SingularMatrix,
-)
-from .exactnum import MatQ, MatZ, is_positive_definite, ldl
-from .flat_geometry import isometric_mod_rotation
+from .errors import CovolumeMismatch, NotPositiveDefinite, PivotBreakdown, SingularMatrix
+from .exactnum import MatQ, MatZ, PosDefForm, is_positive_definite, ldl
 from .lattice_core import Lattice, covolume
-
-
-class PosDefForm:
-    """A symmetric positive-definite rational matrix (exact pivot test)."""
-
-    __slots__ = ("n", "matrix")
-
-    def __init__(self, matrix: MatQ):
-        if matrix != matrix.transpose():
-            raise NotSymmetric("form must be symmetric")
-        if not is_positive_definite(matrix):
-            raise NotPositiveDefinite("form must be positive definite")
-        self.n = matrix.n
-        self.matrix = matrix
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PosDefForm) and self.matrix == other.matrix
-
-    def __repr__(self) -> str:
-        return f"PosDefForm({self.matrix!r})"
 
 
 def gram_map(t: MatQ) -> PosDefForm:
@@ -102,18 +74,42 @@ def orientation(a: MatQ) -> int:
     return 1 if d > 0 else -1
 
 
-@dataclass(frozen=True)
 class UnitCovolumeForm:
     """Gram form of a lattice together with its unit-covolume normalization.
 
     ``scale * gram`` is the Gram form of the rescaled lattice whose quotient
     has volume 1.  When the covolume is an n-th power of a rational the
     scale (and hence the normalized form) is also available exactly.
+    Immutable; equal when all three fields are equal.
     """
 
-    gram: MatQ
-    scale: float
-    scale_exact: Fraction | None
+    __slots__ = ("gram", "scale", "scale_exact")
+
+    def __init__(self, gram: MatQ, scale: float, scale_exact: Fraction | None):
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scale_exact", scale_exact)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.gram, self.scale, self.scale_exact)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not UnitCovolumeForm:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"UnitCovolumeForm(gram={self.gram!r}, scale={self.scale!r}, "
+                f"scale_exact={self.scale_exact!r})")
 
     def normalized_float(self) -> list[list[float]]:
         if self.scale_exact is not None:
@@ -165,6 +161,9 @@ def double_coset_equivalent(l1: Lattice, l2: Lattice, oriented: bool = False) ->
     Delegates to the exact isometry search; with ``oriented`` the witness is
     required to respect orientations on both sides.
     """
+    # imported here, so that the rest of this module loads without flat_geometry
+    from .flat_geometry import isometric_mod_rotation
+
     if covolume(l1) != covolume(l2):
         raise CovolumeMismatch("lattices have different covolumes")
     return isometric_mod_rotation(l1, l2, oriented=oriented)

@@ -53,6 +53,12 @@ class TorusPoint:
             return False
         return reduce(self.lattice, other.ambient()).coords == self.coords
 
+    def __hash__(self) -> int:
+        # the point's coordinates over the lattice's canonical basis, which
+        # every presentation of the lattice shares
+        coords = self.lattice.canonical_basis().inverse().mul_vec(self.ambient())
+        return hash((self.lattice, tuple(c % 1 for c in coords)))
+
     def __repr__(self) -> str:
         return f"TorusPoint({self.lattice!r}, {[str(c) for c in self.coords]})"
 

@@ -9,14 +9,18 @@ floats appear only in output fields whose keys end in "_float", rendered to
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ParseError, SchemaError, ZeroDenominator
 from .exactnum import MatQ, MatZ
-from .complex_lattices import ComplexMatrix
-from .flat_geometry import LatticeVector
 from .lattice_core import Lattice
-from .quotient_torus import TorusPoint
+
+# The point, vector and complex-matrix types are imported by the functions
+# that build them, so parsing a lattice or a matrix loads no other module.
+if TYPE_CHECKING:
+    from .complex_lattices import ComplexMatrix
+    from .flat_geometry import LatticeVector
+    from .quotient_torus import TorusPoint
 
 _DIGITS = set("0123456789")
 
@@ -122,6 +126,8 @@ def lattice_to_json(lattice: Lattice) -> dict[str, Any]:
 
 
 def parse_point(doc: Any) -> TorusPoint:
+    from .quotient_torus import TorusPoint
+
     if not isinstance(doc, dict) or "lattice" not in doc or "coords" not in doc:
         raise SchemaError("torus point must be an object with 'lattice' and 'coords'")
     lattice = parse_lattice(doc["lattice"])
@@ -136,6 +142,8 @@ def point_to_json(p: TorusPoint) -> dict[str, Any]:
 
 
 def parse_lattice_vector(doc: Any) -> LatticeVector:
+    from .flat_geometry import LatticeVector
+
     if not isinstance(doc, dict) or "lattice" not in doc or "coeffs" not in doc:
         raise SchemaError("lattice vector must be an object with 'lattice' and 'coeffs'")
     lattice = parse_lattice(doc["lattice"])
@@ -147,11 +155,9 @@ def parse_lattice_vector(doc: Any) -> LatticeVector:
     return LatticeVector(lattice, coeffs)
 
 
-def lattice_vector_to_json(v: LatticeVector) -> dict[str, Any]:
-    return {"lattice": lattice_to_json(v.lattice), "coeffs": list(v.coeffs)}
-
-
 def parse_complex_matrix(doc: Any) -> ComplexMatrix:
+    from .complex_lattices import ComplexMatrix
+
     if not isinstance(doc, list) or not doc or not all(isinstance(row, list) for row in doc):
         raise SchemaError("complex matrix must be a non-empty array of rows")
     n = len(doc)

@@ -1,7 +1,14 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latquot
+from latquot import cli, lattice_core
 from latquot.cli import run
 
 
@@ -263,6 +270,165 @@ class TestErrorHandling:
 
     def test_unknown_command_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    # entries of 10^400 overflow a float; the failure must still be one JSON
+    # document with exit 1, never a traceback
+    HUGE = "1" + "0" * 400
+
+    def test_float_overflow_in_volume_scaled(self, capsys, write):
+        path = write("big.json", lattice_doc([[self.HUGE, "0"], ["0", "1"]]))
+        code, out = invoke(capsys, ["volume-scaled", "--lattice", path, "--scale", "2pi"])
+        assert code == 1
+        assert json.loads(out) == {"error": {
+            "kind": "InternalError",
+            "message": "OverflowError: integer division result too large for a float",
+            "input": None,
+        }}
+
+    def test_float_overflow_in_injectivity(self, capsys, write):
+        code, out = invoke(capsys, ["injectivity", "--lattice", write("big.json", lattice_doc([[self.HUGE]]))])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "InternalError"
+        assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_pass_through(self, capsys, write, monkeypatch, exc):
+        def handler(lib, args):
+            raise exc
+
+        help_text, module, flags, _ = cli.COMMANDS["volume"]
+        monkeypatch.setitem(cli.COMMANDS, "volume", (help_text, module, flags, handler))
+        with pytest.raises(exc):
+            run(["volume", "--lattice", write("z2.json", Z2)])
+        assert capsys.readouterr().out == ""
+
+
+# The parser's messages, as the 20-subparser parser printed them at 80 columns.
+USAGE = (
+    "usage: latquot [-h]\n"
+    "               {reduce,add,induce,volume,volume-scaled,gram,shortest,spectrum,angle,injectivity,"
+    "isometric,realify,is-unitary,complex-induce,gram-map,coset-eq,in-m,in-sigma,orientation,double-coset}\n"
+    "               ...\n"
+)
+HELP = USAGE + """
+Exact computations with lattices, quotient tori, and spaces of lattices.
+
+positional arguments:
+  {reduce,add,induce,volume,volume-scaled,gram,shortest,spectrum,angle,injectivity,isometric,realify,is-unitary,complex-induce,gram-map,coset-eq,in-m,in-sigma,orientation,double-coset}
+    reduce              canonical quotient map: reduce an ambient vector
+                        modulo a lattice
+    add                 add two torus points (pass --point twice)
+    induce              validate A(L1) = L2 and report the induced map
+                        (optionally apply it)
+    volume              covolume of a lattice (volume of its quotient torus)
+    volume-scaled       volume of the quotient by c*L for a real scale c
+    gram                Gram form of the lattice basis
+    shortest            all shortest nonzero vector classes of a lattice
+    spectrum            squared geodesic lengths up to a bound, with
+                        multiplicities
+    angle               angle between two geodesic classes (pass --vector
+                        twice)
+    injectivity         injectivity radius of the quotient map
+    isometric           rotation-isometry test for two lattices (pass
+                        --lattice twice)
+    realify             real 2n x 2n matrix of a complex matrix
+    is-unitary          complex-linearity plus orthogonality test
+    complex-induce      validate that a complex matrix takes one lattice onto
+                        another
+    gram-map            T -> T^T T into the positive-definite forms
+    coset-eq            orthogonal left-coset test for two matrices (pass
+                        --matrix twice)
+    in-m                symmetric positive definite with determinant 1
+    in-sigma            integer entries with determinant 1
+    orientation         sign of the determinant
+    double-coset        rotation equivalence of equal-covolume lattices (pass
+                        --lattice twice)
+
+options:
+  -h, --help            show this help message and exit
+"""
+VOLUME_USAGE = "usage: latquot volume [-h] [--output PATH] --lattice LATTICE\n"
+CHOICES = (
+    "'reduce', 'add', 'induce', 'volume', 'volume-scaled', 'gram', 'shortest', 'spectrum', 'angle', "
+    "'injectivity', 'isometric', 'realify', 'is-unitary', 'complex-induce', 'gram-map', 'coset-eq', "
+    "'in-m', 'in-sigma', 'orientation', 'double-coset'"
+)
+
+
+class TestParserMessages:
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["--help"], 0, HELP, ""),
+        (["volume", "--help"], 0, VOLUME_USAGE + """
+options:
+  -h, --help         show this help message and exit
+  --output PATH      write the result document here instead of stdout
+  --lattice LATTICE
+""", ""),
+        ([], 2, "", USAGE + "latquot: error: the following arguments are required: command\n"),
+        (["frobnicate"], 2, "", USAGE + f"latquot: error: argument command: invalid choice: "
+                                        f"'frobnicate' (choose from {CHOICES})\n"),
+        (["volume"], 2, "", VOLUME_USAGE + "latquot volume: error: the following arguments are required: --lattice\n"),
+        (["volume", "--lattice", "x", "extra"], 2, "", USAGE + "latquot: error: unrecognized arguments: extra\n"),
+    ], ids=["help", "volume-help", "no-command", "unknown-command", "missing-flag", "extra-argument"])
+    def test_byte_identical(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
+
+# The package's public names before it became lazy, by defining module.
+EXPORTS = {
+    "exactnum": "MatQ MatZ Rational det hnf inverse is_positive_definite ldl lll_gram",
+    "lattice_core": "Lattice change_of_basis_witness contains covolume equals from_basis scale "
+                    "standard sublattice_index",
+    "quotient_torus": "InducedMap TorusPoint apply_induced circle_map compose make_induced_map "
+                      "parallelepiped_image_volume reduce torus_add volume_of_scaled volume_scale",
+    "flat_geometry": "GramForm LatticeVector angle geodesic_spectrum gram injectivity_radius is_orthogonal "
+                     "isometric_mod_rotation shortest_vectors signed_cos_squared squared_length",
+    "complex_lattices": "ComplexMatrix ComplexStructure complex_map_check gaussian_lattice is_complex_linear "
+                        "is_unitary realify standard_complex_structure",
+    "moduli_spaces": "PosDefForm UnitCovolumeForm double_coset_equivalent gram_map in_M in_Sigma orientation "
+                     "posdef_witness same_left_coset unit_covolume_form",
+}
+
+
+class TestLazyPackage:
+    def test_public_names_are_the_module_attributes(self):
+        for module, names in EXPORTS.items():
+            mod = importlib.import_module(f"latquot.{module}")
+            assert hasattr(latquot, module)
+            for name in names.split():
+                assert getattr(latquot, name) is getattr(mod, name), name
+                assert name in latquot.__all__ and name in dir(latquot)
+        assert latquot.errors is importlib.import_module("latquot.errors")
+        with pytest.raises(AttributeError):
+            latquot.no_such_name
+
+    def test_names_follow_a_patched_module(self, monkeypatch):
+        monkeypatch.setattr(lattice_core, "covolume", len)
+        assert latquot.covolume is len
+
+    def test_volume_loads_only_its_modules(self, write):
+        path = write("z2.json", Z2)
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from latquot.cli import run\n"
+            f"code = run(['volume', '--lattice', {path!r}])\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+        )
+        src = str(Path(latquot.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        out, report = proc.stdout.splitlines()
+        code, loaded = json.loads(report)
+        assert (code, out) == (0, '{"covolume":"1"}')
+        assert {m for m in loaded if m.split(".")[0] == "latquot"} == {
+            "latquot", "latquot.cli", "latquot.errors", "latquot.exactnum",
+            "latquot.lattice_core", "latquot.serialize",
+        }
+        assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 class TestOutputs:

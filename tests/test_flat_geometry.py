@@ -6,6 +6,8 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latquot.errors import (
     DimensionMismatch,
@@ -16,7 +18,7 @@ from latquot.errors import (
     NotSymmetric,
     ZeroVector,
 )
-from latquot.exactnum import MatQ, MatZ
+from latquot.exactnum import MatQ, MatZ, PosDefForm
 from latquot.flat_geometry import (
     GramForm,
     LatticeVector,
@@ -31,6 +33,7 @@ from latquot.flat_geometry import (
     squared_length,
 )
 from latquot.lattice_core import Lattice, equals, from_basis, scale, standard
+from latquot.moduli_spaces import gram_map
 
 from conftest import rand_invertible, rand_lattice, rand_orthogonal, rand_unimodular, rand_unimodular_pm
 
@@ -84,11 +87,30 @@ class TestGram:
             q = rand_orthogonal(rng, n)
             assert gram(from_basis(q @ lat.basis)).matrix == gram(lat).matrix
 
+    def test_one_form_type(self):
+        assert GramForm is PosDefForm
+        assert gram(standard(2)) == gram_map(MatQ.identity(2))
+
     def test_validation(self):
         with pytest.raises(NotSymmetric):
             GramForm(MatQ([[1, 1], [0, 1]]))
         with pytest.raises(NotPositiveDefinite):
             GramForm(MatQ([[1, 2], [2, 1]]))
+
+
+class TestLatticeVector:
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
+    def test_hash_agrees_with_equality_across_presentations(self, n, seed):
+        rng = random.Random(seed)
+        l1 = rand_lattice(rng, n)
+        u = rand_unimodular(rng, n).to_matq()
+        l2 = from_basis(l1.basis @ u)
+        coeffs = [rng.randint(-5, 5) for _ in range(n)]
+        v = LatticeVector(l1, coeffs)
+        w = LatticeVector(l2, u.inverse().mul_vec(coeffs))
+        assert v == w and hash(v) == hash(w)
+        other = LatticeVector(l2, [c + 1 for c in w.coeffs])
+        assert len({v, w, other}) == 2
 
 
 class TestSquaredLength:

@@ -9,6 +9,7 @@ from latquot.flat_geometry import is_orthogonal
 from latquot.lattice_core import from_basis, scale, standard
 from latquot.moduli_spaces import (
     PosDefForm,
+    UnitCovolumeForm,
     double_coset_equivalent,
     gram_map,
     in_M,
@@ -194,6 +195,19 @@ class TestUnitCovolumeForm:
         assert abs(u.scale - 0.5) < 1e-12
         norm = u.normalized_float()
         assert abs(norm[0][0] * norm[1][1] - 1.0) < 1e-9
+
+    def test_value_semantics(self):
+        u = unit_covolume_form(scale(standard(2), 2))
+        same = UnitCovolumeForm(gram=4 * MatQ.identity(2), scale=0.25, scale_exact=Fraction(1, 4))
+        assert u == same and hash(u) == hash(same)
+        assert u != UnitCovolumeForm(u.gram, u.scale, None)
+        assert repr(u) == (
+            "UnitCovolumeForm(gram=MatQ([[4, 0], [0, 4]]), scale=0.25, scale_exact=Fraction(1, 4))"
+        )
+        with pytest.raises(AttributeError):
+            u.scale = 1.0
+        with pytest.raises(AttributeError):
+            del u.gram
 
     def test_normalized_has_unit_determinant(self):
         rng = random.Random(108)

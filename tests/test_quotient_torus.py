@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latquot.errors import (
     DegenerateParallelepiped,
@@ -29,7 +31,7 @@ from latquot.quotient_torus import (
     volume_scale,
 )
 
-from conftest import rand_lattice, rand_unimodular_pm
+from conftest import rand_fraction, rand_lattice, rand_unimodular, rand_unimodular_pm
 
 
 def half(*cs):
@@ -97,6 +99,19 @@ class TestTorusPoint:
     def test_ambient_representative(self):
         p = TorusPoint(from_basis(MatQ([[2, 0], [0, 2]])), half(1, 1))
         assert p.ambient() == (1, 1)
+
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
+    def test_hash_agrees_with_equality_across_presentations(self, n, seed):
+        rng = random.Random(seed)
+        l1 = rand_lattice(rng, n)
+        l2 = from_basis(l1.basis @ rand_unimodular(rng, n).to_matq())
+        x = [rand_fraction(rng) for _ in range(n)]
+        shift = l1.basis.mul_vec([rng.randint(-3, 3) for _ in range(n)])
+        p = reduce(l1, x)
+        q = reduce(l2, [a + b for a, b in zip(x, shift)])
+        assert p == q and hash(p) == hash(q)
+        other = reduce(l1, [a + b / 2 for a, b in zip(x, l1.basis.mul_vec([1] * n))])
+        assert len({p, q, other}) == 2
 
 
 class TestTorusAdd:
