@@ -71,6 +71,12 @@ class DegenerateParallelepiped(LatquotError):
     pass
 
 
+# float-rendered outputs
+
+class FloatRangeError(LatquotError):
+    pass
+
+
 # flat geometry
 
 class NonPositiveBound(LatquotError):

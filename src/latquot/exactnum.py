@@ -5,8 +5,8 @@ This is the bedrock of the package: arbitrary-precision rationals
 integer matrices (``MatZ``), with exact determinants, inverses (by
 elimination), Hermite normal forms, LDL^T factorizations, integral LLL
 reduction of Gram forms, and the positive-definite form type.  Nothing in
-this module rounds; floating point belongs to the explicitly metric outputs
-elsewhere.
+this module rounds except ``to_float``, the one conversion that the
+explicitly metric float outputs elsewhere go through.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -14,11 +14,13 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
+    FloatRangeError,
     NotPositiveDefinite,
     NotSymmetric,
     PivotBreakdown,
@@ -36,6 +38,23 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def to_float(x: Fraction | float) -> float:
+    """float(x), refusing a nonzero value that no normal float represents.
+
+    x is exact, or a float computed from nonzero exact values, where 0.0 can
+    only be an underflow.  Raises FloatRangeError when x is not an exact zero
+    and its float is zero, subnormal or not finite, so that a float output
+    never silently reads 0 or inf.
+    """
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not sys.float_info.min <= abs(f) <= sys.float_info.max and (isinstance(x, float) or x != 0):
+        raise FloatRangeError("value is outside the range of normal floats")
+    return f
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with x*a + y*b = g = gcd(a, b), g >= 0."""
     x, nx = 1, 0
@@ -51,17 +70,38 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _int_det_bareiss(a: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
+def _int_lift(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(A, d): the least common denominator d of the entries and A = d * rows, as integers."""
+    d = math.lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
-    Mutates its argument.  Every division below is exact, which keeps the
-    intermediate entries as small as minors of the input instead of the
-    exponential growth naive elimination would produce.
+
+def _int_entries(values: Sequence, message: str) -> tuple[int, ...]:
+    """The values as ints: Fractions of denominator 1 pass, bools and other non-integers raise."""
+    out = []
+    for x in values:
+        if isinstance(x, Fraction):
+            if x.denominator != 1:
+                raise ValueError(message)
+            x = x.numerator
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(message)
+        out.append(x)
+    return tuple(out)
+
+
+def _bareiss(a: list[list[int]], jordan: bool = False) -> int:
+    """Fraction-free (Bareiss) elimination of the first n columns of n integer rows.
+
+    Mutates its argument; returns the determinant of the leading block, or 0
+    when a column has no pivot.  Every division is exact.  With ``jordan`` the
+    rows above each pivot are cleared too, and the right block of [M | I] ends
+    as D * M^-1, D the last pivot; entries left of the pivot columns go stale.
     """
     n = len(a)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
@@ -70,16 +110,17 @@ def _int_det_bareiss(a: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
+        row_k = a[k]
+        pivot = row_k[k]
+        tail_k = row_k[k + 1:]
+        for i in range(0 if jordan else k + 1, n):
+            if i == k:
+                continue
             row_i = a[i]
-            row_k = a[k]
             factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
+            row_i[k + 1:] = [(x * pivot - factor * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * prev
 
 
 class MatQ:
@@ -161,32 +202,19 @@ class MatQ:
 
     def det(self) -> Fraction:
         """Exact determinant: Bareiss elimination on a common-denominator integer lift."""
-        d = math.lcm(*[x.denominator for row in self.rows for x in row])
-        lift = [[int(x * d) for x in row] for row in self.rows]
-        return Fraction(_int_det_bareiss(lift), d**self.n)
+        lift, d = _int_lift(self.rows)
+        return Fraction(_bareiss(lift), d**self.n)
 
     def inverse(self) -> "MatQ":
-        """Exact inverse by Gauss-Jordan elimination."""
-        if self.det() == 0:
-            raise SingularMatrix("matrix has determinant 0")
+        """Exact inverse: fraction-free Gauss-Jordan on [d*A | I], d the common
+        denominator, whose right block ends as D * (d*A)^-1, D the last pivot."""
         n = self.n
-        a = [list(row) for row in self.rows]
-        inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col] != 0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r == col or a[r][col] == 0:
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return MatQ(inv)
+        lift, d = _int_lift(self.rows)
+        a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(lift)]
+        if _bareiss(a, jordan=True) == 0:
+            raise SingularMatrix("matrix has determinant 0")
+        last = a[n - 1][n - 1]
+        return MatQ([[Fraction(d * x, last) for x in row[n:]] for row in a])
 
 
 class MatZ:
@@ -195,18 +223,7 @@ class MatZ:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        data = []
-        for row in rows:
-            out = []
-            for x in row:
-                if isinstance(x, Fraction):
-                    if x.denominator != 1:
-                        raise ValueError("MatZ entries must be integers")
-                    x = x.numerator
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError("MatZ entries must be integers")
-                out.append(x)
-            data.append(tuple(out))
+        data = [_int_entries(row, "MatZ entries must be integers") for row in rows]
         n = len(data)
         if n < 1 or any(len(row) != n for row in data):
             raise ValueError("matrix must be square with n >= 1")
@@ -238,7 +255,7 @@ class MatZ:
         return f"MatZ({[list(row) for row in self.rows]})"
 
     def det(self) -> int:
-        return _int_det_bareiss([list(row) for row in self.rows])
+        return _bareiss([list(row) for row in self.rows])
 
     def to_matq(self) -> MatQ:
         return MatQ(self.rows)
@@ -266,8 +283,6 @@ def hnf(m: MatZ) -> MatZ:
     [0, pivot).  These conditions pin H down uniquely, which is what makes it
     usable as a canonical form.
     """
-    if m.det() == 0:
-        raise SingularMatrix("matrix has determinant 0")
     n = m.n
     a = [list(row) for row in m.rows]
     for i in range(n):
@@ -282,6 +297,9 @@ def hnf(m: MatZ) -> MatZ:
                 ci, cj = a[r][i], a[r][j]
                 a[r][i] = u * ci + v * cj
                 a[r][j] = ps * cj - qs * ci
+        if a[i][i] == 0:
+            # rows 0..i are now zero right of column i - 1: m is singular
+            raise SingularMatrix("matrix has determinant 0")
         if a[i][i] < 0:
             for r in range(n):
                 a[r][i] = -a[r][i]
@@ -340,8 +358,7 @@ def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
     if g != g.transpose():
         raise NotSymmetric("Gram matrix is not symmetric")
     n = g.n
-    scale = math.lcm(*[x.denominator for row in g.rows for x in row])
-    b = [[int(x * scale) for x in row] for row in g.rows]  # b[i][j] = b_i . b_j
+    b, scale = _int_lift(g.rows)  # b[i][j] = b_i . b_j
     cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns of V
     d = [1] + [0] * n  # d[k + 1] is the Gram determinant of b_0 .. b_k
     lam = [[0] * n for _ in range(n)]

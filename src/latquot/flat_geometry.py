@@ -25,7 +25,7 @@ from .errors import (
     NonPositiveBound,
     ZeroVector,
 )
-from .exactnum import MatQ, MatZ, PosDefForm
+from .exactnum import MatQ, MatZ, PosDefForm, _int_entries, to_float
 from .lattice_core import Lattice, equals
 
 _ISOMETRY_MAX_DIM = 4
@@ -41,21 +41,13 @@ class LatticeVector:
     __slots__ = ("lattice", "coeffs")
 
     def __init__(self, lattice: Lattice, coeffs: Sequence[int]):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError("lattice vector coefficients must be integers")
-                c = c.numerator
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError("lattice vector coefficients must be integers")
-            cs.append(c)
+        cs = _int_entries(coeffs, "lattice vector coefficients must be integers")
         if len(cs) != lattice.n:
             raise DimensionMismatch(
                 f"coefficient length {len(cs)} does not match dimension {lattice.n}"
             )
         self.lattice = lattice
-        self.coeffs = tuple(cs)
+        self.coeffs = cs
 
     def ambient(self) -> tuple[Fraction, ...]:
         return self.lattice.basis.mul_vec(self.coeffs)
@@ -186,7 +178,7 @@ def angle(v: LatticeVector, w: LatticeVector) -> float:
     exact value exposed by ``signed_cos_squared``.
     """
     num, den = _cos_data(v, w)
-    c = float(num) / math.sqrt(float(den))
+    c = to_float(num) / math.sqrt(to_float(den))
     c = max(-1.0, min(1.0, c))
     return math.acos(c)
 
@@ -204,15 +196,10 @@ def _cos_data(v: LatticeVector, w: LatticeVector) -> tuple[Fraction, Fraction]:
     if not any(v.coeffs) or not any(w.coeffs):
         raise ZeroVector("angle is undefined for the zero vector")
     g = v.lattice.gram_matrix()
-    wc = w.coeffs if v.lattice is w.lattice else _reexpress(w, v.lattice)
+    wc = w.coeffs if v.lattice is w.lattice else tuple(c.numerator for c in v.lattice.coordinates(w.ambient()))
     num = _form_value(g, v.coeffs, wc)
     den = _form_value(g, v.coeffs, v.coeffs) * _form_value(g, wc, wc)
     return num, den
-
-
-def _reexpress(w: LatticeVector, lattice: Lattice) -> tuple[int, ...]:
-    coords = lattice.basis.inverse().mul_vec(w.ambient())
-    return tuple(c.numerator for c in coords)
 
 
 def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
@@ -222,7 +209,7 @@ def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
     """
     shortest = shortest_vectors(lattice)
     lam_sq = squared_length(shortest[0])
-    return lam_sq / 4, math.sqrt(float(lam_sq)) / 2
+    return lam_sq / 4, math.sqrt(to_float(lam_sq)) / 2
 
 
 def is_orthogonal(t: MatQ) -> bool:
@@ -262,7 +249,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     # det G is the product of the LDL^T pivots
     if math.prod(factor1[1]) != math.prod(factor2[1]):
         return None
-    if oriented and (l1.basis.det() > 0) != (l2.basis.det() > 0):
+    if oriented and (l1.basis_det > 0) != (l2.basis_det > 0):
         return None
     n = l1.n
     # det U = det U' * det V1 * det V2, as det V2^-1 = det V2 = +-1

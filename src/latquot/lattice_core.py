@@ -8,7 +8,6 @@ normalizing the user's presentation away.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,7 +18,7 @@ from .errors import (
     SingularBasis,
     ZeroScale,
 )
-from .exactnum import MatQ, MatZ, hnf, ldl, lll_gram
+from .exactnum import MatQ, MatZ, _int_lift, hnf, ldl, lll_gram
 
 
 def _vector(x: Sequence, n: int) -> tuple[Fraction, ...]:
@@ -31,13 +30,16 @@ def _vector(x: Sequence, n: int) -> tuple[Fraction, ...]:
 class Lattice:
     """Lattice basis(Z^n); the columns of ``basis`` are the generators."""
 
-    __slots__ = ("n", "basis", "_canonical", "_gram", "_reduced")
+    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced")
 
     def __init__(self, basis: MatQ):
-        if basis.det() == 0:
+        det = basis.det()
+        if det == 0:
             raise SingularBasis("basis columns are linearly dependent")
         self.n = basis.n
         self.basis = basis
+        # signed: its absolute value is the covolume, its sign the orientation
+        self.basis_det = det
         self._canonical: MatQ | None = None
         self._gram: MatQ | None = None
         self._reduced: tuple | None = None
@@ -50,9 +52,8 @@ class Lattice:
         same lattice, so this is usable for hashing and deterministic output.
         """
         if self._canonical is None:
-            d = math.lcm(*[x.denominator for row in self.basis.rows for x in row])
-            lift = MatZ([[int(x * d) for x in row] for row in self.basis.rows])
-            self._canonical = Fraction(1, d) * hnf(lift).to_matq()
+            lift, d = _int_lift(self.basis.rows)
+            self._canonical = Fraction(1, d) * hnf(MatZ(lift)).to_matq()
         return self._canonical
 
     def gram_matrix(self) -> MatQ:
@@ -71,6 +72,16 @@ class Lattice:
             reduced, v = lll_gram(self.gram_matrix())
             self._reduced = (reduced, v, ldl(reduced))
         return self._reduced
+
+    def coordinates(self, x: MatQ | Sequence) -> MatQ | tuple[Fraction, ...]:
+        """basis^-1 x: the coordinates of the vector x, or of each column of the matrix x."""
+        inv = self.basis.inverse()
+        return inv @ x if isinstance(x, MatQ) else inv.mul_vec(x)
+
+    def unimodular_change(self, m: MatQ) -> MatZ | None:
+        """The U in GL_n(Z) with basis * U = m, or None if the columns of m are not a basis."""
+        u = self.coordinates(m)
+        return u.to_matz() if u.is_integral() and abs(u.det()) == 1 else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice):
@@ -106,9 +117,7 @@ def scale(lattice: Lattice, c) -> Lattice:
 
 def contains(lattice: Lattice, x: Sequence) -> bool:
     """Exact membership: x is in L iff basis^-1 x is an integer vector."""
-    v = _vector(x, lattice.n)
-    coords = lattice.basis.inverse().mul_vec(v)
-    return all(c.denominator == 1 for c in coords)
+    return all(c.denominator == 1 for c in lattice.coordinates(_vector(x, lattice.n)))
 
 
 def equals(l1: Lattice, l2: Lattice) -> bool:
@@ -119,8 +128,7 @@ def equals(l1: Lattice, l2: Lattice) -> bool:
     """
     if l1.n != l2.n:
         raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
-    u = l1.basis.inverse() @ l2.basis
-    return u.is_integral() and abs(u.det()) == 1
+    return l1.unimodular_change(l2.basis) is not None
 
 def sublattice_index(sub: Lattice, lattice: Lattice) -> int:
     """The index [L : Lsub], i.e. the number of cosets of Lsub in L.
@@ -130,19 +138,21 @@ def sublattice_index(sub: Lattice, lattice: Lattice) -> int:
     """
     if sub.n != lattice.n:
         raise DimensionMismatch(f"lattice dimensions differ: {sub.n} vs {lattice.n}")
-    u = lattice.basis.inverse() @ sub.basis
-    if not u.is_integral():
+    if not lattice.coordinates(sub.basis).is_integral():
         raise NotASublattice("first lattice is not contained in the second")
-    return abs(u.det().numerator)
+    return abs(sub.basis_det / lattice.basis_det).numerator
 
 
 def covolume(lattice: Lattice) -> Fraction:
     """|det basis|, the volume of the quotient torus R^n / L."""
-    return abs(lattice.basis.det())
+    return abs(lattice.basis_det)
 
 
 def change_of_basis_witness(l1: Lattice, l2: Lattice) -> MatZ:
     """The unimodular integer U with basis1 * U = basis2, for equal lattices."""
-    if not equals(l1, l2):
+    if l1.n != l2.n:
+        raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
+    u = l1.unimodular_change(l2.basis)
+    if u is None:
         raise NotEqualLattices("lattices are not equal; no unimodular change of basis exists")
-    return (l1.basis.inverse() @ l2.basis).to_matz()
+    return u

@@ -22,7 +22,7 @@ from .errors import (
     SingularMatrix,
     ZeroScale,
 )
-from .exactnum import MatQ, MatZ
+from .exactnum import MatQ, MatZ, to_float
 from .lattice_core import Lattice, covolume, equals
 
 
@@ -67,7 +67,7 @@ def reduce(lattice: Lattice, x: Sequence) -> TorusPoint:
     """Canonical quotient map: send x in R^n to its class modulo the lattice."""
     if len(x) != lattice.n:
         raise DimensionMismatch(f"vector length {len(x)} does not match dimension {lattice.n}")
-    coords = lattice.basis.inverse().mul_vec([Fraction(c) for c in x])
+    coords = lattice.coordinates([Fraction(c) for c in x])
     return TorusPoint(lattice, tuple(c % 1 for c in coords))
 
 
@@ -89,14 +89,14 @@ class InducedMap:
             raise DimensionMismatch("matrix and lattice dimensions must all agree")
         if matrix.det() == 0:
             raise SingularMatrix("ambient matrix has determinant 0")
-        u = target.basis.inverse() @ matrix @ source.basis
-        if not (u.is_integral() and abs(u.det()) == 1):
+        u = target.unimodular_change(matrix @ source.basis)
+        if u is None:
             raise NotLatticePreserving("ambient matrix does not take the source lattice onto the target")
         self.matrix = matrix
         self.source = source
         self.target = target
         # unimodular coordinate change certifying A(L1) = L2
-        self.witness: MatZ = u.to_matz()
+        self.witness: MatZ = u
 
     def __repr__(self) -> str:
         return f"InducedMap({self.matrix!r}, {self.source!r}, {self.target!r})"
@@ -144,10 +144,9 @@ def volume_of_scaled(lattice: Lattice, c) -> float:
     The only sanctioned irrational-scaling path; everything rational stays in
     the exact layer via ``lattice_core.scale``.
     """
-    c = float(c)
     if c == 0:
         raise ZeroScale("scaling a lattice by 0 is not allowed")
-    return abs(c) ** lattice.n * float(covolume(lattice))
+    return to_float(abs(to_float(c)) ** lattice.n * to_float(covolume(lattice)))
 
 
 def parallelepiped_image_volume(f: InducedMap, edge_coords: MatQ) -> Fraction:
@@ -164,4 +163,4 @@ def parallelepiped_image_volume(f: InducedMap, edge_coords: MatQ) -> Fraction:
     d = edge_coords.det()
     if d == 0:
         raise DegenerateParallelepiped("edge vectors are linearly dependent")
-    return abs(f.matrix.det() * f.source.basis.det() * d)
+    return abs(f.matrix.det() * f.source.basis_det * d)

@@ -271,24 +271,37 @@ class TestErrorHandling:
     def test_unknown_command_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2
 
-    # entries of 10^400 overflow a float; the failure must still be one JSON
-    # document with exit 1, never a traceback
+    # entries of 10^400 overflow a float and 10^-400 underflows it; the
+    # failure must be one JSON document with exit 1 and a documented kind,
+    # never a traceback and never a silent "0" or "inf"
     HUGE = "1" + "0" * 400
+    TINY = "1/" + HUGE
+    FLOAT_RANGE = {"error": {
+        "kind": "FloatRangeError",
+        "message": "value is outside the range of normal floats",
+        "input": None,
+    }}
 
     def test_float_overflow_in_volume_scaled(self, capsys, write):
         path = write("big.json", lattice_doc([[self.HUGE, "0"], ["0", "1"]]))
         code, out = invoke(capsys, ["volume-scaled", "--lattice", path, "--scale", "2pi"])
         assert code == 1
-        assert json.loads(out) == {"error": {
-            "kind": "InternalError",
-            "message": "OverflowError: integer division result too large for a float",
-            "input": None,
-        }}
+        assert json.loads(out) == self.FLOAT_RANGE
 
     def test_float_overflow_in_injectivity(self, capsys, write):
         code, out = invoke(capsys, ["injectivity", "--lattice", write("big.json", lattice_doc([[self.HUGE]]))])
         assert code == 1
-        assert json.loads(out)["error"]["kind"] == "InternalError"
+        assert json.loads(out)["error"]["kind"] == "FloatRangeError"
+        assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["shortest"], ["injectivity"], ["volume-scaled", "--scale", "2pi"],
+    ])
+    def test_float_underflow_is_not_a_silent_zero(self, capsys, write, argv):
+        path = write("tiny.json", lattice_doc([["1", "0"], ["0", self.TINY]]))
+        code, out = invoke(capsys, [argv[0], "--lattice", path, *argv[1:]])
+        assert code == 1
+        assert json.loads(out) == self.FLOAT_RANGE
         assert out.count("\n") == 1
 
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])

@@ -1,12 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from latquot.errors import NotPositiveDefinite, NotSymmetric, PivotBreakdown, SingularMatrix
-from latquot.exactnum import MatQ, MatZ, det, hnf, inverse, is_positive_definite, ldl, lll_gram
+from latquot.errors import FloatRangeError, NotPositiveDefinite, NotSymmetric, PivotBreakdown, SingularMatrix
+from latquot.exactnum import MatQ, MatZ, det, hnf, inverse, is_positive_definite, ldl, lll_gram, to_float
 
 from conftest import rand_invertible, rand_matq, rand_unimodular, rand_unimodular_pm
 
@@ -36,6 +37,32 @@ def _matrix_strategy(n):
 
 
 matrices_2_to_4 = st.integers(min_value=2, max_value=4).flatmap(_matrix_strategy)
+
+
+@st.composite
+def _sparse_matrices(draw, max_n=8):
+    """Square matrices, n <= max_n, with about half their entries zero and,
+    in half the draws, a zero leading entry: elimination must swap rows at
+    the first pivot and at later ones."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entries = st.one_of(st.just(Fraction(0)), _small_fracs)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows[0][0] = Fraction(0)
+    return MatQ(rows)
+
+
+@st.composite
+def _rank_deficient(draw):
+    """An n-by-n integer matrix, 2 <= n <= 8, of rank n - 1: its last column
+    is an integer combination of the others, which are independent."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    rows = [list(r) for r in rand_unimodular(rng, n, ops=3 * n).rows]
+    k = [rng.randint(-3, 3) for _ in range(n - 1)]
+    for row in rows:
+        row[n - 1] = sum(c * x for c, x in zip(k, row))
+    return MatZ(rows)
 
 
 class TestDet:
@@ -111,6 +138,53 @@ class TestInverse:
         for _ in range(30):
             u = rand_unimodular_pm(rng, rng.randint(2, 4)).to_matq()
             assert inverse(u).is_integral()
+
+
+class TestEliminationKernel:
+    """det and inverse share one fraction-free elimination, and the
+    elimination itself rejects singular input, in inverse and in hnf."""
+
+    @given(_sparse_matrices())
+    @example(MatQ([[0, 1], [1, 0]]))
+    @example(MatQ([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))  # zero pivot after the first step
+    def test_inverse_matches_sympy(self, m):
+        sympy = pytest.importorskip("sympy")
+        theirs = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.rows])
+        # the oracle decides invertibility: the kernel under test must not filter its own draws
+        assume(theirs.det() != 0)
+        inv = inverse(m)
+        assert m @ inv == MatQ.identity(m.n)
+        assert inv == MatQ([[Fraction(int(x.p), int(x.q)) for x in row] for row in theirs.inv().tolist()])
+
+    @given(_rank_deficient())
+    def test_rank_deficient_raises_from_inverse_and_hnf(self, m):
+        with pytest.raises(SingularMatrix, match="^matrix has determinant 0$"):
+            inverse(m.to_matq())
+        with pytest.raises(SingularMatrix, match="^matrix has determinant 0$"):
+            hnf(m)
+
+
+class TestToFloat:
+    def test_normal_values_are_plain_float(self):
+        for x in (Fraction(1, 3), Fraction(-10**300), Fraction(2, 10**307), 7, 2.5):
+            assert to_float(x) == float(x)
+
+    def test_exact_zero_is_zero(self):
+        assert to_float(Fraction(0)) == 0.0
+
+    @pytest.mark.parametrize("x", [
+        Fraction(1, 10**400),  # float is 0
+        Fraction(1, 10**310),  # float is subnormal
+        Fraction(-(10**400)),  # float overflows
+        Fraction(2) ** 1024,  # rounds past the largest float
+        0.0,  # a float result of nonzero values: an underflow
+        sys.float_info.min / 2,
+        float("inf"),
+        float("nan"),
+    ])
+    def test_out_of_range_raises(self, x):
+        with pytest.raises(FloatRangeError):
+            to_float(x)
 
 
 class TestHnf:

@@ -1,7 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latquot.errors import (
     DimensionMismatch,
@@ -10,7 +14,7 @@ from latquot.errors import (
     SingularBasis,
     ZeroScale,
 )
-from latquot.exactnum import MatQ
+from latquot.exactnum import MatQ, MatZ
 from latquot.lattice_core import (
     Lattice,
     change_of_basis_witness,
@@ -23,7 +27,9 @@ from latquot.lattice_core import (
     sublattice_index,
 )
 
-from conftest import rand_lattice, rand_unimodular_pm
+from latquot.quotient_torus import make_induced_map
+
+from conftest import rand_invertible, rand_lattice, rand_unimodular, rand_unimodular_pm
 
 
 class TestConstruction:
@@ -179,6 +185,46 @@ class TestWitness:
             w = change_of_basis_witness(l1, l2)
             assert l1.basis @ w.to_matq() == l2.basis
             assert abs(w.det()) == 1
+
+
+class TestCoordinateMap:
+    def test_vector_and_matrix_coordinates(self):
+        lat = from_basis(MatQ([[2, 1], [0, Fraction(1, 3)]]))
+        assert lat.coordinates([5, 1]) == (1, 3)
+        assert lat.coordinates(lat.basis) == MatQ.identity(2)
+
+    def test_unimodular_change_rejects_non_bases(self):
+        lat = standard(2)
+        assert lat.unimodular_change(MatQ([[2, 0], [0, 1]])) is None  # index 2
+        assert lat.unimodular_change(MatQ([[Fraction(1, 2), 0], [0, 2]])) is None  # not in L
+        assert lat.unimodular_change(MatQ([[0, 1], [1, 0]])) == MatZ([[0, 1], [1, 0]])
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32))
+    def test_witnesses_over_unimodular_presentations(self, n, seed):
+        rng = random.Random(seed)
+        l1 = rand_lattice(rng, n, height=3)
+        u = rand_unimodular(rng, n, ops=2 * n)
+        l2 = from_basis(l1.basis @ u.to_matq())
+        w = change_of_basis_witness(l1, l2)
+        assert l1.basis @ w.to_matq() == l2.basis
+        # A(L1) = L2 for the target basis A * B1 * U, presented by another U'
+        a = rand_invertible(rng, n, height=3)
+        target = from_basis(a @ l1.basis @ rand_unimodular(rng, n, ops=2 * n).to_matq())
+        f = make_induced_map(a, l1, target)
+        assert a @ l1.basis == target.basis @ f.witness.to_matq()
+        assert abs(f.witness.det()) == 1
+
+
+def test_no_assert_in_the_library():
+    """Self-checks must raise, not assert: ``python -O`` strips assert."""
+    src = Path(__file__).resolve().parent.parent / "src" / "latquot"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 class TestCanonicalBasis:
