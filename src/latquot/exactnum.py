@@ -33,6 +33,8 @@ Rational = Fraction
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x  # immutable, so sharing it is safe
     if isinstance(x, float):
         raise TypeError("floating-point entries are not allowed in exact matrices")
     return Fraction(x)
@@ -355,6 +357,19 @@ def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
     leading k vectors and lambda_kj = d_j * mu_kj, all integers, and every
     division below is exact.
     """
+    reduced, v, _ = _lll_reduce(g)
+    return reduced, v
+
+
+def _lll_reduce(g: MatQ) -> tuple[MatQ, MatZ, tuple]:
+    """``lll_gram``'s (G', V) plus the integer Gram-Schmidt data of G' at exit.
+
+    That data is (b, scale, d, lam): the integer form b = scale * G', the
+    Gram determinants d[k] of the leading k reduced vectors (d[0] = 1), and
+    the lower triangle lam[k][j] = d[j + 1] * mu_kj, j < k.  In these terms
+    the LDL^T factorization of b has pivots d[k + 1] / d[k] and multipliers
+    lam[k][j] / d[j + 1].
+    """
     if g != g.transpose():
         raise NotSymmetric("Gram matrix is not symmetric")
     n = g.n
@@ -420,7 +435,8 @@ def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
                 red(k, j)
             k += 1
     reduced = MatQ([[Fraction(x, scale) for x in row] for row in b])
-    return reduced, MatZ(tuple(zip(*cols)))
+    gs = (tuple(map(tuple, b)), scale, tuple(d), tuple(tuple(row[:k]) for k, row in enumerate(lam)))
+    return reduced, MatZ(tuple(zip(*cols))), gs
 
 
 def is_positive_definite(s: MatQ) -> bool:

@@ -4,12 +4,13 @@ Everything metric about R^n / L is encoded by the Gram form of the basis:
 squared lengths of closed geodesics (one homotopy class per lattice vector),
 the angles at which they meet, the injectivity radius of the quotient map,
 and isometry of two quotients by an ambient rotation.  Minimality claims are
-exact: the enumeration runs over the rational LDL^T factorization of the
-LLL-reduced Gram form, never over floating-point approximations.  Each
-lattice computes its reduced form, transform and factorization once and
-keeps them (``Lattice.reduced_gram``); enumeration and the isometry search
-work in reduced coordinates and map their answers back through the
-transform, so results never depend on the presentation.
+exact: the enumeration runs in integers over the Gram-Schmidt data (Gram
+determinants and scaled multipliers) that the integral LLL leaves for the
+reduced Gram form, never over floating-point approximations.  Each lattice
+computes its reduced form, transform and that data once and keeps them
+(``Lattice.reduced_gram``); enumeration and the isometry search work in
+reduced coordinates and map their answers back through the transform, so
+results never depend on the presentation.
 """
 
 from __future__ import annotations
@@ -84,50 +85,52 @@ def _form_value(g: MatQ, a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, gb)), Fraction(0))
 
 
-def _floor_sqrt(r: Fraction) -> int:
-    """Largest integer s with s*s <= r, for rational r >= 0."""
-    return math.isqrt(r.numerator // r.denominator)
+def _enumerate_bounded(gs: tuple, bound: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """All nonzero integer vectors x with x^T G' x <= bound, one per +- pair.
 
-
-def _enumerate_bounded(
-    factor: tuple[MatQ, tuple[Fraction, ...]], bound: Fraction
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All nonzero integer vectors with value <= bound, one per +- pair.
-
-    ``factor`` is the LDL^T factorization (L, D) of the form G.  With
-    G = L diag(D) L^T the form splits as sum_k D_k (x_k + t_k)^2 where
-    t_k depends only on the coordinates above k, so choosing x_{n-1} first
-    and descending gives exact interval bounds at every level.  The
+    ``gs`` is the integer Gram-Schmidt data (b, scale, d, lam) of the form
+    G' = b / scale (``Lattice.reduced_gram``).  With
+    y_k = d[k+1] x_k + sum_{j>k} lam[j][k] x_j the form splits as
+    x^T b x = sum_k y_k^2 / (d[k] d[k+1]); times m = lcm_k d[k] d[k+1] this
+    is sum_k c_k y_k^2 with integers c_k = m / (d[k] d[k+1]).  Choosing
+    x_{n-1} first and descending, each level's budget r bounds |y_k| by
+    isqrt(r // c_k), an exact integer interval for x_k.  The budget starts at
+    floor(bound * scale * m), exact because the sum is an integer.  The
     representative of each +-c pair is the one whose highest-index nonzero
     coordinate is positive, obtained for free by restricting the first
     not-yet-nonzero coordinate to be >= 0.
     """
     if bound < 0:
         return
-    lmat, diag = factor
-    n = lmat.n
-    lrows = lmat.rows
+    _, scale, d, lam = gs
+    n = len(d) - 1
+    dd = [d[k] * d[k + 1] for k in range(n)]
+    m = math.lcm(*dd)
+    c = [m // x for x in dd]
+    top = bound.numerator * scale * m // bound.denominator
+    den = m * scale
     coeff = [0] * n
 
-    def descend(k: int, remaining: Fraction, acc: Fraction, zeros_above: bool):
-        if k < 0:
-            if acc > 0:
-                yield tuple(coeff), acc
-            return
-        t = sum((lrows[j][k] * coeff[j] for j in range(k + 1, n)), Fraction(0))
-        dk = diag[k]
-        radius = _floor_sqrt(remaining / dk) + 1
-        center = math.floor(-t)
-        lo = max(0, center - radius) if zeros_above else center - radius
-        for x in range(lo, center + radius + 1):
-            term = dk * (x + t) ** 2
-            if term > remaining:
-                continue
+    def descend(k: int, r: int, zeros_above: bool):
+        t = 0
+        for j in range(k + 1, n):
+            t += lam[j][k] * coeff[j]
+        dk, ck = d[k + 1], c[k]
+        s = math.isqrt(r // ck)
+        lo = -((s + t) // dk)
+        if zeros_above and lo < 0:
+            lo = 0
+        for x in range(lo, (s - t) // dk + 1):
+            y = dk * x + t
             coeff[k] = x
-            yield from descend(k - 1, remaining - term, acc + term, zeros_above and x == 0)
+            rest = r - ck * y * y
+            if k:
+                yield from descend(k - 1, rest, zeros_above and x == 0)
+            elif x or not zeros_above:
+                yield tuple(coeff), Fraction(top - rest, den)
         coeff[k] = 0
 
-    yield from descend(n - 1, bound, Fraction(0), True)
+    yield from descend(n - 1, top, True)
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -139,23 +142,29 @@ def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs
 
 
-def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
-    """All shortest nonzero vector classes, one per +- pair, in coefficient order.
+def _minimum(gs: tuple) -> tuple[Fraction, list[tuple[int, ...]]]:
+    """The minimum of the form and its vectors, one per +- pair, in reduced coordinates.
 
     Exact: the initial bound is the smallest diagonal entry of the reduced
-    Gram form (always attained) and the enumeration below it is complete.
+    form (always attained) and the enumeration below it is complete.
     """
-    reduced, v, factor = lattice.reduced_gram()
-    start = min(reduced.rows[i][i] for i in range(reduced.n))
+    b, scale = gs[0], gs[1]
+    start = Fraction(min(b[i][i] for i in range(len(b))), scale)
     best: Fraction | None = None
     found: list[tuple[int, ...]] = []
-    for coeffs, value in _enumerate_bounded(factor, start):
+    for coeffs, value in _enumerate_bounded(gs, start):
         if best is None or value < best:
             best = value
             found = [coeffs]
         elif value == best:
             found.append(coeffs)
-    out = sorted(_canonical_sign(v.mul_vec(c)) for c in found)
+    return best, found
+
+
+def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
+    """All shortest nonzero vector classes, one per +- pair, in coefficient order."""
+    _, v, gs = lattice.reduced_gram()
+    out = sorted(_canonical_sign(v.mul_vec(c)) for c in _minimum(gs)[1])
     return [LatticeVector(lattice, c) for c in out]
 
 
@@ -207,8 +216,7 @@ def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
 
     r is half the minimal geodesic length.
     """
-    shortest = shortest_vectors(lattice)
-    lam_sq = squared_length(shortest[0])
+    lam_sq = _minimum(lattice.reduced_gram()[2])[0]
     return lam_sq / 4, math.sqrt(to_float(lam_sq)) / 2
 
 
@@ -217,13 +225,11 @@ def is_orthogonal(t: MatQ) -> bool:
     return t.transpose() @ t == MatQ.identity(t.n)
 
 
-def _vectors_with_norm(
-    factor: tuple[MatQ, tuple[Fraction, ...]], value: Fraction
-) -> list[tuple[int, ...]]:
+def _vectors_with_norm(gs: tuple, value: Fraction) -> list[tuple[int, ...]]:
     """Both signs of every integer vector with exact form value ``value``."""
     if value <= 0:
         return []
-    reps = [c for c, q in _enumerate_bounded(factor, value) if q == value]
+    reps = [c for c, q in _enumerate_bounded(gs, value) if q == value]
     return sorted(reps + [tuple(-x for x in c) for c in reps])
 
 
@@ -244,37 +250,46 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
         raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
     if l1.n > _ISOMETRY_MAX_DIM:
         raise DimensionTooLarge(f"isometry search is limited to dimension {_ISOMETRY_MAX_DIM}")
-    g1, v1, factor1 = l1.reduced_gram()
-    g2, v2, factor2 = l2.reduced_gram()
-    # det G is the product of the LDL^T pivots
-    if math.prod(factor1[1]) != math.prod(factor2[1]):
+    # det G = det(basis)^2
+    if abs(l1.basis_det) != abs(l2.basis_det):
         return None
     if oriented and (l1.basis_det > 0) != (l2.basis_det > 0):
         return None
+    _, v1, gs1 = l1.reduced_gram()
+    _, v2, gs2 = l2.reduced_gram()
     n = l1.n
     # det U = det U' * det V1 * det V2, as det V2^-1 = det V2 = +-1
     sign = v1.det() * v2.det()
+    b1, scale1 = gs1[0], gs1[1]
+    b2, scale2 = gs2[0], gs2[1]
+    # c_i^T G1' c_j = G2'_ij  <=>  (scale2 * b1 c_i) . c_j = scale1 * b2_ij, in integers
+    targets = [[scale1 * x for x in row] for row in b2]
 
-    candidates: dict[Fraction, list[tuple[int, ...]]] = {}
+    # each candidate column c of U' carries scale2 * b1 c, for the checks against later columns
+    candidates: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
     for j in range(n):
-        value = g2.rows[j][j]
-        if value not in candidates:
-            candidates[value] = _vectors_with_norm(factor1, value)
-        if not candidates[value]:
+        norm = b2[j][j]
+        if norm not in candidates:
+            candidates[norm] = [
+                (c, [scale2 * sum(x * y for x, y in zip(row, c)) for row in b1])
+                for c in _vectors_with_norm(gs1, Fraction(norm, scale2))
+            ]
+        if not candidates[norm]:
             return None
 
-    cols: list[tuple[int, ...]] = []
+    cols: list[tuple[tuple[int, ...], list[int]]] = []
 
     def backtrack(j: int) -> MatZ | None:
         if j == n:
-            u = MatZ([[cols[c][r] for c in range(n)] for r in range(n)])
+            u = MatZ([[cols[c][0][r] for c in range(n)] for r in range(n)])
             d = u.det() * sign
             if abs(d) != 1 or (oriented and d != 1):
                 return None
             return u
-        target_row = g2.rows[j]
-        for cand in candidates[g2.rows[j][j]]:
-            if all(_form_value(g1, cols[i], cand) == target_row[i] for i in range(j)):
+        target_row = targets[j]
+        for cand in candidates[b2[j][j]]:
+            c = cand[0]
+            if all(sum(x * y for x, y in zip(cols[i][1], c)) == target_row[i] for i in range(j)):
                 cols.append(cand)
                 result = backtrack(j + 1)
                 cols.pop()

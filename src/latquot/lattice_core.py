@@ -18,7 +18,7 @@ from .errors import (
     SingularBasis,
     ZeroScale,
 )
-from .exactnum import MatQ, MatZ, _int_lift, hnf, ldl, lll_gram
+from .exactnum import MatQ, MatZ, _int_lift, _lll_reduce, hnf
 
 
 def _vector(x: Sequence, n: int) -> tuple[Fraction, ...]:
@@ -61,16 +61,17 @@ class Lattice:
             self._gram = self.basis.transpose() @ self.basis
         return self._gram
 
-    def reduced_gram(self) -> tuple[MatQ, MatZ, tuple[MatQ, tuple[Fraction, ...]]]:
-        """(G', V, ldl(G')): the LLL-reduced Gram form G' = V^T G V, its
-        unimodular transform V and the LDL^T factorization of G'.
+    def reduced_gram(self) -> tuple[MatQ, MatZ, tuple]:
+        """(G', V, gs): the LLL-reduced Gram form G' = V^T G V, its unimodular
+        transform V, and the integer Gram-Schmidt data gs = (b, scale, d, lam)
+        the reduction ends with: b = scale * G' as integers, the Gram
+        determinants d and the scaled multipliers lam (``exactnum._lll_reduce``).
 
-        Computed on first use and kept; the lattice is immutable, so the
-        cache never goes stale.
+        Computed on first use by one LLL run and kept; the lattice is
+        immutable, so the cache never goes stale.
         """
         if self._reduced is None:
-            reduced, v = lll_gram(self.gram_matrix())
-            self._reduced = (reduced, v, ldl(reduced))
+            self._reduced = _lll_reduce(self.gram_matrix())
         return self._reduced
 
     def coordinates(self, x: MatQ | Sequence) -> MatQ | tuple[Fraction, ...]:

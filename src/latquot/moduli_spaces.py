@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import CovolumeMismatch, NotPositiveDefinite, PivotBreakdown, SingularMatrix
-from .exactnum import MatQ, MatZ, PosDefForm, is_positive_definite, ldl
+from .exactnum import MatQ, MatZ, PosDefForm, is_positive_definite, ldl, to_float
 from .lattice_core import Lattice, covolume
 
 
@@ -50,8 +50,8 @@ def posdef_witness(s: PosDefForm | MatQ) -> list[list[float]]:
     if any(d <= 0 for d in diag):
         raise NotPositiveDefinite("form has a non-positive pivot")
     n = matrix.n
-    roots = [math.sqrt(float(d)) for d in diag]
-    return [[roots[i] * float(low.rows[j][i]) for j in range(n)] for i in range(n)]
+    roots = [math.sqrt(to_float(d)) for d in diag]
+    return [[roots[i] * to_float(low.rows[j][i]) for j in range(n)] for i in range(n)]
 
 
 def in_M(s: MatQ) -> bool:
@@ -145,13 +145,14 @@ def unit_covolume_form(lattice: Lattice) -> UnitCovolumeForm:
     g = lattice.gram_matrix()
     vol = covolume(lattice)
     n = lattice.n
-    scale = float(vol) ** (-2.0 / n)
     p_root = _nth_root_int(vol.numerator, n)
     q_root = _nth_root_int(vol.denominator, n)
-    exact = None
     if p_root is not None and q_root is not None:
         exact = Fraction(q_root, p_root) ** 2
-        scale = float(exact)
+        scale = to_float(exact)
+    else:
+        exact = None
+        scale = to_float(to_float(vol) ** (-2.0 / n))
     return UnitCovolumeForm(gram=g, scale=scale, scale_exact=exact)
 
 

@@ -125,11 +125,14 @@ def circle_map(t) -> tuple[float, float]:
     """The unit-circle parametrization t -> (cos t, sin t).
 
     This is the explicit n = 1 identification of R / (2*pi)Z with the unit
-    circle; it is the one place angles enter in floating point.
+    circle; it is the one place angles enter in floating point.  A parameter
+    beyond the float range raises FloatRangeError.
     """
-    t = float(t)
-    if not math.isfinite(t):
+    if isinstance(t, float) and not math.isfinite(t):
         raise NonFiniteInput("circle parameter must be finite")
+    # below 1 in size float() cannot overflow, and an underflow to 0.0 is far
+    # inside the 1e-12 accuracy of the result; above it, to_float refuses overflow
+    t = float(t) if abs(t) < 1 else to_float(t)
     return (math.cos(t), math.sin(t))
 
 

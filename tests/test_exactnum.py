@@ -7,7 +7,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from latquot.errors import FloatRangeError, NotPositiveDefinite, NotSymmetric, PivotBreakdown, SingularMatrix
-from latquot.exactnum import MatQ, MatZ, det, hnf, inverse, is_positive_definite, ldl, lll_gram, to_float
+from latquot.exactnum import MatQ, MatZ, _lll_reduce, det, hnf, inverse, is_positive_definite, ldl, lll_gram, to_float
 
 from conftest import rand_invertible, rand_matq, rand_unimodular, rand_unimodular_pm
 
@@ -354,6 +354,24 @@ class TestLllGram:
         assert abs(v.det()) == 1
 
     @given(sheared_grams)
+    def test_gram_schmidt_data(self, g):
+        reduced, v, (b, scale, d, lam) = _lll_reduce(g)
+        assert (reduced, v) == lll_gram(g)
+        assert MatQ(b) == scale * reduced
+        n = g.n
+        # d[k] is the leading k-by-k minor of b
+        assert d[0] == 1
+        for k in range(1, n + 1):
+            assert d[k] == MatQ([row[:k] for row in b[:k]]).det()
+        # lam and the ratios of d are the integer form of G''s LDL^T factorization
+        low, diag = ldl(reduced)
+        assert [len(row) for row in lam] == list(range(n))
+        assert [[Fraction(lam[k][j], d[j + 1]) for j in range(k)] for k in range(n)] == [
+            list(low.rows[k][:k]) for k in range(n)
+        ]
+        assert [Fraction(d[k + 1], d[k]) for k in range(n)] == [scale * x for x in diag]
+
+    @given(sheared_grams)
     def test_size_reduced_and_lovasz(self, g):
         reduced, _ = lll_gram(g)
         d, lam = lll_invariants(reduced)
@@ -371,6 +389,10 @@ class TestMatrixBasics:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             MatQ([[1, 2, 3], [4, 5, 6]])
+
+    def test_fractions_are_shared_not_copied(self):
+        q = Fraction(2, 3)
+        assert MatQ([[q]]).rows[0][0] is q
 
     def test_string_entries_parse(self):
         assert MatQ([["1/2", "0"], ["0", "2"]]).rows[0][0] == frac(1, 2)

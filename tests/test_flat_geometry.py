@@ -6,7 +6,7 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from latquot.errors import (
@@ -396,6 +396,79 @@ class TestShearedPresentations:
     def test_reduced_gram_is_cached(self):
         lat = from_basis(rand_unimodular(random.Random(3), 4, 20, 4).to_matq())
         assert lat.reduced_gram() is lat.reduced_gram()
+
+
+def cauchy_schwarz_box(lattice, bound):
+    """Radii r_i with |x_i| <= r_i for every x with x^T G x <= bound: x_i^2 <= bound * (G^-1)_ii."""
+    ginv = lattice.gram_matrix().inverse()
+    return [math.isqrt(math.floor(bound * ginv.rows[i][i])) for i in range(lattice.n)]
+
+
+def classes_within(lattice, bound, box):
+    """Oracle: squared length of every nonzero class with squared length <= bound,
+    one per +- pair (highest-index nonzero coefficient positive), by ambient dot
+    products over ``cauchy_schwarz_box``."""
+    out = {}
+    for coeffs in itertools.product(*[range(-r, r + 1) for r in box]):
+        if not any(coeffs) or next(c for c in reversed(coeffs) if c) < 0:
+            continue
+        v = lattice.basis.mul_vec(coeffs)
+        q = sum((x * x for x in v), Fraction(0))
+        if q <= bound:
+            out[coeffs] = q
+    return out
+
+
+def tally(classes, bound):
+    counts = {}
+    for q in classes.values():
+        if q <= bound:
+            counts[q] = counts.get(q, 0) + 1
+    return sorted(counts.items())
+
+
+def up_to_sign(vectors):
+    return sorted(min(tuple(v), tuple(-x for x in v)) for v in vectors)
+
+
+class TestIntegerEnumeration:
+    """The integer Fincke-Pohst enumeration against a complete brute-force oracle,
+    on sheared presentations of rational, non-integral bases."""
+
+    def test_bound_at_and_just_below_an_attained_norm(self):
+        lat = from_basis(Fraction(1, 3) * MatQ([[1, 2], [0, 1]]))
+        assert geodesic_spectrum(lat, Fraction(2, 9)) == [(Fraction(1, 9), 2), (Fraction(2, 9), 2)]
+        assert geodesic_spectrum(lat, Fraction(2, 9) - Fraction(1, 10**9)) == [(Fraction(1, 9), 2)]
+        assert geodesic_spectrum(lat, Fraction(1, 9) - Fraction(1, 10**9)) == []
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=10**12),
+    )
+    def test_spectrum_and_shortest_match_oracle(self, n, seed, numer):
+        rng = random.Random(seed)
+        base = rand_lattice(rng, n)
+        assume(not base.basis.is_integral())
+        g = base.gram_matrix()
+        ceiling = 2 * min(g.rows[i][i] for i in range(n))
+        box = cauchy_schwarz_box(base, ceiling)
+        assume(math.prod(2 * r + 1 for r in box) <= 20000)  # run time only
+        classes = classes_within(base, ceiling, box)
+        lat = from_basis(base.basis @ rand_unimodular(rng, n, 30, 4).to_matq())
+
+        norms = sorted(set(classes.values()))
+        attained = norms[rng.randrange(len(norms))]
+        for bound in (attained, attained - Fraction(1, 10**9), Fraction(numer + 1, 10**12 + 39) * ceiling):
+            assert geodesic_spectrum(lat, bound) == tally(classes, bound)
+
+        lam = norms[0]
+        shortest = shortest_vectors(lat)
+        assert up_to_sign(v.ambient() for v in shortest) == up_to_sign(
+            base.basis.mul_vec(c) for c, q in classes.items() if q == lam
+        )
+        assert {squared_length(v) for v in shortest} == {lam}
+        assert injectivity_radius(lat)[0] == lam / 4
 
 
 class TestSympyLllOracle:

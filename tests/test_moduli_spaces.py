@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from latquot.errors import CovolumeMismatch, NotPositiveDefinite, SingularMatrix
+from latquot.errors import CovolumeMismatch, FloatRangeError, NotPositiveDefinite, SingularMatrix
 from latquot.exactnum import MatQ, is_positive_definite
 from latquot.flat_geometry import is_orthogonal
 from latquot.lattice_core import from_basis, scale, standard
@@ -125,6 +125,11 @@ class TestPosdefWitness:
         t = posdef_witness(s)
         assert t[1][0] == 0.0 and t[2][0] == 0.0 and t[2][1] == 0.0
 
+    def test_pivot_below_float_range_raises(self):
+        # the pivot 1/10^400 used to read as a silent 0.0
+        with pytest.raises(FloatRangeError):
+            posdef_witness(MatQ([[Fraction(1, 10**400), 0], [0, 1]]))
+
 
 class TestMembership:
     def test_in_m(self):
@@ -208,6 +213,14 @@ class TestUnitCovolumeForm:
             u.scale = 1.0
         with pytest.raises(AttributeError):
             del u.gram
+
+    @pytest.mark.parametrize(
+        "vol", [10**400, 2 * 10**400, Fraction(1, 3 * 10**400)], ids=["1e400", "2e400", "1/3e400"]
+    )
+    def test_covolume_outside_float_range_raises(self, vol):
+        # 10^400 is a square (the exact scale path), 2 * 10^400 is not (the float path)
+        with pytest.raises(FloatRangeError):
+            unit_covolume_form(from_basis(MatQ([[vol, 0], [0, 1]])))
 
     def test_normalized_has_unit_determinant(self):
         rng = random.Random(108)

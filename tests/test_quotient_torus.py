@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from latquot.errors import (
     DegenerateParallelepiped,
+    FloatRangeError,
     LatticeMismatch,
     NonFiniteInput,
     NotLatticePreserving,
@@ -261,6 +262,20 @@ class TestCircleMap:
             circle_map(math.inf)
         with pytest.raises(NonFiniteInput):
             circle_map(math.nan)
+
+    @pytest.mark.parametrize(
+        "t", [Fraction(10**400), -(10**400), Fraction(-(10**400), 3)], ids=["1e400", "-1e400_int", "-1e400/3"]
+    )
+    def test_parameter_beyond_float_range_raises(self, t):
+        with pytest.raises(FloatRangeError):
+            circle_map(t)
+
+    @pytest.mark.parametrize(
+        "t", [Fraction(1, 10**400), 1e-300, 5e-324, -Fraction(1, 10**400)], ids=["1e-400", "1e-300", "5e-324", "-1e-400"]
+    )
+    def test_tiny_parameter_is_within_accuracy(self, t):
+        c, s = circle_map(t)
+        assert abs(c - 1) < 1e-12 and abs(s) < 1e-12
 
 
 class TestVolumes:
