@@ -3,10 +3,10 @@
 This is the bedrock of the package: arbitrary-precision rationals
 (``fractions.Fraction``), dense square rational matrices (``MatQ``) and
 integer matrices (``MatZ``), with exact determinants, inverses (by
-elimination), Hermite normal forms, LDL^T factorizations, integral LLL
-reduction of Gram forms, and the positive-definite form type.  Nothing in
-this module rounds except ``to_float``, the one conversion that the
-explicitly metric float outputs elsewhere go through.
+elimination), Hermite normal forms, one fraction-free LDL^T that ``ldl``, the
+positive-definiteness test and the integral LLL reduction of Gram forms
+share, and the positive-definite form type.  Nothing rounds but ``to_float``,
+the one conversion behind the explicitly metric float outputs elsewhere.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -315,35 +315,60 @@ def hnf(m: MatZ) -> MatZ:
     return MatZ(a)
 
 
-def ldl(s: MatQ) -> tuple[MatQ, tuple[Fraction, ...]]:
-    """Exact LDL^T factorization of a symmetric rational matrix.
+def _symmetric_bareiss(s: MatQ) -> tuple[list[list[int]], int, list[int], list[list[int]]]:
+    """Fraction-free LDL^T of a symmetric rational matrix s: (b, scale, d, lam).
 
-    Returns (L, D) with S = L * diag(D) * L^T and L unit lower triangular.
-    A zero pivot is tolerated only when its whole residual column vanishes;
-    otherwise no such factorization exists without pivoting and
-    PivotBreakdown is raised.  The pivot signs in D decide positive
-    definiteness exactly, which is how the rest of the library tests it.
+    Bareiss elimination without pivoting of the integer lift b = scale * s
+    leaves the leading minors d of b (d[0] = 1) and lam[k][j] = d[j + 1] * L_kj,
+    j < k.  A zero pivot with a zero residual column is skipped: that is Bareiss
+    on b without its row and column.  At any other zero pivot the elimination
+    breaks down and stops, leaving d shorter than n + 1 and ending in that zero.
     """
     if s != s.transpose():
         raise NotSymmetric("matrix is not symmetric")
+    b, scale = _int_lift(s.rows)
     n = s.n
-    low = [[Fraction(0)] * n for _ in range(n)]
-    diag: list[Fraction] = []
-    for j in range(n):
-        dj = s.rows[j][j] - sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
-        diag.append(dj)
-        low[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            r = s.rows[i][j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
-            if dj == 0:
-                if r != 0:
-                    raise PivotBreakdown(
-                        f"non-positive pivot 0 at index {j} with nonzero residual; "
-                        "matrix is not positive definite"
-                    )
-                low[i][j] = Fraction(0)
-            else:
-                low[i][j] = r / dj
+    a = [row[:i + 1] for i, row in enumerate(b)]  # lower triangle, eliminated in place
+    d = [1]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        d.append(pivot)
+        col = [a[i][k] for i in range(k + 1, n)]
+        if pivot == 0:
+            if any(col):
+                break
+            continue
+        for i in range(k + 1, n):
+            row, factor = a[i], col[i - k - 1]
+            row[k + 1:] = [(pivot * x - factor * y) // prev for x, y in zip(row[k + 1:], col)]
+        prev = pivot
+    return b, scale, d, [row[:k] for k, row in enumerate(a)]
+
+
+def ldl(s: MatQ) -> tuple[MatQ, tuple[Fraction, ...]]:
+    """Exact LDL^T factorization of a symmetric rational matrix.
+
+    Returns (L, D) with S = L * diag(D) * L^T and L unit lower triangular,
+    read off ``_symmetric_bareiss``.  A zero pivot is tolerated only when its
+    whole residual column vanishes; otherwise no such factorization exists
+    without pivoting and PivotBreakdown is raised.
+    """
+    _, scale, d, lam = _symmetric_bareiss(s)
+    n = s.n
+    if len(d) <= n:
+        raise PivotBreakdown(
+            f"non-positive pivot 0 at index {len(d) - 2} with nonzero residual; "
+            "matrix is not positive definite"
+        )
+    diag = []
+    prev = 1
+    for pivot in d[1:]:
+        diag.append(Fraction(pivot, prev * scale))
+        prev = pivot or prev
+    # a skipped pivot's column of lam is all zero
+    low = [[x and Fraction(x, d[j + 1]) for j, x in enumerate(row)] + [1] + [0] * (n - k - 1)
+           for k, row in enumerate(lam)]
     return MatQ(low), tuple(diag)
 
 
@@ -357,26 +382,24 @@ def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
     leading k vectors and lambda_kj = d_j * mu_kj, all integers, and every
     division below is exact.
     """
-    reduced, v, _ = _lll_reduce(g)
-    return reduced, v
+    v, (b, scale, _, _) = _lll_reduce(g)
+    return MatQ([[Fraction(x, scale) for x in row] for row in b]), v
 
 
-def _lll_reduce(g: MatQ) -> tuple[MatQ, MatZ, tuple]:
-    """``lll_gram``'s (G', V) plus the integer Gram-Schmidt data of G' at exit.
+def _lll_reduce(g: MatQ) -> tuple[MatZ, tuple]:
+    """``lll_gram``'s V plus the integer Gram-Schmidt data of G' at exit.
 
     That data is (b, scale, d, lam): the integer form b = scale * G', the
     Gram determinants d[k] of the leading k reduced vectors (d[0] = 1), and
-    the lower triangle lam[k][j] = d[j + 1] * mu_kj, j < k.  In these terms
-    the LDL^T factorization of b has pivots d[k + 1] / d[k] and multipliers
-    lam[k][j] / d[j + 1].
+    the lower triangle lam[k][j] = d[j + 1] * mu_kj, j < k: the integer
+    LDL^T of b.  It starts as ``_symmetric_bareiss(G)``, and each size
+    reduction and swap updates it in place.
     """
-    if g != g.transpose():
-        raise NotSymmetric("Gram matrix is not symmetric")
+    b, scale, d, lam = _symmetric_bareiss(g)  # b[i][j] = b_i . b_j
+    if not all(x > 0 for x in d):
+        raise NotPositiveDefinite("Gram matrix must be positive definite")
     n = g.n
-    b, scale = _int_lift(g.rows)  # b[i][j] = b_i . b_j
     cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns of V
-    d = [1] + [0] * n  # d[k + 1] is the Gram determinant of b_0 .. b_k
-    lam = [[0] * n for _ in range(n)]
 
     def red(k: int, j: int) -> None:
         dj = d[j + 1]
@@ -393,7 +416,7 @@ def _lll_reduce(g: MatQ) -> tuple[MatQ, MatZ, tuple]:
         for i in range(j):
             lam[k][i] -= q * lam[j][i]
 
-    def swap(k: int, kmax: int) -> None:
+    def swap(k: int) -> None:
         cols[k], cols[k - 1] = cols[k - 1], cols[k]
         b[k], b[k - 1] = b[k - 1], b[k]
         for row in b:
@@ -402,54 +425,33 @@ def _lll_reduce(g: MatQ) -> tuple[MatQ, MatZ, tuple]:
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         lk = lam[k][k - 1]
         big = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-        for i in range(k + 1, kmax + 1):
+        for i in range(k + 1, n):
             t = lam[i][k]
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
             lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
         d[k] = big
 
-    k, kmax = 0, -1
+    k = 1
     while k < n:
-        if k > kmax:
-            # incremental Gram-Schmidt for the next untouched vector
-            kmax = k
-            for j in range(k + 1):
-                u = b[k][j]
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                elif u <= 0:
-                    raise NotPositiveDefinite("Gram matrix must be positive definite")
-                else:
-                    d[k + 1] = u
-            if k == 0:
-                k = 1
-                continue
         red(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
-            swap(k, kmax)
+            swap(k)
             k = max(1, k - 1)
         else:
             for j in range(k - 2, -1, -1):
                 red(k, j)
             k += 1
-    reduced = MatQ([[Fraction(x, scale) for x in row] for row in b])
-    gs = (tuple(map(tuple, b)), scale, tuple(d), tuple(tuple(row[:k]) for k, row in enumerate(lam)))
-    return reduced, MatZ(tuple(zip(*cols))), gs
+    gs = (tuple(map(tuple, b)), scale, tuple(d), tuple(map(tuple, lam)))
+    return MatZ(tuple(zip(*cols))), gs
 
 
 def is_positive_definite(s: MatQ) -> bool:
-    """Exact positive-definiteness test via the signs of the LDL^T pivots."""
-    try:
-        _, diag = ldl(s)
-    except PivotBreakdown:
-        return False
-    return all(d > 0 for d in diag)
+    """Exact positive-definiteness test: every leading minor of the integer lift is positive."""
+    return all(x > 0 for x in _symmetric_bareiss(s)[2])
 
 
 class PosDefForm:
-    """A symmetric positive-definite rational matrix (exact pivot test).
+    """A symmetric positive-definite rational matrix (``is_positive_definite`` checks both).
 
     Gram forms of lattice bases (``flat_geometry.GramForm``) and the images
     T^T T of ``moduli_spaces.gram_map`` are both of this type.
@@ -458,8 +460,6 @@ class PosDefForm:
     __slots__ = ("n", "matrix")
 
     def __init__(self, matrix: MatQ):
-        if matrix != matrix.transpose():
-            raise NotSymmetric("form must be symmetric")
         if not is_positive_definite(matrix):
             raise NotPositiveDefinite("form must be positive definite")
         self.n = matrix.n

@@ -163,7 +163,7 @@ def _minimum(gs: tuple) -> tuple[Fraction, list[tuple[int, ...]]]:
 
 def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
     """All shortest nonzero vector classes, one per +- pair, in coefficient order."""
-    _, v, gs = lattice.reduced_gram()
+    v, gs = lattice.reduced_gram()
     out = sorted(_canonical_sign(v.mul_vec(c)) for c in _minimum(gs)[1])
     return [LatticeVector(lattice, c) for c in out]
 
@@ -174,7 +174,7 @@ def geodesic_spectrum(lattice: Lattice, bound) -> list[tuple[Fraction, int]]:
     if bound <= 0:
         raise NonPositiveBound("spectrum bound must be positive")
     tally: dict[Fraction, int] = {}
-    for _, value in _enumerate_bounded(lattice.reduced_gram()[2], bound):
+    for _, value in _enumerate_bounded(lattice.reduced_gram()[1], bound):
         tally[value] = tally.get(value, 0) + 1
     return sorted(tally.items())
 
@@ -216,7 +216,7 @@ def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
 
     r is half the minimal geodesic length.
     """
-    lam_sq = _minimum(lattice.reduced_gram()[2])[0]
+    lam_sq = _minimum(lattice.reduced_gram()[1])[0]
     return lam_sq / 4, math.sqrt(to_float(lam_sq)) / 2
 
 
@@ -255,8 +255,8 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
         return None
     if oriented and (l1.basis_det > 0) != (l2.basis_det > 0):
         return None
-    _, v1, gs1 = l1.reduced_gram()
-    _, v2, gs2 = l2.reduced_gram()
+    v1, gs1 = l1.reduced_gram()
+    v2, gs2 = l2.reduced_gram()
     n = l1.n
     # det U = det U' * det V1 * det V2, as det V2^-1 = det V2 = +-1
     sign = v1.det() * v2.det()

@@ -61,10 +61,10 @@ class Lattice:
             self._gram = self.basis.transpose() @ self.basis
         return self._gram
 
-    def reduced_gram(self) -> tuple[MatQ, MatZ, tuple]:
-        """(G', V, gs): the LLL-reduced Gram form G' = V^T G V, its unimodular
-        transform V, and the integer Gram-Schmidt data gs = (b, scale, d, lam)
-        the reduction ends with: b = scale * G' as integers, the Gram
+    def reduced_gram(self) -> tuple[MatZ, tuple]:
+        """(V, gs): the unimodular transform V of the LLL reduction and the
+        integer Gram-Schmidt data gs = (b, scale, d, lam) it ends with: the
+        reduced Gram form V^T G V as the integers b = scale * G', the Gram
         determinants d and the scaled multipliers lam (``exactnum._lll_reduce``).
 
         Computed on first use by one LLL run and kept; the lattice is

@@ -112,9 +112,8 @@ class UnitCovolumeForm:
                 f"scale_exact={self.scale_exact!r})")
 
     def normalized_float(self) -> list[list[float]]:
-        if self.scale_exact is not None:
-            return [[float(self.scale_exact * x) for x in row] for row in self.gram.rows]
-        return [[self.scale * float(x) for x in row] for row in self.gram.rows]
+        c = self.scale_exact if self.scale_exact is not None else Fraction(self.scale)
+        return [[to_float(c * x) for x in row] for row in self.gram.rows]
 
     def normalized_exact(self) -> MatQ | None:
         if self.scale_exact is None:

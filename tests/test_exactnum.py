@@ -266,9 +266,21 @@ class TestLdl:
             ldl(MatQ([[1, 2], [0, 1]]))
 
     def test_zero_pivot_with_zero_residual_is_fine(self):
-        low, diag = ldl(MatQ([[1, 0], [0, 0]]))
-        assert diag == (1, 0)
-        assert low == MatQ.identity(2)
+        cases = [
+            ([[1, 0], [0, 0]], [[1, 0], [0, 1]], (1, 0)),
+            ([[1, 1, 0], [1, 1, 0], [0, 0, 5]], [[1, 0, 0], [1, 1, 0], [0, 0, 1]], (1, 0, 5)),
+            # the pivot after the skipped one is 10 / 2: it divides by the last nonzero pivot
+            ([[2, 2, 0], [2, 2, 0], [0, 0, 5]], [[1, 0, 0], [1, 1, 0], [0, 0, 1]], (2, 0, 5)),
+            ([[0, 0], [0, 1]], [[1, 0], [0, 1]], (0, 1)),
+        ]
+        for s, low, diag in cases:
+            assert ldl(MatQ(s)) == (MatQ(low), diag)
+
+    def test_breakdown_after_skipped_pivot(self):
+        # pivot 0 at index 1 with residual 0 is skipped; the Schur complement
+        # [[0, 1], [1, 1]] then has pivot 0 with residual 1
+        with pytest.raises(PivotBreakdown, match="non-positive pivot"):
+            ldl(MatQ([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
 
     def test_negative_pivots_reported(self):
         _, diag = ldl(MatQ([[-2, 0], [0, 3]]))
@@ -289,6 +301,21 @@ class TestLdl:
     def test_positive_definiteness_detects_indefinite(self):
         assert not is_positive_definite(MatQ([[1, 2], [2, 1]]))
         assert is_positive_definite(MatQ([[2, 1], [1, 2]]))
+
+    @given(st.data())
+    def test_matches_sympy(self, data):
+        sympy = pytest.importorskip("sympy")
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        nonzero = _small_fracs.filter(bool)
+        low = MatQ([[data.draw(_small_fracs) if j < i else int(i == j) for j in range(n)] for i in range(n)])
+        diag = MatQ([[data.draw(nonzero) if i == j else 0 for j in range(n)] for i in range(n)])
+        s = low @ diag @ low.transpose()
+        theirs = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in s.rows])
+        tl, td = theirs.LDLdecomposition(hermitian=False)
+        ours_low, ours_diag = ldl(s)
+        assert ours_low == MatQ([[Fraction(int(x.p), int(x.q)) for x in row] for row in tl.tolist()])
+        assert ours_diag == tuple(Fraction(int(td[i, i].p), int(td[i, i].q)) for i in range(n))
+        assert (ours_low, ours_diag) == (low, tuple(diag.rows[i][i] for i in range(n)))
 
 
 def lll_invariants(g: MatQ):
@@ -339,7 +366,8 @@ class TestLllGram:
         assert v.to_matq().transpose() @ g @ v.to_matq() == reduced
 
     def test_not_positive_definite(self):
-        for m in ([[1, 2], [2, 1]], [[1, 0], [0, 0]], [[-1]]):
+        # [[0, 1], [1, 0]] breaks down and [[0, 0], [0, 1]] skips a zero pivot in ldl
+        for m in ([[1, 2], [2, 1]], [[1, 0], [0, 0]], [[-1]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]):
             with pytest.raises(NotPositiveDefinite):
                 lll_gram(MatQ(m))
 
@@ -355,21 +383,22 @@ class TestLllGram:
 
     @given(sheared_grams)
     def test_gram_schmidt_data(self, g):
-        reduced, v, (b, scale, d, lam) = _lll_reduce(g)
+        v, (b, scale, d, lam) = _lll_reduce(g)
+        reduced = Fraction(1, scale) * MatQ(b)
         assert (reduced, v) == lll_gram(g)
-        assert MatQ(b) == scale * reduced
         n = g.n
         # d[k] is the leading k-by-k minor of b
         assert d[0] == 1
         for k in range(1, n + 1):
             assert d[k] == MatQ([row[:k] for row in b[:k]]).det()
-        # lam and the ratios of d are the integer form of G''s LDL^T factorization
-        low, diag = ldl(reduced)
+        # lam and the ratios of d are the integer form of the multipliers
+        # mu_kj and the Gram-Schmidt norms of G', by the minors-only oracle
+        dq, lamq = lll_invariants(reduced)
         assert [len(row) for row in lam] == list(range(n))
         assert [[Fraction(lam[k][j], d[j + 1]) for j in range(k)] for k in range(n)] == [
-            list(low.rows[k][:k]) for k in range(n)
+            [lamq[k, j] / dq[j + 1] for j in range(k)] for k in range(n)
         ]
-        assert [Fraction(d[k + 1], d[k]) for k in range(n)] == [scale * x for x in diag]
+        assert [Fraction(d[k + 1], d[k]) for k in range(n)] == [scale * dq[k + 1] / dq[k] for k in range(n)]
 
     @given(sheared_grams)
     def test_size_reduced_and_lovasz(self, g):

@@ -222,6 +222,15 @@ class TestUnitCovolumeForm:
         with pytest.raises(FloatRangeError):
             unit_covolume_form(from_basis(MatQ([[vol, 0], [0, 1]])))
 
+    @pytest.mark.parametrize("top", [10**200, 2 * 10**200], ids=["exact", "float"])
+    def test_normalized_float_outside_float_range_raises(self, top):
+        # covolume 1 has the exact scale 1, covolume 2 only the float scale 1/2;
+        # either way the normalized entry 10^400 has no float
+        u = unit_covolume_form(from_basis(MatQ([[top, 0], [0, Fraction(1, 10**200)]])))
+        assert (u.scale_exact is None) == (top != 10**200)
+        with pytest.raises(FloatRangeError):
+            u.normalized_float()
+
     def test_normalized_has_unit_determinant(self):
         rng = random.Random(108)
         for _ in range(10):
