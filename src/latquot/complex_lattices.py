@@ -91,22 +91,17 @@ class ComplexMatrix:
             raise DimensionMismatch(f"matrix sizes differ: {self.n} vs {other.n}")
 
     def det_c(self) -> CxRational:
-        """Exact complex determinant by Laplace expansion (small n only)."""
-        return _det_c(self.entries)
-
-
-def _det_c(rows: tuple[tuple[CxRational, ...], ...]) -> CxRational:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = (Fraction(0), Fraction(0))
-    for j in range(n):
-        minor = tuple(tuple(r[c] for c in range(n) if c != j) for r in rows[1:])
-        term = _cmul(rows[0][j], _det_c(minor))
-        if j % 2:
-            term = (-term[0], -term[1])
-        total = _cadd(total, term)
-    return total
+        """Exact complex determinant p(i), p(t) = det(Re + t * Im) of degree <= n: Newton
+        interpolation through the n + 1 rational determinants p(0), ..., p(n)."""
+        n = self.n
+        c = [MatQ([[a + t * b for a, b in row] for row in self.entries]).det() for t in range(n + 1)]
+        for k in range(1, n + 1):
+            for t in range(n, k - 1, -1):
+                c[t] = (c[t] - c[t - 1]) / k
+        value = (c[n], Fraction(0))
+        for t in range(n - 1, -1, -1):
+            value = _cadd(_cmul(value, (Fraction(-t), Fraction(1))), (c[t], Fraction(0)))
+        return value
 
 
 def realify(m: ComplexMatrix) -> MatQ:

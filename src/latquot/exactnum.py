@@ -2,10 +2,10 @@
 
 This is the bedrock of the package: arbitrary-precision rationals
 (``fractions.Fraction``), dense square rational matrices (``MatQ``) and
-integer matrices (``MatZ``), with exact determinants, inverses (by
-elimination), Hermite normal forms, one fraction-free LDL^T that ``ldl``, the
-positive-definiteness test and the integral LLL reduction of Gram forms
-share, and the positive-definite form type.  Nothing rounds but ``to_float``,
+integer matrices (``MatZ``), with exact determinants, linear solves and
+inverses (one elimination), Hermite normal forms, one fraction-free LDL^T
+that ``ldl``, the positive-definiteness test and the integral LLL reduction
+of Gram forms share, and the positive-definite form type.  Nothing rounds but ``to_float``,
 the one conversion behind the explicitly metric float outputs elsewhere.
 
 All values are immutable after construction and all operations are pure.
@@ -97,8 +97,8 @@ def _bareiss(a: list[list[int]], jordan: bool = False) -> int:
 
     Mutates its argument; returns the determinant of the leading block, or 0
     when a column has no pivot.  Every division is exact.  With ``jordan`` the
-    rows above each pivot are cleared too, and the right block of [M | I] ends
-    as D * M^-1, D the last pivot; entries left of the pivot columns go stale.
+    rows above each pivot are cleared too, and an integer right block R ends as
+    D * M^-1 * R, D the last pivot; entries left of the pivot columns go stale.
     """
     n = len(a)
     sign = 1
@@ -207,16 +207,35 @@ class MatQ:
         lift, d = _int_lift(self.rows)
         return Fraction(_bareiss(lift), d**self.n)
 
+    def solve(self, rhs: "MatQ | Sequence") -> "MatQ | tuple[Fraction, ...]":
+        """The exact X with A X = rhs, rhs a vector or a MatQ: one fraction-free
+        Gauss-Jordan on [d*A | e*R], d and e the common denominators.
+
+        Raises SingularMatrix if det A = 0, DimensionMismatch if rhs does not have n rows.
+        """
+        n = self.n
+        if isinstance(rhs, MatQ):
+            if rhs.n != n:
+                raise DimensionMismatch(f"matrix sizes differ: {n} vs {rhs.n}")
+            return MatQ(self._jordan(*_int_lift(rhs.rows)))
+        if len(rhs) != n:
+            raise DimensionMismatch(f"vector length {len(rhs)} does not match dimension {n}")
+        return tuple(row[0] for row in self._jordan(*_int_lift([(_frac(x),) for x in rhs])))
+
     def inverse(self) -> "MatQ":
-        """Exact inverse: fraction-free Gauss-Jordan on [d*A | I], d the common
-        denominator, whose right block ends as D * (d*A)^-1, D the last pivot."""
+        """Exact inverse: ``solve``'s identity case, the identity fed as integers."""
+        n = self.n
+        return MatQ(self._jordan([[int(i == j) for j in range(n)] for i in range(n)], 1))
+
+    def _jordan(self, right: list[list[int]], e: int) -> list[list[Fraction]]:
+        """Rows of A^-1 * right / e: ``_bareiss`` leaves D * (d*A)^-1 * right in the right block."""
         n = self.n
         lift, d = _int_lift(self.rows)
-        a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(lift)]
+        a = [row + r for row, r in zip(lift, right)]
         if _bareiss(a, jordan=True) == 0:
             raise SingularMatrix("matrix has determinant 0")
-        last = a[n - 1][n - 1]
-        return MatQ([[Fraction(d * x, last) for x in row[n:]] for row in a])
+        den = a[n - 1][n - 1] * e
+        return [[Fraction(d * x, den) for x in row[n:]] for row in a]
 
 
 class MatZ:

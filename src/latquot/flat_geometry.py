@@ -27,7 +27,7 @@ from .errors import (
     ZeroVector,
 )
 from .exactnum import MatQ, MatZ, PosDefForm, _int_entries, to_float
-from .lattice_core import Lattice, equals
+from .lattice_core import Lattice
 
 _ISOMETRY_MAX_DIM = 4
 
@@ -58,7 +58,7 @@ class LatticeVector:
             return NotImplemented
         if self.lattice is other.lattice:
             return self.coeffs == other.coeffs
-        if self.lattice.n != other.lattice.n or not equals(self.lattice, other.lattice):
+        if self.lattice != other.lattice:
             return False
         return self.ambient() == other.ambient()
 
@@ -200,7 +200,7 @@ def signed_cos_squared(v: LatticeVector, w: LatticeVector) -> Fraction:
 
 
 def _cos_data(v: LatticeVector, w: LatticeVector) -> tuple[Fraction, Fraction]:
-    if v.lattice.n != w.lattice.n or not equals(v.lattice, w.lattice):
+    if v.lattice != w.lattice:
         raise LatticeMismatch("vectors belong to different lattices")
     if not any(v.coeffs) or not any(w.coeffs):
         raise ZeroVector("angle is undefined for the zero vector")

@@ -3,7 +3,8 @@
 A lattice is the set of integer combinations of the columns of its basis
 matrix.  The basis is kept exactly as supplied; equality and canonical
 comparisons go through exact unimodular change-of-basis tests rather than
-normalizing the user's presentation away.
+normalizing the user's presentation away: every coordinate, membership and
+basis-change question is one exact solve of basis * X = Y (``MatQ.solve``).
 """
 
 from __future__ import annotations
@@ -19,12 +20,6 @@ from .errors import (
     ZeroScale,
 )
 from .exactnum import MatQ, MatZ, _int_lift, _lll_reduce, hnf
-
-
-def _vector(x: Sequence, n: int) -> tuple[Fraction, ...]:
-    if len(x) != n:
-        raise DimensionMismatch(f"vector length {len(x)} does not match dimension {n}")
-    return tuple(Fraction(c) for c in x)
 
 
 class Lattice:
@@ -75,14 +70,15 @@ class Lattice:
         return self._reduced
 
     def coordinates(self, x: MatQ | Sequence) -> MatQ | tuple[Fraction, ...]:
-        """basis^-1 x: the coordinates of the vector x, or of each column of the matrix x."""
-        inv = self.basis.inverse()
-        return inv @ x if isinstance(x, MatQ) else inv.mul_vec(x)
+        """The X with basis * X = x: the coordinates of the vector x, or of each column of x."""
+        return self.basis.solve(x)
 
     def unimodular_change(self, m: MatQ) -> MatZ | None:
         """The U in GL_n(Z) with basis * U = m, or None if the columns of m are not a basis."""
+        if m.n == self.n and abs(m.det()) != abs(self.basis_det):
+            return None  # |det U| = |det m| / |det basis| is not 1
         u = self.coordinates(m)
-        return u.to_matz() if u.is_integral() and abs(u.det()) == 1 else None
+        return u.to_matz() if u.is_integral() else None  # |det U| = 1: unimodular iff integral
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice):
@@ -118,18 +114,18 @@ def scale(lattice: Lattice, c) -> Lattice:
 
 def contains(lattice: Lattice, x: Sequence) -> bool:
     """Exact membership: x is in L iff basis^-1 x is an integer vector."""
-    return all(c.denominator == 1 for c in lattice.coordinates(_vector(x, lattice.n)))
+    return all(c.denominator == 1 for c in lattice.coordinates([Fraction(c) for c in x]))
 
 
 def equals(l1: Lattice, l2: Lattice) -> bool:
     """True iff the two lattices are the same subgroup of R^n.
 
-    Equivalent to the change of basis basis1^-1 * basis2 being an integer
-    matrix of determinant +-1.
+    The one equality test (``==`` and ``!=`` on lattices use it): a U in
+    GL_n(Z) with basis1 * U = basis2 exists (``Lattice.unimodular_change``).
     """
     if l1.n != l2.n:
         raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
-    return l1.unimodular_change(l2.basis) is not None
+    return l1 is l2 or l1.unimodular_change(l2.basis) is not None
 
 def sublattice_index(sub: Lattice, lattice: Lattice) -> int:
     """The index [L : Lsub], i.e. the number of cosets of Lsub in L.

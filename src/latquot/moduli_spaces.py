@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CovolumeMismatch, NotPositiveDefinite, PivotBreakdown, SingularMatrix
-from .exactnum import MatQ, MatZ, PosDefForm, is_positive_definite, ldl, to_float
+from .errors import CovolumeMismatch, NotPositiveDefinite, NotSymmetric, PivotBreakdown, SingularMatrix
+from .exactnum import MatQ, MatZ, PosDefForm, _symmetric_bareiss, ldl, to_float
 from .lattice_core import Lattice, covolume
 
 
@@ -55,10 +55,12 @@ def posdef_witness(s: PosDefForm | MatQ) -> list[list[float]]:
 
 
 def in_M(s: MatQ) -> bool:
-    """Symmetric, positive definite, determinant exactly 1."""
-    if s != s.transpose():
+    """Symmetric, positive definite, determinant exactly 1: one integer LDL^T of scale * s."""
+    try:
+        _, scale, d, _ = _symmetric_bareiss(s)
+    except NotSymmetric:
         return False
-    return is_positive_definite(s) and s.det() == 1
+    return all(x > 0 for x in d) and d[-1] == scale**s.n  # d[n] = det(scale * s)
 
 
 def in_Sigma(u: MatQ) -> bool:

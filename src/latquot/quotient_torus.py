@@ -49,14 +49,14 @@ class TorusPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        if self.lattice.n != other.lattice.n or not equals(self.lattice, other.lattice):
+        if self.lattice != other.lattice:
             return False
         return reduce(self.lattice, other.ambient()).coords == self.coords
 
     def __hash__(self) -> int:
         # the point's coordinates over the lattice's canonical basis, which
         # every presentation of the lattice shares
-        coords = self.lattice.canonical_basis().inverse().mul_vec(self.ambient())
+        coords = self.lattice.canonical_basis().solve(self.ambient())
         return hash((self.lattice, tuple(c % 1 for c in coords)))
 
     def __repr__(self) -> str:
@@ -65,15 +65,13 @@ class TorusPoint:
 
 def reduce(lattice: Lattice, x: Sequence) -> TorusPoint:
     """Canonical quotient map: send x in R^n to its class modulo the lattice."""
-    if len(x) != lattice.n:
-        raise DimensionMismatch(f"vector length {len(x)} does not match dimension {lattice.n}")
     coords = lattice.coordinates([Fraction(c) for c in x])
     return TorusPoint(lattice, tuple(c % 1 for c in coords))
 
 
 def torus_add(p: TorusPoint, q: TorusPoint) -> TorusPoint:
     """Group addition on the quotient torus."""
-    if p.lattice.n != q.lattice.n or not equals(p.lattice, q.lattice):
+    if p.lattice != q.lattice:
         raise LatticeMismatch("points live on quotients by different lattices")
     total = tuple(a + b for a, b in zip(p.ambient(), q.ambient()))
     return reduce(p.lattice, total)
@@ -109,7 +107,7 @@ def make_induced_map(matrix: MatQ, source: Lattice, target: Lattice) -> InducedM
 
 def apply_induced(f: InducedMap, p: TorusPoint) -> TorusPoint:
     """Image of a torus point; independent of the chosen representative."""
-    if p.lattice.n != f.source.n or not equals(p.lattice, f.source):
+    if p.lattice != f.source:
         raise LatticeMismatch("point does not live on the map's source torus")
     return reduce(f.target, f.matrix.mul_vec(p.ambient()))
 

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,58 @@ class TestRealify:
             m = rand_complex_matrix(rng, n)
             re, im = m.det_c()
             assert realify(m).det() == re * re + im * im
+
+
+def det_c_laplace(rows):
+    """Independent complex determinant oracle: Laplace expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    re, im = Fraction(0), Fraction(0)
+    for j in range(n):
+        a, b = rows[0][j]
+        c, d = det_c_laplace([[r[k] for k in range(n) if k != j] for r in rows[1:]])
+        sign = -1 if j % 2 else 1
+        re += sign * (a * c - b * d)
+        im += sign * (a * d + b * c)
+    return (re, im)
+
+
+class TestComplexDeterminant:
+    def test_matches_laplace_expansion(self):
+        rng = random.Random(95)
+        for _ in range(60):
+            m = rand_complex_matrix(rng, rng.randint(1, 5))
+            assert m.det_c() == det_c_laplace(m.entries)
+
+    def test_hand_values(self):
+        assert ComplexMatrix([[(3, 4)]]).det_c() == (3, 4)
+        assert ComplexMatrix.scalar(3, (0, 1)).det_c() == (0, -1)  # i^3
+        assert ComplexMatrix([[(1, 1), (0, 2)], [(1, 0), (1, -1)]]).det_c() == (2, -2)
+
+    def test_multiplicative(self):
+        # the phase of det_c, which |det_c|^2 = det(realify) cannot see
+        rng = random.Random(96)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            m1, m2 = rand_complex_matrix(rng, n), rand_complex_matrix(rng, n)
+            (a, b), (c, d) = m1.det_c(), m2.det_c()
+            assert (m1 @ m2).det_c() == (a * c - b * d, a * d + b * c)
+
+    def test_n12_in_polynomial_time(self):
+        def on_alarm(signum, frame):
+            raise TimeoutError("det_c still running after 10 s at n = 12")
+
+        rng = random.Random(97)
+        m = rand_complex_matrix(rng, 12)
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(10)
+        try:
+            re, im = m.det_c()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert realify(m).det() == re * re + im * im
 
 
 class TestComplexStructure:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from latquot.errors import FloatRangeError, NotPositiveDefinite, NotSymmetric, PivotBreakdown, SingularMatrix
+from latquot.errors import (
+    DimensionMismatch,
+    FloatRangeError,
+    NotPositiveDefinite,
+    NotSymmetric,
+    PivotBreakdown,
+    SingularMatrix,
+)
 from latquot.exactnum import MatQ, MatZ, _lll_reduce, det, hnf, inverse, is_positive_definite, ldl, lll_gram, to_float
 
 from conftest import rand_invertible, rand_matq, rand_unimodular, rand_unimodular_pm
@@ -162,6 +169,34 @@ class TestEliminationKernel:
             inverse(m.to_matq())
         with pytest.raises(SingularMatrix, match="^matrix has determinant 0$"):
             hnf(m)
+
+
+class TestSolve:
+    """A X = R by one elimination with R as its right-hand side, checked by
+    its residual: ``inverse`` shares the solve's code, so it is no oracle."""
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32))
+    def test_residual_is_exactly_zero(self, n, seed):
+        rng = random.Random(seed)
+        a = rand_invertible(rng, n)
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        assert a.mul_vec(a.solve(x)) == tuple(x)
+        r = rand_matq(rng, n, height=9)
+        assert a @ a.solve(r) == r
+
+    @given(_rank_deficient())
+    def test_singular_raises(self, m):
+        with pytest.raises(SingularMatrix, match="^matrix has determinant 0$"):
+            m.to_matq().solve([1] * m.n)
+
+    def test_wrong_size_right_hand_side_raises(self):
+        a = MatQ.identity(3)
+        for x in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(DimensionMismatch, match=f"^vector length {len(x)} does not match dimension 3$"):
+                a.solve(x)
+        for r in (MatQ.identity(2), MatQ.identity(4)):
+            with pytest.raises(DimensionMismatch):
+                a.solve(r)
 
 
 class TestToFloat:

@@ -27,7 +27,7 @@ from latquot.lattice_core import (
     sublattice_index,
 )
 
-from latquot.quotient_torus import make_induced_map
+from latquot.quotient_torus import make_induced_map, reduce
 
 from conftest import rand_invertible, rand_lattice, rand_unimodular, rand_unimodular_pm
 
@@ -213,6 +213,71 @@ class TestCoordinateMap:
         f = make_induced_map(a, l1, target)
         assert a @ l1.basis == target.basis @ f.witness.to_matq()
         assert abs(f.witness.det()) == 1
+
+
+class TestExactSolveSizes:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_wrong_length_vector(self, k):
+        lat = from_basis(MatQ([[2, 1, 0], [0, Fraction(1, 3), 1], [1, 0, 5]]))
+        x = [Fraction(1, 2)] * k
+        message = f"^vector length {k} does not match dimension 3$"
+        for call in (lat.coordinates, lambda v: contains(lat, v), lambda v: reduce(lat, v)):
+            with pytest.raises(DimensionMismatch, match=message):
+                call(x)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_wrong_size_matrix(self, k):
+        with pytest.raises(DimensionMismatch):
+            standard(3).coordinates(MatQ.identity(k))
+
+
+def _sympy_change(sympy, basis: MatQ, m: MatQ):
+    """The oracle's basis^-1 * m as a MatZ if it is unimodular, else None."""
+    def sym(a):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a.rows])
+
+    u = sym(basis).inv() * sym(m)
+    if all(x.is_integer for x in u) and abs(u.det()) == 1:
+        return MatZ([[int(x) for x in u.row(i)] for i in range(u.rows)])
+    return None
+
+
+class TestBasisChangeOracle:
+    """equals, unimodular_change and change_of_basis_witness against sympy's Matrix.inv."""
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2),
+           st.integers(min_value=0, max_value=2**32))
+    def test_against_sympy_inverse(self, n, kind, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        l1 = rand_lattice(rng, n, height=4)
+        u = rand_unimodular_pm(rng, n, ops=2 * n).to_matq()
+        if kind == 1:  # an index-2 sublattice: one generator doubled
+            k = rng.randrange(n)
+            u = u @ MatQ([[2 if i == j == k else int(i == j) for j in range(n)] for i in range(n)])
+        elif kind == 2:  # singular: one column repeated, or zero when n = 1
+            cols = [list(c) for c in zip(*u.rows)]
+            cols[-1] = cols[0] if n > 1 else [0]
+            u = MatQ.from_columns(cols)
+        m = l1.basis @ u
+        expected = _sympy_change(sympy, l1.basis, m)
+        assert (expected is not None) == (kind == 0)
+        assert l1.unimodular_change(m) == expected
+        if kind == 2:
+            return
+        l2 = from_basis(m)
+        assert equals(l1, l2) == equals(l2, l1) == (expected is not None)
+        if expected is None:
+            with pytest.raises(NotEqualLattices):
+                change_of_basis_witness(l1, l2)
+        else:
+            assert change_of_basis_witness(l1, l2) == expected
+
+    def test_same_object_is_equal(self):
+        lat = from_basis(MatQ([[2, 1], [0, Fraction(1, 3)]]))
+        assert equals(lat, lat) and lat == lat and not lat != lat
+        with pytest.raises(DimensionMismatch):
+            equals(lat, standard(3))
 
 
 def test_no_assert_in_the_library():

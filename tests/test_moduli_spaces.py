@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latquot.errors import CovolumeMismatch, FloatRangeError, NotPositiveDefinite, SingularMatrix
 from latquot.exactnum import MatQ, is_positive_definite
@@ -20,7 +22,7 @@ from latquot.moduli_spaces import (
     unit_covolume_form,
 )
 
-from conftest import rand_invertible, rand_orthogonal, rand_unimodular
+from conftest import rand_invertible, rand_matq, rand_orthogonal, rand_unimodular, rand_unimodular_pm
 
 
 def rand_posdef(rng, n, height=4):
@@ -131,6 +133,16 @@ class TestPosdefWitness:
             posdef_witness(MatQ([[Fraction(1, 10**400), 0], [0, 1]]))
 
 
+def _det_one_gram(rng, n):
+    """T^T T for a rational T of determinant +-1: a unimodular U times diag(c, 1/c, 1, ...)."""
+    t = rand_unimodular_pm(rng, n).to_matq()
+    if n > 1:
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        t = t @ MatQ([[c if i == j == 0 else 1 / c if i == j == 1 else int(i == j) for j in range(n)]
+                      for i in range(n)])
+    return t.transpose() @ t
+
+
 class TestMembership:
     def test_in_m(self):
         assert in_M(MatQ.identity(2))
@@ -166,6 +178,20 @@ class TestMembership:
             t = rand_orthogonal(rng, n) @ rand_unimodular(rng, n).to_matq()
             assert abs(t.det()) == 1
             assert in_M(gram_map(t).matrix)
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=2**32))
+    def test_in_m_matches_its_definition(self, n, kind, seed):
+        rng = random.Random(seed)
+        m = rand_matq(rng, n, height=3)
+        s = {
+            0: lambda: _det_one_gram(rng, n),
+            1: lambda: m.transpose() @ m,  # positive semidefinite, any determinant
+            2: lambda: m + m.transpose(),  # symmetric, often indefinite or singular
+            3: lambda: -1 * _det_one_gram(rng, n),  # determinant (-1)^n, never positive definite
+            4: lambda: m,  # rarely symmetric
+        }[kind]()
+        assert in_M(s) == (s == s.transpose() and is_positive_definite(s) and s.det() == 1)
 
     def test_orientation(self):
         assert orientation(MatQ.identity(2)) == 1
