@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import InputError, LatquotError, SchemaError
-from .exactnum import to_float
+from .exactnum import float_sqrt
 from .serialize import (
     format_float,
     format_rational,
@@ -121,7 +121,7 @@ def _shortest(lib, args):
     value = lib.squared_length(vectors[0])
     return {
         "squared_length": format_rational(value),
-        "length_float": format_float(math.sqrt(to_float(value))),
+        "length_float": format_float(float_sqrt(value)),
         "vectors": [list(v.coeffs) for v in vectors],
     }
 

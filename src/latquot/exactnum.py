@@ -6,7 +6,8 @@ integer matrices (``MatZ``), with exact determinants, linear solves and
 inverses (one elimination), Hermite normal forms, one fraction-free LDL^T
 that ``ldl``, the positive-definiteness test and the integral LLL reduction
 of Gram forms share, and the positive-definite form type.  Nothing rounds but ``to_float``,
-the one conversion behind the explicitly metric float outputs elsewhere.
+the one conversion behind the explicitly metric float outputs elsewhere (and
+``float_sqrt``, its square-root form).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -55,6 +56,13 @@ def to_float(x: Fraction | float) -> float:
     if not sys.float_info.min <= abs(f) <= sys.float_info.max and (isinstance(x, float) or x != 0):
         raise FloatRangeError("value is outside the range of normal floats")
     return f
+
+
+def float_sqrt(x: Fraction) -> float:
+    """sqrt(x) for an exact x >= 0, refusing only a nonzero root that no normal float represents:
+    x is scaled exactly by 4^k to about 1 and the root by 2^-k, so x itself need not fit a float."""
+    k = (x.denominator.bit_length() - x.numerator.bit_length()) // 2
+    return to_float(Fraction(math.sqrt(x * Fraction(4) ** k)) / Fraction(2) ** k)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -281,7 +289,7 @@ class MatZ:
     def to_matq(self) -> MatQ:
         return MatQ(self.rows)
 
-    def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
+    def mul_vec(self, v: Sequence) -> tuple:
         if len(v) != self.n:
             raise DimensionMismatch(f"vector length {len(v)} does not match matrix size {self.n}")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)

@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveBound,
     ZeroVector,
 )
-from .exactnum import MatQ, MatZ, PosDefForm, _int_entries, to_float
+from .exactnum import MatQ, MatZ, PosDefForm, _int_entries, float_sqrt
 from .lattice_core import Lattice
 
 _ISOMETRY_MAX_DIM = 4
@@ -56,11 +56,8 @@ class LatticeVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeVector):
             return NotImplemented
-        if self.lattice is other.lattice:
-            return self.coeffs == other.coeffs
-        if self.lattice != other.lattice:
-            return False
-        return self.ambient() == other.ambient()
+        u = self.lattice.unimodular_change(other.lattice.basis)
+        return u is not None and u.mul_vec(other.coeffs) == self.coeffs
 
     def __hash__(self) -> int:
         # equal vectors lie in equal lattices and have the same ambient point
@@ -184,31 +181,25 @@ def angle(v: LatticeVector, w: LatticeVector) -> float:
 
     Closed flat geodesics have constant direction, so the angle between two
     homotopy classes is well defined; this is the floating rendering of the
-    exact value exposed by ``signed_cos_squared``.
+    exact value exposed by ``signed_cos_squared``: atan2 of the roots of the exact
+    sin^2 and cos^2, both in [0, 1], so nothing overflows and small angles stay accurate.
     """
-    num, den = _cos_data(v, w)
-    c = to_float(num) / math.sqrt(to_float(den))
-    c = max(-1.0, min(1.0, c))
-    return math.acos(c)
+    cos_sq = signed_cos_squared(v, w)
+    return math.atan2(float_sqrt(1 - abs(cos_sq)), math.copysign(math.sqrt(abs(cos_sq)), cos_sq))
 
 
 def signed_cos_squared(v: LatticeVector, w: LatticeVector) -> Fraction:
     """Exact sign(cos) * cos^2 of the angle between two geodesic classes."""
-    num, den = _cos_data(v, w)
-    value = num * num / den
-    return value if num >= 0 else -value
-
-
-def _cos_data(v: LatticeVector, w: LatticeVector) -> tuple[Fraction, Fraction]:
-    if v.lattice != w.lattice:
+    u = v.lattice.unimodular_change(w.lattice.basis)
+    if u is None:
         raise LatticeMismatch("vectors belong to different lattices")
     if not any(v.coeffs) or not any(w.coeffs):
         raise ZeroVector("angle is undefined for the zero vector")
     g = v.lattice.gram_matrix()
-    wc = w.coeffs if v.lattice is w.lattice else tuple(c.numerator for c in v.lattice.coordinates(w.ambient()))
+    wc = u.mul_vec(w.coeffs)  # w's coefficients over v's basis
     num = _form_value(g, v.coeffs, wc)
-    den = _form_value(g, v.coeffs, v.coeffs) * _form_value(g, wc, wc)
-    return num, den
+    value = num * num / (_form_value(g, v.coeffs, v.coeffs) * _form_value(g, wc, wc))
+    return value if num >= 0 else -value
 
 
 def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
@@ -216,8 +207,8 @@ def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
 
     r is half the minimal geodesic length.
     """
-    lam_sq = _minimum(lattice.reduced_gram()[1])[0]
-    return lam_sq / 4, math.sqrt(to_float(lam_sq)) / 2
+    r_sq = _minimum(lattice.reduced_gram()[1])[0] / 4
+    return r_sq, float_sqrt(r_sq)
 
 
 def is_orthogonal(t: MatQ) -> bool:
@@ -258,8 +249,8 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     v1, gs1 = l1.reduced_gram()
     v2, gs2 = l2.reduced_gram()
     n = l1.n
-    # det U = det U' * det V1 * det V2, as det V2^-1 = det V2 = +-1
-    sign = v1.det() * v2.det()
+    # det U' = +-1 follows from det G1' = det G2'; det U = det U' * det V1 * det V2
+    sign = v1.det() * v2.det() if oriented else 1
     b1, scale1 = gs1[0], gs1[1]
     b2, scale2 = gs2[0], gs2[1]
     # c_i^T G1' c_j = G2'_ij  <=>  (scale2 * b1 c_i) . c_j = scale1 * b2_ij, in integers
@@ -282,10 +273,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     def backtrack(j: int) -> MatZ | None:
         if j == n:
             u = MatZ([[cols[c][0][r] for c in range(n)] for r in range(n)])
-            d = u.det() * sign
-            if abs(d) != 1 or (oriented and d != 1):
-                return None
-            return u
+            return None if oriented and u.det() * sign != 1 else u
         target_row = targets[j]
         for cand in candidates[b2[j][j]]:
             c = cand[0]

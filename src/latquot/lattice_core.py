@@ -74,8 +74,11 @@ class Lattice:
         return self.basis.solve(x)
 
     def unimodular_change(self, m: MatQ) -> MatZ | None:
-        """The U in GL_n(Z) with basis * U = m, or None if the columns of m are not a basis."""
-        if m.n == self.n and abs(m.det()) != abs(self.basis_det):
+        """The U in GL_n(Z) with basis * U = m, or None if the columns of m (of any size)
+        are not a basis: the integer change from coordinates over m to coordinates over basis."""
+        if m is self.basis:
+            return MatZ.identity(self.n)
+        if m.n != self.n or abs(m.det()) != abs(self.basis_det):
             return None  # |det U| = |det m| / |det basis| is not 1
         u = self.coordinates(m)
         return u.to_matz() if u.is_integral() else None  # |det U| = 1: unimodular iff integral
@@ -125,7 +128,8 @@ def equals(l1: Lattice, l2: Lattice) -> bool:
     """
     if l1.n != l2.n:
         raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
-    return l1 is l2 or l1.unimodular_change(l2.basis) is not None
+    return l1.unimodular_change(l2.basis) is not None
+
 
 def sublattice_index(sub: Lattice, lattice: Lattice) -> int:
     """The index [L : Lsub], i.e. the number of cosets of Lsub in L.

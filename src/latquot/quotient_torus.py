@@ -2,9 +2,10 @@
 
 Points are stored by exact fractional coordinates in the lattice basis, so
 two points are equal iff their representatives differ by a lattice vector,
-with no tolerance anywhere.  The only floating-point operations here are the
-angle-style circle parametrization and irrational volume scalings, both
-documented as such.
+with no tolerance anywhere.  Presentations of L and induced maps act on these
+coordinates by integer matrices (``Lattice.unimodular_change``, the witness),
+never through R^n.  The only floating-point operations here are the angle-style
+circle parametrization and irrational volume scalings, both documented as such.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ class TorusPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        if self.lattice != other.lattice:
-            return False
-        return reduce(self.lattice, other.ambient()).coords == self.coords
+        u = self.lattice.unimodular_change(other.lattice.basis)
+        return u is not None and tuple(c % 1 for c in u.mul_vec(other.coords)) == self.coords
 
     def __hash__(self) -> int:
         # the point's coordinates over the lattice's canonical basis, which
@@ -71,10 +71,10 @@ def reduce(lattice: Lattice, x: Sequence) -> TorusPoint:
 
 def torus_add(p: TorusPoint, q: TorusPoint) -> TorusPoint:
     """Group addition on the quotient torus."""
-    if p.lattice != q.lattice:
+    u = p.lattice.unimodular_change(q.lattice.basis)
+    if u is None:
         raise LatticeMismatch("points live on quotients by different lattices")
-    total = tuple(a + b for a, b in zip(p.ambient(), q.ambient()))
-    return reduce(p.lattice, total)
+    return TorusPoint(p.lattice, tuple((a + b) % 1 for a, b in zip(p.coords, u.mul_vec(q.coords))))
 
 
 class InducedMap:
@@ -85,15 +85,15 @@ class InducedMap:
     def __init__(self, matrix: MatQ, source: Lattice, target: Lattice):
         if matrix.n != source.n or source.n != target.n:
             raise DimensionMismatch("matrix and lattice dimensions must all agree")
-        if matrix.det() == 0:
-            raise SingularMatrix("ambient matrix has determinant 0")
         u = target.unimodular_change(matrix @ source.basis)
         if u is None:
+            if matrix.det() == 0:
+                raise SingularMatrix("ambient matrix has determinant 0")
             raise NotLatticePreserving("ambient matrix does not take the source lattice onto the target")
         self.matrix = matrix
         self.source = source
         self.target = target
-        # unimodular coordinate change certifying A(L1) = L2
+        # the unimodular W with A * basis1 = basis2 * W: the map on coordinates
         self.witness: MatZ = u
 
     def __repr__(self) -> str:
@@ -106,10 +106,12 @@ def make_induced_map(matrix: MatQ, source: Lattice, target: Lattice) -> InducedM
 
 
 def apply_induced(f: InducedMap, p: TorusPoint) -> TorusPoint:
-    """Image of a torus point; independent of the chosen representative."""
-    if p.lattice != f.source:
+    """Image of a torus point: witness * coords mod 1, once ``unimodular_change``
+    has carried the coordinates to the source basis (no elimination on the source itself)."""
+    u = f.source.unimodular_change(p.lattice.basis)
+    if u is None:
         raise LatticeMismatch("point does not live on the map's source torus")
-    return reduce(f.target, f.matrix.mul_vec(p.ambient()))
+    return TorusPoint(f.target, tuple(c % 1 for c in f.witness.mul_vec(u.mul_vec(p.coords))))
 
 
 def compose(f: InducedMap, g: InducedMap) -> InducedMap:
@@ -135,8 +137,8 @@ def circle_map(t) -> tuple[float, float]:
 
 
 def volume_scale(f: InducedMap) -> Fraction:
-    """|det A|: the exact factor by which the induced map scales volumes."""
-    return abs(f.matrix.det())
+    """|det A| = covolume(L2) / covolume(L1): the exact factor by which the induced map scales volumes."""
+    return covolume(f.target) / covolume(f.source)
 
 
 def volume_of_scaled(lattice: Lattice, c) -> float:
@@ -155,7 +157,8 @@ def parallelepiped_image_volume(f: InducedMap, edge_coords: MatQ) -> Fraction:
 
     The columns of ``edge_coords`` are edge vectors in fractional coordinates
     of the source lattice, so the parallelepiped has volume
-    |det(basis1 * edge_coords)| upstairs and the image scales it by |det A|.
+    |det(basis1 * edge_coords)| upstairs; the image has |det A| times it, which
+    is covolume(L2) * |det edge_coords| because A(L1) = L2.
     """
     if edge_coords.n != f.source.n:
         raise DimensionMismatch("edge matrix size does not match the source dimension")
@@ -164,4 +167,4 @@ def parallelepiped_image_volume(f: InducedMap, edge_coords: MatQ) -> Fraction:
     d = edge_coords.det()
     if d == 0:
         raise DegenerateParallelepiped("edge vectors are linearly dependent")
-    return abs(f.matrix.det() * f.source.basis_det * d)
+    return covolume(f.target) * abs(d)

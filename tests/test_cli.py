@@ -469,3 +469,11 @@ class TestOutputs:
         code, out = invoke(capsys, ["add", "--point", point_path, "--point", point_path])
         assert code == 0
         assert json.loads(out)["coords"] == ["1/2", "2/3"]
+
+
+class TestFloatRoots:
+    @pytest.mark.parametrize("entry, length", [("1" + "0" * 200, "1e+200"), ("1/1" + "0" * 160, "1e-160")])
+    def test_shortest_length_in_range_of_an_unrepresentable_square(self, capsys, write, entry, length):
+        code, out = invoke(capsys, ["shortest", "--lattice", write("l.json", lattice_doc([[entry]]))])
+        assert code == 0
+        assert json.loads(out)["length_float"] == length

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -14,7 +15,19 @@ from latquot.errors import (
     PivotBreakdown,
     SingularMatrix,
 )
-from latquot.exactnum import MatQ, MatZ, _lll_reduce, det, hnf, inverse, is_positive_definite, ldl, lll_gram, to_float
+from latquot.exactnum import (
+    MatQ,
+    MatZ,
+    _lll_reduce,
+    det,
+    float_sqrt,
+    hnf,
+    inverse,
+    is_positive_definite,
+    ldl,
+    lll_gram,
+    to_float,
+)
 
 from conftest import rand_invertible, rand_matq, rand_unimodular, rand_unimodular_pm
 
@@ -474,3 +487,39 @@ class TestMatrixBasics:
         m = rand_matq(rng, 3)
         assert (m + (-m)) == MatQ([[0] * 3 for _ in range(3)])
         assert 2 * m == m + m
+
+
+class TestFloatSqrt:
+    @pytest.mark.parametrize("x, root", [
+        (Fraction(0), 0.0),
+        (Fraction(4), 2.0),
+        (Fraction(9, 16), 0.75),
+        (Fraction(1, 10**320), 1e-160),  # x itself is subnormal
+        (Fraction(10**400), 1e200),  # x itself overflows
+        (Fraction(2) ** -1074, 2.0**-537),
+    ])
+    def test_root_in_range(self, x, root):
+        assert float_sqrt(x) == root
+
+    @pytest.mark.parametrize("x", [
+        Fraction(1, 10**700),  # root 1e-350 is subnormal
+        Fraction(10**700),  # root 1e350 overflows
+        Fraction(2) ** 2048,  # root 2^1024 rounds past the largest float
+    ])
+    def test_root_out_of_range_raises(self, x):
+        with pytest.raises(FloatRangeError):
+            float_sqrt(x)
+
+    @given(st.integers(min_value=1, max_value=10**40), st.integers(min_value=1, max_value=10**40),
+           st.integers(min_value=-1900, max_value=1900))
+    def test_within_one_ulp(self, p, q, e):
+        x = Fraction(p, q) * Fraction(2) ** e
+        try:
+            r = float_sqrt(x)
+        except FloatRangeError:
+            # only a root outside the normal floats [2^-1022, 2^1024) is refused
+            # (near the top, one that rounds up to 2^1024)
+            assert x < Fraction(2) ** -2044 or x > Fraction(2) ** 2046
+            return
+        # neighbours of r bracket the exact root
+        assert Fraction(math.nextafter(r, 0)) ** 2 < x < Fraction(math.nextafter(r, math.inf)) ** 2

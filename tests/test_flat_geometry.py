@@ -492,3 +492,33 @@ class TestSympyLllOracle:
             ours = from_basis(b @ v.to_matq())
             assert equals(ours, theirs) and equals(ours, lat)
             assert squared_length(shortest_vectors(theirs)[0]) == squared_length(shortest_vectors(lat)[0])
+
+
+class TestAngleRange:
+    @pytest.mark.parametrize("c", [Fraction(10**200), Fraction(1, 10**200)], ids=["1e200", "1e-200"])
+    def test_scaled_lattices(self, c):
+        lat = scale(standard(2), c)
+        assert abs(angle(LatticeVector(lat, [1, 0]), LatticeVector(lat, [1, 1])) - math.pi / 4) < 1e-12
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_small_angles_keep_relative_accuracy(self, k):
+        # cos is 1 - 1e-2k/2 here, so acos of a float cosine read 0 from k = 8 on
+        got = angle(LatticeVector(standard(2), [10**k, 1]), LatticeVector(standard(2), [10**k, 0]))
+        want = math.atan(10.0**-k)
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_obtuse_and_right(self):
+        lat = from_basis(MatQ([[2, 1], [0, 1]]))
+        for v, w in (([1, 0], [-1, 1]), ([1, 0], [-1, 2]), ([0, 1], [-2, 1])):
+            x, y = lat.basis.mul_vec(v), lat.basis.mul_vec(w)
+            dot = sum(a * b for a, b in zip(x, y))
+            want = math.acos(float(dot) / math.sqrt(float(sum(a * a for a in x) * sum(b * b for b in y))))
+            assert abs(angle(LatticeVector(lat, v), LatticeVector(lat, w)) - want) < 1e-12
+
+
+class TestInjectivityRadiusRange:
+    @pytest.mark.parametrize("entry, radius", [(Fraction(1, 10**160), 5e-161), (Fraction(10**200), 5e199)])
+    def test_radius_in_range_of_an_unrepresentable_square(self, entry, radius):
+        r_sq, r = injectivity_radius(from_basis(MatQ([[entry]])))
+        assert r_sq == entry * entry / 4
+        assert abs(r - radius) <= 1e-15 * radius

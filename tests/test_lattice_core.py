@@ -306,3 +306,14 @@ class TestCanonicalBasis:
         for _ in range(10):
             lat = rand_lattice(rng, rng.randint(1, 3))
             assert equals(lat, Lattice(lat.canonical_basis()))
+
+
+class TestUnimodularChangeEdges:
+    def test_own_basis_is_the_identity(self):
+        lat = from_basis(MatQ([[2, 1, 0], [0, Fraction(1, 3), 1], [1, 0, 5]]))
+        assert lat.unimodular_change(lat.basis) == MatZ.identity(3)
+        assert lat.unimodular_change(MatQ(lat.basis.rows)) == MatZ.identity(3)  # an equal copy
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_wrong_size_is_none(self, k):
+        assert standard(3).unimodular_change(MatQ.identity(k)) is None
