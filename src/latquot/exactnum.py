@@ -3,9 +3,12 @@
 This is the bedrock of the package: arbitrary-precision rationals
 (``fractions.Fraction``), dense square rational matrices (``MatQ``) and
 integer matrices (``MatZ``), with exact determinants, linear solves and
-inverses (one elimination), Hermite normal forms, one fraction-free LDL^T
-that ``ldl``, the positive-definiteness test and the integral LLL reduction
-of Gram forms share, and the positive-definite form type.  Nothing rounds but ``to_float``,
+inverses, Hermite normal forms, one fraction-free LDL^T that ``ldl``, the
+positive-definiteness test and the integral LLL reduction of Gram forms
+share, and the positive-definite form type.  Each ``MatQ``
+keeps the fraction-free LU of its first elimination: its determinant is that
+LU's last pivot, and every solve and inverse after it is a forward and back
+substitution, with no Gauss-Jordan pass.  Nothing rounds but ``to_float``,
 the one conversion behind the explicitly metric float outputs elsewhere (and
 ``float_sqrt``, its square-root form).
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -100,15 +104,18 @@ def _int_entries(values: Sequence, message: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _bareiss(a: list[list[int]], jordan: bool = False) -> int:
-    """Fraction-free (Bareiss) elimination of the first n columns of n integer rows.
+def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
+    """Fraction-free (Bareiss) elimination of n integer rows: their fraction-free LU.
 
-    Mutates its argument; returns the determinant of the leading block, or 0
-    when a column has no pivot.  Every division is exact.  With ``jordan`` the
-    rows above each pivot are cleared too, and an integer right block R ends as
-    D * M^-1 * R, D the last pivot; entries left of the pivot columns go stale.
+    Mutates its argument into that LU and returns (det, perm), det 0 when a
+    column has no pivot.  Row i of the result is input row perm[i].  On and
+    above the diagonal a holds U, the pivots p_k = a[k][k]; each entry below
+    it is the multiplier L_ik its row had when column k was eliminated, which
+    the elimination never overwrites.  Every division is exact.  ``MatQ``
+    keeps this LU; its solves substitute through it (``MatQ._substitute``).
     """
     n = len(a)
+    perm = list(range(n))
     sign = 1
     prev = 1
     for k in range(n):
@@ -116,27 +123,30 @@ def _bareiss(a: list[list[int]], jordan: bool = False) -> int:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
                     a[k], a[r] = a[r], a[k]
+                    perm[k], perm[r] = perm[r], perm[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, perm
         row_k = a[k]
         pivot = row_k[k]
         tail_k = row_k[k + 1:]
-        for i in range(0 if jordan else k + 1, n):
-            if i == k:
-                continue
+        for i in range(k + 1, n):
             row_i = a[i]
             factor = row_i[k]
             row_i[k + 1:] = [(x * pivot - factor * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
         prev = pivot
-    return sign * prev
+    return sign * prev, perm
 
 
 class MatQ:
-    """Immutable n-by-n matrix of exact rationals, stored row-major."""
+    """Immutable n-by-n matrix of exact rationals, stored row-major.
 
-    __slots__ = ("n", "rows")
+    The fraction-free LU of its integer lift is computed the first time
+    ``det``, ``solve`` or ``inverse`` needs it, and kept for every later call.
+    """
+
+    __slots__ = ("n", "rows", "_lu")
 
     def __init__(self, rows: Sequence[Sequence]):
         data = tuple(tuple(_frac(x) for x in row) for row in rows)
@@ -145,6 +155,7 @@ class MatQ:
             raise ValueError("matrix must be square with n >= 1")
         self.n = n
         self.rows = data
+        self._lu: tuple | None = None
 
     @classmethod
     def identity(cls, n: int) -> "MatQ":
@@ -210,14 +221,24 @@ class MatQ:
             raise ValueError("matrix has non-integer entries")
         return MatZ([[x.numerator for x in row] for row in self.rows])
 
+    def _factor(self) -> tuple[int, list[int], list[list[int]], int]:
+        """(d, perm, lu, det): the common denominator d of the entries and what
+        ``_bareiss`` leaves for the integer lift d * A.  Computed on first use
+        and kept; nothing mutates it afterwards."""
+        if self._lu is None:
+            lu, d = _int_lift(self.rows)
+            det, perm = _bareiss(lu)
+            self._lu = (d, perm, lu, det)
+        return self._lu
+
     def det(self) -> Fraction:
-        """Exact determinant: Bareiss elimination on a common-denominator integer lift."""
-        lift, d = _int_lift(self.rows)
-        return Fraction(_bareiss(lift), d**self.n)
+        """Exact determinant: the kept LU's signed last pivot over d^n."""
+        d, _, _, det = self._factor()
+        return Fraction(det, d**self.n)
 
     def solve(self, rhs: "MatQ | Sequence") -> "MatQ | tuple[Fraction, ...]":
-        """The exact X with A X = rhs, rhs a vector or a MatQ: one fraction-free
-        Gauss-Jordan on [d*A | e*R], d and e the common denominators.
+        """The exact X with A X = rhs, rhs a vector or a MatQ: a forward and a back
+        substitution through the kept LU per column of rhs, O(n^2) each, no new elimination.
 
         Raises SingularMatrix if det A = 0, DimensionMismatch if rhs does not have n rows.
         """
@@ -225,25 +246,52 @@ class MatQ:
         if isinstance(rhs, MatQ):
             if rhs.n != n:
                 raise DimensionMismatch(f"matrix sizes differ: {n} vs {rhs.n}")
-            return MatQ(self._jordan(*_int_lift(rhs.rows)))
+            return MatQ(tuple(zip(*self._substitute(*_int_lift(tuple(zip(*rhs.rows)))))))
         if len(rhs) != n:
             raise DimensionMismatch(f"vector length {len(rhs)} does not match dimension {n}")
-        return tuple(row[0] for row in self._jordan(*_int_lift([(_frac(x),) for x in rhs])))
+        return self._substitute(*_int_lift([[_frac(x) for x in rhs]]))[0]
 
     def inverse(self) -> "MatQ":
         """Exact inverse: ``solve``'s identity case, the identity fed as integers."""
         n = self.n
-        return MatQ(self._jordan([[int(i == j) for j in range(n)] for i in range(n)], 1))
+        return MatQ(tuple(zip(*self._substitute([[int(i == j) for i in range(n)] for j in range(n)], 1))))
 
-    def _jordan(self, right: list[list[int]], e: int) -> list[list[Fraction]]:
-        """Rows of A^-1 * right / e: ``_bareiss`` leaves D * (d*A)^-1 * right in the right block."""
-        n = self.n
-        lift, d = _int_lift(self.rows)
-        a = [row + r for row, r in zip(lift, right)]
-        if _bareiss(a, jordan=True) == 0:
+    def _substitute(self, cols: list[list[int]], e: int) -> list[tuple[Fraction, ...]]:
+        """A^-1 c / e for each integer column c: fraction-free forward and back
+        substitution (Nakos, Turner & Williams, 1997) through the kept LU of M = d * A.
+
+        Forward, y_i <- (p_k y_i - L_ik y_k) / p_{k-1} on the permuted c is
+        Bareiss run on c as one more column.  Back, X_k = (D y_k - sum_{j>k}
+        U_kj X_j) / p_k gives X = D M^-1 c, D the last pivot, an integer vector
+        by Cramer's rule.  Every division is exact.
+        """
+        d, perm, lu, det = self._factor()
+        if det == 0:
             raise SingularMatrix("matrix has determinant 0")
-        den = a[n - 1][n - 1] * e
-        return [[Fraction(d * x, den) for x in row[n:]] for row in a]
+        n = self.n
+        top = lu[n - 1][n - 1]
+        den = top * e
+        out = []
+        for c in cols:
+            y = [c[p] for p in perm]
+            # the steps before y's first nonzero entry s only scale y[s:] by p_{s-1}
+            s = 0
+            while s < n and not y[s]:
+                s += 1
+            prev = 1
+            if s:
+                prev = lu[s - 1][s - 1]
+                y[s:] = [prev * v for v in y[s:]]
+            for k in range(s, n - 1):
+                pivot, yk = lu[k][k], y[k]
+                y[k + 1:] = [(pivot * yi - row[k] * yk) // prev for yi, row in zip(y[k + 1:], lu[k + 1:])]
+                prev = pivot
+            x = []  # X_{n-1}, X_{n-2}, ..., X_{k+1} while X_k is formed
+            for k in range(n - 1, -1, -1):
+                row = lu[k]
+                x.append((top * y[k] - sum(map(mul, row[:k:-1], x))) // row[k])
+            out.append(tuple(Fraction(d * v, den) for v in reversed(x)))
+        return out
 
 
 class MatZ:
@@ -284,7 +332,7 @@ class MatZ:
         return f"MatZ({[list(row) for row in self.rows]})"
 
     def det(self) -> int:
-        return _bareiss([list(row) for row in self.rows])
+        return _bareiss([list(row) for row in self.rows])[0]
 
     def to_matq(self) -> MatQ:
         return MatQ(self.rows)
@@ -381,8 +429,13 @@ def ldl(s: MatQ) -> tuple[MatQ, tuple[Fraction, ...]]:
     whole residual column vanishes; otherwise no such factorization exists
     without pivoting and PivotBreakdown is raised.
     """
-    _, scale, d, lam = _symmetric_bareiss(s)
-    n = s.n
+    return _ldl(_symmetric_bareiss(s))
+
+
+def _ldl(factors: tuple) -> tuple[MatQ, tuple[Fraction, ...]]:
+    """``ldl`` read off a ``_symmetric_bareiss`` result already at hand."""
+    b, scale, d, lam = factors
+    n = len(b)
     if len(d) <= n:
         raise PivotBreakdown(
             f"non-positive pivot 0 at index {len(d) - 2} with nonzero residual; "
@@ -414,19 +467,27 @@ def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
 
 
 def _lll_reduce(g: MatQ) -> tuple[MatZ, tuple]:
-    """``lll_gram``'s V plus the integer Gram-Schmidt data of G' at exit.
+    """``lll_gram``'s V plus the integer Gram-Schmidt data of G' at exit (``_lll``)."""
+    v, _, gs = _lll(g)
+    return v, gs
+
+
+def _lll(g: MatQ) -> tuple[MatZ, MatZ, tuple]:
+    """(V, V^-1, gs): ``lll_gram``'s V, its inverse and the integer Gram-Schmidt data of G' at exit.
 
     That data is (b, scale, d, lam): the integer form b = scale * G', the
     Gram determinants d[k] of the leading k reduced vectors (d[0] = 1), and
     the lower triangle lam[k][j] = d[j + 1] * mu_kj, j < k: the integer
     LDL^T of b.  It starts as ``_symmetric_bareiss(G)``, and each size
-    reduction and swap updates it in place.
+    reduction and swap updates it in place.  V^-1 takes the inverse of each
+    step V does, O(n) each, so no elimination inverts V.
     """
     b, scale, d, lam = _symmetric_bareiss(g)  # b[i][j] = b_i . b_j
     if not all(x > 0 for x in d):
         raise NotPositiveDefinite("Gram matrix must be positive definite")
     n = g.n
     cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns of V
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # rows of V^-1
 
     def red(k: int, j: int) -> None:
         dj = d[j + 1]
@@ -439,12 +500,14 @@ def _lll_reduce(g: MatQ) -> tuple[MatZ, tuple]:
                 b[r][k] -= q * b[r][j]
                 b[k][r] = b[r][k]
         cols[k] = [x - q * y for x, y in zip(cols[k], cols[j])]
+        inv[j] = [x + q * y for x, y in zip(inv[j], inv[k])]
         lam[k][j] -= q * dj
         for i in range(j):
             lam[k][i] -= q * lam[j][i]
 
     def swap(k: int) -> None:
         cols[k], cols[k - 1] = cols[k - 1], cols[k]
+        inv[k], inv[k - 1] = inv[k - 1], inv[k]
         b[k], b[k - 1] = b[k - 1], b[k]
         for row in b:
             row[k], row[k - 1] = row[k - 1], row[k]
@@ -469,7 +532,7 @@ def _lll_reduce(g: MatQ) -> tuple[MatZ, tuple]:
                 red(k, j)
             k += 1
     gs = (tuple(map(tuple, b)), scale, tuple(d), tuple(map(tuple, lam)))
-    return MatZ(tuple(zip(*cols))), gs
+    return MatZ(tuple(zip(*cols))), MatZ(inv), gs
 
 
 def is_positive_definite(s: MatQ) -> bool:
@@ -481,16 +544,19 @@ class PosDefForm:
     """A symmetric positive-definite rational matrix (``is_positive_definite`` checks both).
 
     Gram forms of lattice bases (``flat_geometry.GramForm``) and the images
-    T^T T of ``moduli_spaces.gram_map`` are both of this type.
+    T^T T of ``moduli_spaces.gram_map`` are both of this type.  The
+    ``_symmetric_bareiss`` run that checks it is kept for ``_ldl``.
     """
 
-    __slots__ = ("n", "matrix")
+    __slots__ = ("n", "matrix", "_factors")
 
     def __init__(self, matrix: MatQ):
-        if not is_positive_definite(matrix):
+        factors = _symmetric_bareiss(matrix)
+        if not all(x > 0 for x in factors[2]):
             raise NotPositiveDefinite("form must be positive definite")
         self.n = matrix.n
         self.matrix = matrix
+        self._factors = factors
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PosDefForm) and self.matrix == other.matrix

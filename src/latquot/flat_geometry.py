@@ -232,7 +232,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     rotation.  The search runs on the LLL-reduced forms G1' = V1^T G1 V1 and
     G2' = V2^T G2 V2: it matches G2' column by column against enumerated
     vectors of G1', and a witness U' with U'^T G1' U' = G2' maps back to
-    U = V1 U' V2^-1.
+    U = V1 U' V2^-1, V2^-1 the one the LLL run kept beside V2.
 
     With ``oriented`` the witness must additionally have determinant +1 and
     the implied ambient map must preserve orientation.
@@ -288,4 +288,4 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     u = backtrack(0)
     if u is None:
         return None
-    return v1 @ u @ v2.to_matq().inverse().to_matz()
+    return v1 @ u @ l2._reduced_inverse

@@ -4,7 +4,9 @@ A lattice is the set of integer combinations of the columns of its basis
 matrix.  The basis is kept exactly as supplied; equality and canonical
 comparisons go through exact unimodular change-of-basis tests rather than
 normalizing the user's presentation away: every coordinate, membership and
-basis-change question is one exact solve of basis * X = Y (``MatQ.solve``).
+basis-change question is one exact solve of basis * X = Y (``MatQ.solve``),
+a substitution through the LU the basis keeps from the determinant taken at
+construction.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from .errors import (
     SingularBasis,
     ZeroScale,
 )
-from .exactnum import MatQ, MatZ, _int_lift, _lll_reduce, hnf
+from .exactnum import MatQ, MatZ, _int_lift, _lll, hnf
 
 
 class Lattice:
     """Lattice basis(Z^n); the columns of ``basis`` are the generators."""
 
-    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced")
+    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced", "_reduced_inverse")
 
     def __init__(self, basis: MatQ):
         det = basis.det()
@@ -38,6 +40,7 @@ class Lattice:
         self._canonical: MatQ | None = None
         self._gram: MatQ | None = None
         self._reduced: tuple | None = None
+        self._reduced_inverse: MatZ | None = None
 
     def canonical_basis(self) -> MatQ:
         """Presentation-independent basis: the scaled column Hermite form.
@@ -48,7 +51,7 @@ class Lattice:
         """
         if self._canonical is None:
             lift, d = _int_lift(self.basis.rows)
-            self._canonical = Fraction(1, d) * hnf(MatZ(lift)).to_matq()
+            self._canonical = MatQ([[Fraction(h, d) for h in row] for row in hnf(MatZ(lift)).rows])
         return self._canonical
 
     def gram_matrix(self) -> MatQ:
@@ -60,13 +63,15 @@ class Lattice:
         """(V, gs): the unimodular transform V of the LLL reduction and the
         integer Gram-Schmidt data gs = (b, scale, d, lam) it ends with: the
         reduced Gram form V^T G V as the integers b = scale * G', the Gram
-        determinants d and the scaled multipliers lam (``exactnum._lll_reduce``).
+        determinants d and the scaled multipliers lam (``exactnum._lll``).
 
-        Computed on first use by one LLL run and kept; the lattice is
+        Computed on first use by one LLL run and kept, together with the V^-1
+        that run carries along (``_reduced_inverse``); the lattice is
         immutable, so the cache never goes stale.
         """
         if self._reduced is None:
-            self._reduced = _lll_reduce(self.gram_matrix())
+            v, self._reduced_inverse, gs = _lll(self.gram_matrix())
+            self._reduced = (v, gs)
         return self._reduced
 
     def coordinates(self, x: MatQ | Sequence) -> MatQ | tuple[Fraction, ...]:

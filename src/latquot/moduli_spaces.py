@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import CovolumeMismatch, NotPositiveDefinite, NotSymmetric, PivotBreakdown, SingularMatrix
-from .exactnum import MatQ, MatZ, PosDefForm, _symmetric_bareiss, ldl, to_float
+from .exactnum import MatQ, MatZ, PosDefForm, _ldl, _symmetric_bareiss, to_float
 from .lattice_core import Lattice, covolume
 
 
@@ -40,16 +40,17 @@ def posdef_witness(s: PosDefForm | MatQ) -> list[list[float]]:
 
     Built as sqrt(D) * L^T from the exact LDL^T factorization, so the result
     is upper triangular and the only inexactness is one square root per
-    pivot.  This is the module's single floating-point output.
+    pivot.  This is the module's single floating-point output.  A
+    PosDefForm's own elimination is reused.
     """
-    matrix = s.matrix if isinstance(s, PosDefForm) else s
+    factors = s._factors if isinstance(s, PosDefForm) else _symmetric_bareiss(s)
     try:
-        low, diag = ldl(matrix)
+        low, diag = _ldl(factors)
     except PivotBreakdown as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     if any(d <= 0 for d in diag):
         raise NotPositiveDefinite("form has a non-positive pivot")
-    n = matrix.n
+    n = len(diag)
     roots = [math.sqrt(to_float(d)) for d in diag]
     return [[roots[i] * to_float(low.rows[j][i]) for j in range(n)] for i in range(n)]
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import sys
@@ -18,6 +19,7 @@ from latquot.errors import (
 from latquot.exactnum import (
     MatQ,
     MatZ,
+    _lll,
     _lll_reduce,
     det,
     float_sqrt,
@@ -523,3 +525,81 @@ class TestFloatSqrt:
             return
         # neighbours of r bracket the exact root
         assert Fraction(math.nextafter(r, 0)) ** 2 < x < Fraction(math.nextafter(r, math.inf)) ** 2
+
+
+def _sympy_matrix(sympy, m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+
+
+def _from_sympy(rows):
+    return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
+
+
+class TestKeptLu:
+    """det, solve and inverse read one kept fraction-free LU by substitution:
+    checked against sympy's LUsolve, inv and det and by the exact residual, on
+    matrices whose elimination swaps rows at the first or at a middle pivot,
+    or finds no pivot only in the last column."""
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 0]],
+        [[0, 2, 1], [1, frac(1, 2), 0], [3, 0, 1]],  # swap at the first pivot
+        [[0, 0, 1, 1], [0, 2, 0, 1], [1, 1, 1, 0], [frac(1, 3), 1, 0, frac(-2, 5)]],
+        [[1, 1, 0, 2], [1, 1, 1, 0], [0, 2, 1, 1], [1, 0, 0, 1]],  # swap at the second pivot
+        [[1, 1, 2, 0], [1, 1, 3, 1], [0, 1, 0, 1], [1, 2, 3, 1]],
+    ])
+    def test_matches_sympy_and_the_residual(self, rows):
+        sympy = pytest.importorskip("sympy")
+        m = MatQ(rows)
+        n = m.n
+        theirs = _sympy_matrix(sympy, m.rows)
+        assert theirs.det() != 0
+        x = [frac(1, 2), frac(-3), frac(5, 7), frac(2, 9)][:n]
+        r = MatQ([[frac(i - 2 * j, 1 + i + j) for j in range(n)] for i in range(n)])
+        assert m.det() == _from_sympy([[theirs.det()]])[0][0]
+        x_theirs = theirs.LUsolve(_sympy_matrix(sympy, [[c] for c in x]))
+        assert m.solve(x) == tuple(row[0] for row in _from_sympy(x_theirs.tolist()))
+        assert m.solve(r) == MatQ(_from_sympy(theirs.LUsolve(_sympy_matrix(sympy, r.rows)).tolist()))
+        assert m.inverse() == MatQ(_from_sympy(theirs.inv().tolist()))
+        assert m.mul_vec(m.solve(x)) == tuple(x)
+        assert m @ m.solve(r) == r
+        assert m @ m.inverse() == MatQ.identity(n)
+        assert m.solve([0] * n) == (0,) * n
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[0, 1, 1], [1, 0, 1], [1, 1, 2]],  # a swap at the first pivot, then none at the last
+        [[frac(1, 2), 1], [1, 2]],
+    ])
+    def test_singular_at_the_last_pivot(self, rows):
+        sympy = pytest.importorskip("sympy")
+        m = MatQ(rows)
+        assert _sympy_matrix(sympy, m.rows).det() == 0
+        assert m.det() == 0
+        for call in (lambda: m.solve([1] * m.n), lambda: m.solve(MatQ.identity(m.n)), m.inverse):
+            with pytest.raises(SingularMatrix, match="^matrix has determinant 0$"):
+                call()
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32))
+    def test_repeated_calls_agree_and_leave_the_lu_as_it_was(self, n, seed):
+        rng = random.Random(seed)
+        m = rand_invertible(rng, n)
+        kept = copy.deepcopy(m._factor())
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        r = rand_matq(rng, n, height=9)
+        first = (m.det(), m.solve(x), m.solve(r), m.inverse())
+        for _ in range(2):
+            m.solve(rand_matq(rng, n, height=9))
+            m.solve([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
+            assert (m.det(), m.solve(x), m.solve(r), m.inverse()) == first
+        assert m._factor() == kept
+        fresh = MatQ(m.rows)  # its own elimination
+        assert (fresh.det(), fresh.solve(x), fresh.solve(r), fresh.inverse()) == first
+
+
+class TestLllInverse:
+    @given(sheared_grams)
+    def test_inverse_transform_is_carried_along(self, g):
+        v, v_inv, gs = _lll(g)
+        assert v @ v_inv == MatZ.identity(g.n)
+        assert (v, gs) == _lll_reduce(g)
