@@ -5,12 +5,13 @@ This is the bedrock of the package: arbitrary-precision rationals
 integer matrices (``MatZ``), with exact determinants, linear solves and
 inverses, Hermite normal forms, one fraction-free LDL^T that ``ldl``, the
 positive-definiteness test and the integral LLL reduction of Gram forms
-share, and the positive-definite form type.  Each ``MatQ``
-keeps the fraction-free LU of its first elimination: its determinant is that
-LU's last pivot, and every solve and inverse after it is a forward and back
-substitution, with no Gauss-Jordan pass.  Nothing rounds but ``to_float``,
-the one conversion behind the explicitly metric float outputs elsewhere (and
-``float_sqrt``, its square-root form).
+share, and the positive-definite form type.  ``MatQ`` and ``MatZ`` share one
+matrix body, and each matrix keeps the fraction-free LU of its first
+elimination: its determinant is that LU's last pivot, and every solve and
+inverse after it is a forward and back substitution, with no Gauss-Jordan
+pass.  Nothing rounds but ``to_float``, the one conversion behind the
+explicitly metric float outputs elsewhere (and ``float_sqrt``, its
+square-root form).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -111,8 +112,8 @@ def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
     column has no pivot.  Row i of the result is input row perm[i].  On and
     above the diagonal a holds U, the pivots p_k = a[k][k]; each entry below
     it is the multiplier L_ik its row had when column k was eliminated, which
-    the elimination never overwrites.  Every division is exact.  ``MatQ``
-    keeps this LU; its solves substitute through it (``MatQ._substitute``).
+    the elimination never overwrites.  Every division is exact.  Each matrix
+    keeps this LU (``_Mat._factor``); solves substitute through it (``MatQ._substitute``).
     """
     n = len(a)
     perm = list(range(n))
@@ -139,17 +140,18 @@ def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
     return sign * prev, perm
 
 
-class MatQ:
-    """Immutable n-by-n matrix of exact rationals, stored row-major.
+class _Mat:
+    """What ``MatQ`` and ``MatZ`` share: an immutable square matrix, stored row-major,
+    that keeps the fraction-free LU of its first elimination (``_factor``).
 
-    The fraction-free LU of its integer lift is computed the first time
-    ``det``, ``solve`` or ``inverse`` needs it, and kept for every later call.
+    A subclass converts its entries and hands the rows of tuples to this
+    constructor; results of ``transpose`` and ``@`` are built by the
+    operand's own class, so they stay within one type.
     """
 
     __slots__ = ("n", "rows", "_lu")
 
-    def __init__(self, rows: Sequence[Sequence]):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
+    def __init__(self, data: tuple):
         n = len(data)
         if n < 1 or any(len(row) != n for row in data):
             raise ValueError("matrix must be square with n >= 1")
@@ -158,8 +160,59 @@ class MatQ:
         self._lu: tuple | None = None
 
     @classmethod
-    def identity(cls, n: int) -> "MatQ":
+    def identity(cls, n: int):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def transpose(self):
+        return type(self)(tuple(zip(*self.rows)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __matmul__(self, other):
+        self._check_same_size(other)
+        cols = tuple(zip(*other.rows))
+        return type(self)([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
+
+    def _check_same_size(self, other) -> None:
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self.n != other.n:
+            raise DimensionMismatch(f"matrix sizes differ: {self.n} vs {other.n}")
+
+    def mul_vec(self, v: Sequence) -> tuple:
+        if len(v) != self.n:
+            raise DimensionMismatch(f"vector length {len(v)} does not match matrix size {self.n}")
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+
+    def _factor(self) -> tuple[int, list[int], list[list[int]], int]:
+        """(d, perm, lu, det): the common denominator d of the entries and what
+        ``_bareiss`` leaves for the integer lift d * A.  Computed on first use
+        and kept; nothing mutates it afterwards."""
+        if self._lu is None:
+            lu, d = _int_lift(self.rows)
+            det, perm = _bareiss(lu)
+            self._lu = (d, perm, lu, det)
+        return self._lu
+
+
+class MatQ(_Mat):
+    """Immutable n-by-n matrix of exact rationals, stored row-major.
+
+    The fraction-free LU of its integer lift is computed the first time
+    ``det``, ``solve`` or ``inverse`` needs it, and kept for every later call.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, rows: Sequence[Sequence]):
+        super().__init__(tuple(tuple(_frac(x) for x in row) for row in rows))
+
+    # also in this class's own namespace, where perfbench's tracer wraps it per class
+    __matmul__ = _Mat.__matmul__
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "MatQ":
@@ -167,15 +220,6 @@ class MatQ:
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "MatQ":
-        return MatQ(tuple(zip(*self.rows)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MatQ) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
@@ -196,22 +240,8 @@ class MatQ:
         c = _frac(c)
         return MatQ([[c * x for x in row] for row in self.rows])
 
-    def __matmul__(self, other: "MatQ") -> "MatQ":
-        self._check_same_size(other)
-        cols = tuple(zip(*other.rows))
-        return MatQ([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
-
-    def _check_same_size(self, other: "MatQ") -> None:
-        if not isinstance(other, MatQ):
-            raise TypeError(f"expected MatQ, got {type(other).__name__}")
-        if self.n != other.n:
-            raise DimensionMismatch(f"matrix sizes differ: {self.n} vs {other.n}")
-
     def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
-        if len(v) != self.n:
-            raise DimensionMismatch(f"vector length {len(v)} does not match matrix size {self.n}")
-        w = tuple(_frac(x) for x in v)
-        return tuple(sum(a * b for a, b in zip(row, w)) for row in self.rows)
+        return super().mul_vec([_frac(x) for x in v])
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.rows for x in row)
@@ -220,16 +250,6 @@ class MatQ:
         if not self.is_integral():
             raise ValueError("matrix has non-integer entries")
         return MatZ([[x.numerator for x in row] for row in self.rows])
-
-    def _factor(self) -> tuple[int, list[int], list[list[int]], int]:
-        """(d, perm, lu, det): the common denominator d of the entries and what
-        ``_bareiss`` leaves for the integer lift d * A.  Computed on first use
-        and kept; nothing mutates it afterwards."""
-        if self._lu is None:
-            lu, d = _int_lift(self.rows)
-            det, perm = _bareiss(lu)
-            self._lu = (d, perm, lu, det)
-        return self._lu
 
     def det(self) -> Fraction:
         """Exact determinant: the kept LU's signed last pivot over d^n."""
@@ -294,53 +314,27 @@ class MatQ:
         return out
 
 
-class MatZ:
-    """Immutable n-by-n matrix of arbitrary-precision integers."""
+class MatZ(_Mat):
+    """Immutable n-by-n matrix of arbitrary-precision integers; like a ``MatQ``,
+    it keeps the fraction-free LU its first ``det`` computes."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        data = [_int_entries(row, "MatZ entries must be integers") for row in rows]
-        n = len(data)
-        if n < 1 or any(len(row) != n for row in data):
-            raise ValueError("matrix must be square with n >= 1")
-        self.n = n
-        self.rows = tuple(data)
+        super().__init__(tuple(_int_entries(row, "MatZ entries must be integers") for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "MatZ":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "MatZ":
-        return MatZ(tuple(zip(*self.rows)))
-
-    def __matmul__(self, other: "MatZ") -> "MatZ":
-        if not isinstance(other, MatZ):
-            raise TypeError(f"expected MatZ, got {type(other).__name__}")
-        if self.n != other.n:
-            raise DimensionMismatch(f"matrix sizes differ: {self.n} vs {other.n}")
-        cols = tuple(zip(*other.rows))
-        return MatZ([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MatZ) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
+    # also in this class's own namespace, where perfbench's tracer wraps it per class
+    __matmul__ = _Mat.__matmul__
 
     def __repr__(self) -> str:
         return f"MatZ({[list(row) for row in self.rows]})"
 
     def det(self) -> int:
-        return _bareiss([list(row) for row in self.rows])[0]
+        """Exact determinant: the kept LU's signed last pivot."""
+        return self._factor()[3]
 
     def to_matq(self) -> MatQ:
         return MatQ(self.rows)
-
-    def mul_vec(self, v: Sequence) -> tuple:
-        if len(v) != self.n:
-            raise DimensionMismatch(f"vector length {len(v)} does not match matrix size {self.n}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
 
 def det(m: MatQ) -> Fraction:
@@ -460,16 +454,10 @@ def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
     condition.  This is de Weger's fraction-free LLL (Cohen, Alg. 2.6.7) run
     on the form scaled to integers: it keeps the Gram determinants d_k of the
     leading k vectors and lambda_kj = d_j * mu_kj, all integers, and every
-    division below is exact.
+    division is exact.  G' and V are read off ``_lll``.
     """
-    v, (b, scale, _, _) = _lll_reduce(g)
+    v, _, (b, scale, _, _) = _lll(g)
     return MatQ([[Fraction(x, scale) for x in row] for row in b]), v
-
-
-def _lll_reduce(g: MatQ) -> tuple[MatZ, tuple]:
-    """``lll_gram``'s V plus the integer Gram-Schmidt data of G' at exit (``_lll``)."""
-    v, _, gs = _lll(g)
-    return v, gs
 
 
 def _lll(g: MatQ) -> tuple[MatZ, MatZ, tuple]:

@@ -7,10 +7,11 @@ and isometry of two quotients by an ambient rotation.  Minimality claims are
 exact: the enumeration runs in integers over the Gram-Schmidt data (Gram
 determinants and scaled multipliers) that the integral LLL leaves for the
 reduced Gram form, never over floating-point approximations.  Each lattice
-computes its reduced form, transform and that data once and keeps them
-(``Lattice.reduced_gram``); enumeration and the isometry search work in
-reduced coordinates and map their answers back through the transform, so
-results never depend on the presentation.
+runs the LLL once and keeps what it returns, the triple (V, V^-1, gs) of
+transform, inverse transform and that data (``Lattice.reduced_gram``);
+enumeration and the isometry search work in reduced coordinates and map
+their answers back through V and V^-1, so results never depend on the
+presentation.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _minimum(gs: tuple) -> tuple[Fraction, list[tuple[int, ...]]]:
 
 def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
     """All shortest nonzero vector classes, one per +- pair, in coefficient order."""
-    v, gs = lattice.reduced_gram()
+    v, _, gs = lattice.reduced_gram()
     out = sorted(_canonical_sign(v.mul_vec(c)) for c in _minimum(gs)[1])
     return [LatticeVector(lattice, c) for c in out]
 
@@ -171,7 +172,7 @@ def geodesic_spectrum(lattice: Lattice, bound) -> list[tuple[Fraction, int]]:
     if bound <= 0:
         raise NonPositiveBound("spectrum bound must be positive")
     tally: dict[Fraction, int] = {}
-    for _, value in _enumerate_bounded(lattice.reduced_gram()[1], bound):
+    for _, value in _enumerate_bounded(lattice.reduced_gram()[2], bound):
         tally[value] = tally.get(value, 0) + 1
     return sorted(tally.items())
 
@@ -207,7 +208,7 @@ def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
 
     r is half the minimal geodesic length.
     """
-    r_sq = _minimum(lattice.reduced_gram()[1])[0] / 4
+    r_sq = _minimum(lattice.reduced_gram()[2])[0] / 4
     return r_sq, float_sqrt(r_sq)
 
 
@@ -232,7 +233,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     rotation.  The search runs on the LLL-reduced forms G1' = V1^T G1 V1 and
     G2' = V2^T G2 V2: it matches G2' column by column against enumerated
     vectors of G1', and a witness U' with U'^T G1' U' = G2' maps back to
-    U = V1 U' V2^-1, V2^-1 the one the LLL run kept beside V2.
+    U = V1 U' V2^-1, V2^-1 the one ``reduced_gram`` keeps beside V2.
 
     With ``oriented`` the witness must additionally have determinant +1 and
     the implied ambient map must preserve orientation.
@@ -246,8 +247,8 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
         return None
     if oriented and (l1.basis_det > 0) != (l2.basis_det > 0):
         return None
-    v1, gs1 = l1.reduced_gram()
-    v2, gs2 = l2.reduced_gram()
+    v1, _, gs1 = l1.reduced_gram()
+    v2, v2_inv, gs2 = l2.reduced_gram()
     n = l1.n
     # det U' = +-1 follows from det G1' = det G2'; det U = det U' * det V1 * det V2
     sign = v1.det() * v2.det() if oriented else 1
@@ -288,4 +289,4 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     u = backtrack(0)
     if u is None:
         return None
-    return v1 @ u @ l2._reduced_inverse
+    return v1 @ u @ v2_inv

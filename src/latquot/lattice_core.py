@@ -27,7 +27,7 @@ from .exactnum import MatQ, MatZ, _int_lift, _lll, hnf
 class Lattice:
     """Lattice basis(Z^n); the columns of ``basis`` are the generators."""
 
-    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced", "_reduced_inverse")
+    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced")
 
     def __init__(self, basis: MatQ):
         det = basis.det()
@@ -40,7 +40,6 @@ class Lattice:
         self._canonical: MatQ | None = None
         self._gram: MatQ | None = None
         self._reduced: tuple | None = None
-        self._reduced_inverse: MatZ | None = None
 
     def canonical_basis(self) -> MatQ:
         """Presentation-independent basis: the scaled column Hermite form.
@@ -59,19 +58,18 @@ class Lattice:
             self._gram = self.basis.transpose() @ self.basis
         return self._gram
 
-    def reduced_gram(self) -> tuple[MatZ, tuple]:
-        """(V, gs): the unimodular transform V of the LLL reduction and the
-        integer Gram-Schmidt data gs = (b, scale, d, lam) it ends with: the
-        reduced Gram form V^T G V as the integers b = scale * G', the Gram
-        determinants d and the scaled multipliers lam (``exactnum._lll``).
+    def reduced_gram(self) -> tuple[MatZ, MatZ, tuple]:
+        """(V, V^-1, gs): the unimodular transform V of the LLL reduction, its
+        inverse, and the integer Gram-Schmidt data gs = (b, scale, d, lam) it
+        ends with: the reduced Gram form V^T G V as the integers
+        b = scale * G', the Gram determinants d and the scaled multipliers lam
+        (``exactnum._lll``).
 
-        Computed on first use by one LLL run and kept, together with the V^-1
-        that run carries along (``_reduced_inverse``); the lattice is
-        immutable, so the cache never goes stale.
+        Computed on first use by one LLL run and kept as that run returns it;
+        the lattice is immutable, so the cache never goes stale.
         """
         if self._reduced is None:
-            v, self._reduced_inverse, gs = _lll(self.gram_matrix())
-            self._reduced = (v, gs)
+            self._reduced = _lll(self.gram_matrix())
         return self._reduced
 
     def coordinates(self, x: MatQ | Sequence) -> MatQ | tuple[Fraction, ...]:

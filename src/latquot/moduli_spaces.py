@@ -9,11 +9,10 @@ is decided by the exact arithmetic isometry search.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .errors import CovolumeMismatch, NotPositiveDefinite, NotSymmetric, PivotBreakdown, SingularMatrix
-from .exactnum import MatQ, MatZ, PosDefForm, _ldl, _symmetric_bareiss, to_float
+from .errors import CovolumeMismatch, NotSymmetric, SingularMatrix
+from .exactnum import MatQ, MatZ, PosDefForm, _ldl, _symmetric_bareiss, float_sqrt, to_float
 from .lattice_core import Lattice, covolume
 
 
@@ -38,21 +37,18 @@ def same_left_coset(t1: MatQ, t2: MatQ) -> bool:
 def posdef_witness(s: PosDefForm | MatQ) -> list[list[float]]:
     """A matrix T with T^T T equal to the form, up to floating square roots.
 
-    Built as sqrt(D) * L^T from the exact LDL^T factorization, so the result
-    is upper triangular and the only inexactness is one square root per
-    pivot.  This is the module's single floating-point output.  A
-    PosDefForm's own elimination is reused.
+    Built as sqrt(D) * L^T from the exact LDL^T factorization that a
+    PosDefForm keeps (a plain MatQ is made one first, which decides
+    positivity), so the result is upper triangular.  Each entry is a float
+    square root (``float_sqrt``) times an exact multiplier, rounded once, so
+    it is refused (FloatRangeError) only when it has no normal float.  This is
+    the module's single floating-point output.
     """
-    factors = s._factors if isinstance(s, PosDefForm) else _symmetric_bareiss(s)
-    try:
-        low, diag = _ldl(factors)
-    except PivotBreakdown as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    if any(d <= 0 for d in diag):
-        raise NotPositiveDefinite("form has a non-positive pivot")
+    form = s if isinstance(s, PosDefForm) else PosDefForm(s)
+    low, diag = _ldl(form._factors)
     n = len(diag)
-    roots = [math.sqrt(to_float(d)) for d in diag]
-    return [[roots[i] * to_float(low.rows[j][i]) for j in range(n)] for i in range(n)]
+    roots = [Fraction(float_sqrt(d)) for d in diag]
+    return [[to_float(roots[i] * low.rows[j][i]) for j in range(n)] for i in range(n)]
 
 
 def in_M(s: MatQ) -> bool:
@@ -142,7 +138,10 @@ def unit_covolume_form(lattice: Lattice) -> UnitCovolumeForm:
     """Gram form plus the scalar rescaling it to covolume 1.
 
     The scalar is covolume^(-2/n): rescaling the basis by covolume^(-1/n)
-    multiplies the Gram form by that square.
+    multiplies the Gram form by that square.  Without an exact root it is
+    taken on covolume = m * 2^e, m in (1/2, 2), as m^(-2/n) * 2^(r/n) in
+    floats times the exact 2^k, (k, r) = divmod(-2e, n), so the covolume
+    itself need not fit a float.
     """
     g = lattice.gram_matrix()
     vol = covolume(lattice)
@@ -154,7 +153,10 @@ def unit_covolume_form(lattice: Lattice) -> UnitCovolumeForm:
         scale = to_float(exact)
     else:
         exact = None
-        scale = to_float(to_float(vol) ** (-2.0 / n))
+        e = vol.numerator.bit_length() - vol.denominator.bit_length()
+        k, r = divmod(-2 * e, n)
+        m = float(vol / Fraction(2) ** e)
+        scale = to_float(Fraction(m ** (-2 / n) * 2.0 ** (r / n)) * Fraction(2) ** k)
     return UnitCovolumeForm(gram=g, scale=scale, scale_exact=exact)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from latquot import exactnum, moduli_spaces
-from latquot.exactnum import MatQ
+from latquot.exactnum import MatQ, MatZ
 from latquot.flat_geometry import isometric_mod_rotation
 from latquot.lattice_core import Lattice, contains, equals, sublattice_index
 from latquot.moduli_spaces import gram_map, posdef_witness
@@ -92,3 +92,25 @@ def test_posdef_witness_of_a_form_reuses_its_ldl(calls):
     witness = posdef_witness(gram_map(t))
     assert calls["_symmetric_bareiss"] == 1  # the form's construction
     assert witness == posdef_witness(t.transpose() @ t)
+
+
+def test_two_determinants_of_an_integer_matrix_eliminate_once(calls):
+    u = MatZ([[0, 2, 1], [1, 1, 0], [3, 0, 1]])
+    assert u.det() == u.det() == -5
+    assert calls["_bareiss"] == 1  # the LU is kept, as a MatQ keeps its own
+
+
+def test_second_oriented_isometry_search_reuses_the_transform_determinants(calls):
+    rng = random.Random(5)
+    b = rand_invertible(rng, 3)
+    l1 = Lattice(b)
+    # the pair of test_second_isometry_search_eliminates_nothing, one column negated so the orientations agree
+    flip = MatQ([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    l2 = Lattice(rand_orthogonal(rng, 3) @ b @ rand_unimodular_pm(rng, 3).to_matq() @ flip)
+    calls["_bareiss"] = 0
+    first = isometric_mod_rotation(l1, l2, oriented=True)
+    first_calls = calls["_bareiss"]
+    calls["_bareiss"] = 0
+    assert isometric_mod_rotation(l1, l2, oriented=True) == first
+    assert calls["_bareiss"] == first_calls - 2  # det V1 and det V2 are kept with V1 and V2
+    assert first is not None and first.det() == 1

@@ -19,8 +19,8 @@ from latquot.errors import (
 from latquot.exactnum import (
     MatQ,
     MatZ,
+    _int_lift,
     _lll,
-    _lll_reduce,
     det,
     float_sqrt,
     hnf,
@@ -433,7 +433,7 @@ class TestLllGram:
 
     @given(sheared_grams)
     def test_gram_schmidt_data(self, g):
-        v, (b, scale, d, lam) = _lll_reduce(g)
+        v, _, (b, scale, d, lam) = _lll(g)
         reduced = Fraction(1, scale) * MatQ(b)
         assert (reduced, v) == lll_gram(g)
         n = g.n
@@ -602,4 +602,29 @@ class TestLllInverse:
     def test_inverse_transform_is_carried_along(self, g):
         v, v_inv, gs = _lll(g)
         assert v @ v_inv == MatZ.identity(g.n)
-        assert (v, gs) == _lll_reduce(g)
+        assert lll_gram(g)[1] == v
+
+
+class TestMatrixBody:
+    def test_equal_only_within_one_type(self):
+        assert MatQ.identity(2) != MatZ.identity(2)
+        assert MatZ.identity(2) != MatQ.identity(2)
+
+    def test_mixed_products_are_refused(self):
+        with pytest.raises(TypeError, match="^expected MatZ, got MatQ$"):
+            MatZ.identity(2) @ MatQ.identity(2)
+        with pytest.raises(TypeError, match="^expected MatQ, got MatZ$"):
+            MatQ.identity(2) @ MatZ.identity(2)
+
+    def test_no_instance_dict(self):
+        for m in (MatQ.identity(2), MatZ.identity(2)):
+            assert not hasattr(m, "__dict__")
+
+    @given(_sparse_matrices())
+    @example(MatQ([[0, 1], [1, 0]]))
+    def test_integer_det_matches_sympy_and_is_kept(self, m):
+        sympy = pytest.importorskip("sympy")
+        z = MatZ(_int_lift(m.rows)[0])
+        assert z.det() == _sympy_matrix(sympy, z.rows).det()
+        lu = z._factor()
+        assert z.det() == lu[3] and z._factor() is lu

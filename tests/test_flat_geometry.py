@@ -485,7 +485,7 @@ class TestSympyLllOracle:
                 continue
             b = b @ rand_unimodular(rng, n, ops=20, kmax=4).to_matq()
             lat = from_basis(b)
-            v, _ = lat.reduced_gram()
+            v, _, _ = lat.reduced_gram()
             # sympy reduces row bases; the rows of b^T are our generators
             rows = dm.DomainMatrix([[zz(int(x)) for x in col] for col in zip(*b.rows)], (n, n), zz)
             theirs = from_basis(MatQ(rows.lll().to_Matrix().tolist()).transpose())

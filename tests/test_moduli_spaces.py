@@ -128,9 +128,22 @@ class TestPosdefWitness:
         assert t[1][0] == 0.0 and t[2][0] == 0.0 and t[2][1] == 0.0
 
     def test_pivot_below_float_range_raises(self):
-        # the pivot 1/10^400 used to read as a silent 0.0
+        # the root 10^-400 of the pivot 10^-800 has no normal float
         with pytest.raises(FloatRangeError):
-            posdef_witness(MatQ([[Fraction(1, 10**400), 0], [0, 1]]))
+            posdef_witness(MatQ([[Fraction(1, 10**800), 0], [0, 1]]))
+
+    def test_pivot_below_float_range_with_root_in_range(self):
+        # the pivot 10^-400 has no float, but its root 10^-200 does
+        assert posdef_witness(MatQ([[Fraction(1, 10**400), 0], [0, 1]])) == [[1e-200, 0.0], [0.0, 1.0]]
+
+    def test_off_diagonal_entry_below_float_range_raises(self):
+        # T_01 = 10^-200 * (10^-600 / 10^-400) = 10^-400 must not read as a silent 0.0
+        with pytest.raises(FloatRangeError):
+            posdef_witness(MatQ([[Fraction(1, 10**400), Fraction(1, 10**600)], [Fraction(1, 10**600), 1]]))
+
+    def test_not_positive_definite_form_message(self):
+        with pytest.raises(NotPositiveDefinite, match="form must be positive definite"):
+            posdef_witness(MatQ([[1, 2], [2, 1]]))
 
 
 def _det_one_gram(rng, n):
@@ -247,6 +260,17 @@ class TestUnitCovolumeForm:
         # 10^400 is a square (the exact scale path), 2 * 10^400 is not (the float path)
         with pytest.raises(FloatRangeError):
             unit_covolume_form(from_basis(MatQ([[vol, 0], [0, 1]])))
+
+    @pytest.mark.parametrize("n, vol", [(4, 2 * 10**400), (6, 3 * 10**500)], ids=["n4", "n6"])
+    def test_covolume_outside_float_range_with_scale_in_range(self, n, vol):
+        # vol has no float, but vol^(-2/n) does
+        mpmath = pytest.importorskip("mpmath")
+        rows = [[vol if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+        u = unit_covolume_form(from_basis(MatQ(rows)))
+        assert u.scale_exact is None
+        with mpmath.workdps(60):
+            expected = mpmath.mpf(vol) ** (mpmath.mpf(-2) / n)
+            assert abs(u.scale - expected) <= 4e-16 * expected
 
     @pytest.mark.parametrize("top", [10**200, 2 * 10**200], ids=["exact", "float"])
     def test_normalized_float_outside_float_range_raises(self, top):
