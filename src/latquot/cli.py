@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .errors import InputError, LatquotError, SchemaError
+from .errors import DigitLimitError, InputError, LatquotError, SchemaError
 from .exactnum import float_sqrt
 from .serialize import (
     format_float,
@@ -43,14 +43,15 @@ from .serialize import (
 def _load_json(path: str) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         err = SchemaError(f"cannot read input file: {exc}")
         err.input_path = path
         raise err from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        err = SchemaError(f"invalid JSON: {exc}")
+    except ValueError as exc:  # malformed JSON, or an integer literal over the int-to-str digit limit
+        kind = "invalid JSON" if isinstance(exc, json.JSONDecodeError) else "integer literal too long"
+        err = SchemaError(f"{kind}: {exc}")
         err.input_path = path
         raise err from exc
 
@@ -271,7 +272,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict[str, Any], output: str | None) -> None:
-    text = json.dumps(doc, separators=(",", ":")) + "\n"
+    try:
+        text = json.dumps(doc, separators=(",", ":")) + "\n"
+    except ValueError as exc:  # an int (a witness entry) over the int-to-str digit limit
+        raise DigitLimitError(str(exc)) from exc
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:

@@ -27,30 +27,39 @@ def _cx(z) -> CxRational:
     return (Fraction(z), Fraction(0))
 
 
-def _cadd(a: CxRational, b: CxRational) -> CxRational:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cmul(a: CxRational, b: CxRational) -> CxRational:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 class ComplexMatrix:
-    """Immutable n-by-n matrix over the complex rationals."""
+    """Immutable n-by-n matrix over the complex rationals.
 
-    __slots__ = ("n", "entries")
+    Its one body is its realification, the 2n-by-2n ``MatQ`` of 2x2 blocks
+    [[a, -b], [b, a]]: ``+``, ``@`` and ``==`` are ``MatQ``'s, ``realify``
+    returns the body, and ``entries`` reads the (a, b) pairs back off it.
+    """
+
+    __slots__ = ("n", "_real")
 
     def __init__(self, entries: Sequence[Sequence]):
-        data = tuple(tuple(_cx(z) for z in row) for row in entries)
-        n = len(data)
-        if n < 1 or any(len(row) != n for row in data):
+        rows = [[_cx(z) for z in row] for row in entries]
+        n = len(rows)
+        if n < 1 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square with n >= 1")
+        real = []
+        for row in rows:
+            real.append([x for a, b in row for x in (a, -b)])
+            real.append([x for a, b in row for x in (b, a)])
         self.n = n
-        self.entries = data
+        self._real = MatQ(real)
+
+    @classmethod
+    def _of(cls, real: MatQ) -> "ComplexMatrix":
+        """The complex matrix whose realification is ``real``."""
+        m = object.__new__(cls)
+        m.n = real.n // 2
+        m._real = real
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
-        return cls([[(1, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)])
+        return cls.scalar(n, 1)
 
     @classmethod
     def scalar(cls, n: int, z) -> "ComplexMatrix":
@@ -58,31 +67,25 @@ class ComplexMatrix:
         w = _cx(z)
         return cls([[w if i == j else (0, 0) for j in range(n)] for i in range(n)])
 
+    @property
+    def entries(self) -> tuple[tuple[CxRational, ...], ...]:
+        """The (re, im) entries: the first column of each 2x2 block of the body."""
+        r = self._real.rows
+        return tuple(tuple(zip(top[::2], bottom[::2])) for top, bottom in zip(r[::2], r[1::2]))
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, ComplexMatrix) and self.entries == other.entries
+        return isinstance(other, ComplexMatrix) and self._real == other._real
 
     def __repr__(self) -> str:
         return f"ComplexMatrix({[[(str(a), str(b)) for a, b in row] for row in self.entries]})"
 
     def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
         self._check(other)
-        return ComplexMatrix(
-            [[_cadd(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return ComplexMatrix._of(self._real + other._real)
 
     def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
         self._check(other)
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = (Fraction(0), Fraction(0))
-                for k in range(n):
-                    acc = _cadd(acc, _cmul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            out.append(row)
-        return ComplexMatrix(out)
+        return ComplexMatrix._of(self._real @ other._real)
 
     def _check(self, other: "ComplexMatrix") -> None:
         if not isinstance(other, ComplexMatrix):
@@ -94,28 +97,20 @@ class ComplexMatrix:
         """Exact complex determinant p(i), p(t) = det(Re + t * Im) of degree <= n: Newton
         interpolation through the n + 1 rational determinants p(0), ..., p(n)."""
         n = self.n
-        c = [MatQ([[a + t * b for a, b in row] for row in self.entries]).det() for t in range(n + 1)]
+        entries = self.entries
+        c = [MatQ([[a + t * b for a, b in row] for row in entries]).det() for t in range(n + 1)]
         for k in range(1, n + 1):
             for t in range(n, k - 1, -1):
                 c[t] = (c[t] - c[t - 1]) / k
-        value = (c[n], Fraction(0))
+        re, im = c[n], Fraction(0)
         for t in range(n - 1, -1, -1):
-            value = _cadd(_cmul(value, (Fraction(-t), Fraction(1))), (c[t], Fraction(0)))
-        return value
+            re, im = c[t] - t * re - im, re - t * im  # (re + i im)(i - t) + c[t]
+        return re, im
 
 
 def realify(m: ComplexMatrix) -> MatQ:
-    """The 2n-by-2n real matrix of m acting on interleaved (re, im) coordinates."""
-    n = m.n
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            a, b = m.entries[i][j]
-            out[2 * i][2 * j] = a
-            out[2 * i][2 * j + 1] = -b
-            out[2 * i + 1][2 * j] = b
-            out[2 * i + 1][2 * j + 1] = a
-    return MatQ(out)
+    """The 2n-by-2n real matrix of m acting on interleaved (re, im) coordinates: m's body."""
+    return m._real
 
 
 class ComplexStructure:
@@ -148,7 +143,7 @@ def is_complex_linear(t: MatQ, n: int) -> bool:
     """True iff t commutes with multiplication by i, i.e. comes from a C-linear map."""
     if t.n != 2 * n:
         raise DimensionMismatch(f"matrix must be {2 * n}x{2 * n} for complex dimension {n}")
-    j = ComplexStructure.standard(n).j.to_matq()
+    j = realify(ComplexMatrix.scalar(n, (0, 1)))
     return t @ j == j @ t
 
 

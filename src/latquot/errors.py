@@ -77,6 +77,13 @@ class FloatRangeError(LatquotError):
     pass
 
 
+# exact outputs
+
+class DigitLimitError(LatquotError):
+    """An exact output integer has more decimal digits than the interpreter's
+    int-to-str limit (``sys.get_int_max_str_digits()``) lets it print."""
+
+
 # flat geometry
 
 class NonPositiveBound(LatquotError):

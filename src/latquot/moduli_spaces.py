@@ -10,6 +10,7 @@ is decided by the exact arithmetic isometry search.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CovolumeMismatch, NotSymmetric, SingularMatrix
 from .exactnum import MatQ, MatZ, PosDefForm, _ldl, _symmetric_bareiss, float_sqrt, to_float
@@ -73,42 +74,18 @@ def orientation(a: MatQ) -> int:
     return 1 if d > 0 else -1
 
 
-class UnitCovolumeForm:
+class UnitCovolumeForm(NamedTuple):
     """Gram form of a lattice together with its unit-covolume normalization.
 
     ``scale * gram`` is the Gram form of the rescaled lattice whose quotient
     has volume 1.  When the covolume is an n-th power of a rational the
     scale (and hence the normalized form) is also available exactly.
-    Immutable; equal when all three fields are equal.
+    An immutable tuple of its three fields.
     """
 
-    __slots__ = ("gram", "scale", "scale_exact")
-
-    def __init__(self, gram: MatQ, scale: float, scale_exact: Fraction | None):
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "scale_exact", scale_exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.gram, self.scale, self.scale_exact)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not UnitCovolumeForm:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"UnitCovolumeForm(gram={self.gram!r}, scale={self.scale!r}, "
-                f"scale_exact={self.scale_exact!r})")
+    gram: MatQ
+    scale: float
+    scale_exact: Fraction | None
 
     def normalized_float(self) -> list[list[float]]:
         c = self.scale_exact if self.scale_exact is not None else Fraction(self.scale)

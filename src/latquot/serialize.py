@@ -8,10 +8,12 @@ floats appear only in output fields whose keys end in "_float", rendered to
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .errors import ParseError, SchemaError, ZeroDenominator
+from .errors import DigitLimitError, ParseError, SchemaError, ZeroDenominator
 from .exactnum import MatQ, MatZ
 from .lattice_core import Lattice
 
@@ -22,45 +24,47 @@ if TYPE_CHECKING:
     from .flat_geometry import LatticeVector
     from .quotient_torus import TorusPoint
 
-_DIGITS = set("0123456789")
+# a sign, the numerator's digits, then "/" and the denominator's; [0-9], as
+# \d would also take other scripts' digits
+_RATIONAL = re.compile(r"[+-]?([0-9]*)(?:/([0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p", "-p" or "p/q" (q a positive integer) into a normalized Fraction."""
+    """Parse "p", "-p" or "p/q" (q a positive integer) into a normalized Fraction.
+
+    A digit run longer than the interpreter's int-to-str limit
+    (``sys.get_int_max_str_digits()``, 0 for none) is a ParseError at its
+    offset, raised before ``int()`` would refuse it.
+    """
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {type(text).__name__}")
-    i = 0
-    n = len(text)
-    if i < n and text[i] in "+-":
-        i += 1
-    start = i
-    while i < n and text[i] in _DIGITS:
-        i += 1
-    if i == start:
-        raise ParseError("expected a digit", offset=i)
-    numerator = int(text[:i])
-    if i == n:
+    m = _RATIONAL.match(text)
+    if not m[1]:
+        raise ParseError("expected a digit", offset=m.start(1))
+    if m[2] == "":
+        raise ParseError("expected a digit after '/'", offset=m.end())
+    if m.end() != len(text):
+        raise ParseError(f"unexpected character {text[m.end()]!r}", offset=m.end())
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before Python 3.10.7
+    for g in (1, 2):
+        if limit and len(m[g] or "") > limit:
+            raise ParseError(f"more than {limit} digits, the int_max_str_digits limit", offset=m.start(g))
+    numerator = int(text[:m.end(1)])
+    if m[2] is None:
         return Fraction(numerator)
-    if text[i] != "/":
-        raise ParseError(f"unexpected character {text[i]!r}", offset=i)
-    i += 1
-    den_start = i
-    while i < n and text[i] in _DIGITS:
-        i += 1
-    if i == den_start:
-        raise ParseError("expected a digit after '/'", offset=i)
-    if i != n:
-        raise ParseError(f"unexpected character {text[i]!r}", offset=i)
-    denominator = int(text[den_start:])
+    denominator = int(m[2])
     if denominator == 0:
         raise ZeroDenominator("denominator must be a positive integer")
     return Fraction(numerator, denominator)
 
 
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # a numerator or denominator over the int-to-str digit limit
+        raise DigitLimitError(str(exc)) from exc
 
 
 def format_float(x: float) -> str:

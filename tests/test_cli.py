@@ -251,6 +251,14 @@ class TestErrorHandling:
         code, out = invoke(capsys, ["volume", "--lattice", str(path)])
         assert code == 2
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "basis": [["\xff"]]}')
+        code, out = invoke(capsys, ["volume", "--lattice", str(path)])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert (err["kind"], err["input"]) == ("SchemaError", str(path))
+
     def test_bad_rational_string(self, capsys, write):
         path = write("bad.json", lattice_doc([["1/0", "0"], ["0", "1"]]))
         code, out = invoke(capsys, ["volume", "--lattice", path])
@@ -314,6 +322,73 @@ class TestErrorHandling:
         with pytest.raises(exc):
             run(["volume", "--lattice", write("z2.json", Z2)])
         assert capsys.readouterr().out == ""
+
+
+# The interpreter's int<->str digit limit, read at call time as the CLI reads
+# it; 0 (or a Python before 3.10.7) means none.  Over a limit an integer is an
+# input error (exit 2) on the way in and a DigitLimitError (exit 1) on the
+# way out; with no limit the same documents parse and print exactly.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+RUN = LIMIT + 1 if LIMIT else 5001  # a digit run over the limit
+K = LIMIT // 2 + 1 if LIMIT else 3000  # 10^K is in the limit, 10^2K is not
+POWER = "1" + "0" * K
+
+
+def one_document(out):
+    assert out.count("\n") == 1
+    return json.loads(out)
+
+
+class TestDigitLimit:
+    def test_json_integer_literal(self, capsys, tmp_path):
+        path = tmp_path / "literal.json"
+        path.write_text('{"n": 1, "basis": [[%s]]}' % ("7" * RUN), encoding="utf-8")
+        code, out = invoke(capsys, ["volume", "--lattice", str(path)])
+        doc = one_document(out)
+        if LIMIT:
+            assert code == 2
+            assert (doc["error"]["kind"], doc["error"]["input"]) == ("SchemaError", str(path))
+        else:
+            assert (code, doc) == (0, {"covolume": "7" * RUN})
+
+    def test_rational_string(self, capsys, write):
+        path = write("string.json", lattice_doc([["1/" + "7" * RUN]]))
+        code, out = invoke(capsys, ["volume", "--lattice", path])
+        doc = one_document(out)
+        if LIMIT:
+            assert code == 2
+            assert (doc["error"]["kind"], doc["error"]["input"]) == ("ParseError", path)
+            assert doc["error"]["message"].endswith("(byte offset 2)")
+        else:
+            assert (code, doc) == (0, {"covolume": "1/" + "7" * RUN})
+
+    @pytest.mark.parametrize("entry, square", [(POWER, "1" + "0" * 2 * K), ("1/" + POWER, "1/1" + "0" * 2 * K)],
+                             ids=["huge", "tiny"])
+    @pytest.mark.parametrize("command", ["volume", "gram", "shortest"])
+    def test_exact_output(self, capsys, write, command, entry, square):
+        path = write("diag.json", lattice_doc([[entry, "0"], ["0", entry]]))
+        code, out = invoke(capsys, [command, "--lattice", path])
+        doc = one_document(out)
+        if LIMIT:
+            assert code == 1
+            assert doc == {"error": {"kind": "DigitLimitError", "message": doc["error"]["message"], "input": None}}
+        elif command == "shortest":  # the squared length prints, but length_float 10^(+-K) is no float
+            assert (code, doc["error"]["kind"]) == (1, "FloatRangeError")
+        else:
+            expected = {"volume": {"covolume": square}, "gram": {"gram": [[square, "0"], ["0", square]]}}
+            assert (code, doc) == (0, expected[command])
+
+    def test_witness_entry(self, capsys, write):
+        # A B = [[1 + 10^2K, 10^K], [10^K, 1]] is unimodular, so it is the witness of A(B Z^2) = Z^2
+        a = write("a.json", [["1", POWER], ["0", "1"]])
+        source = write("source.json", lattice_doc([["1", "0"], [POWER, "1"]]))
+        code, out = invoke(capsys, ["induce", "--matrix", a, "--source", source, "--target", write("z2.json", Z2)])
+        doc = one_document(out)
+        if LIMIT:
+            assert (code, doc["error"]["kind"]) == (1, "DigitLimitError")
+        else:
+            p = 10**K
+            assert (code, doc) == (0, {"volume_scale": "1", "witness": [[1 + p * p, p], [p, 1]]})
 
 
 # The parser's messages, as the 20-subparser parser printed them at 80 columns.

@@ -21,19 +21,66 @@ from latquot.lattice_core import covolume, from_basis, sublattice_index
 from latquot.quotient_torus import volume_scale
 
 
-def rand_complex_matrix(rng, n, height=4):
-    return ComplexMatrix(
-        [
-            [
-                (
-                    Fraction(rng.randint(-height, height), rng.randint(1, height)),
-                    Fraction(rng.randint(-height, height), rng.randint(1, height)),
-                )
-                for _ in range(n)
-            ]
+def rand_entries(rng, n, height=4):
+    return tuple(
+        tuple(
+            (Fraction(rng.randint(-height, height), rng.randint(1, height)),
+             Fraction(rng.randint(-height, height), rng.randint(1, height)))
             for _ in range(n)
-        ]
+        )
+        for _ in range(n)
     )
+
+
+def rand_complex_matrix(rng, n, height=4):
+    return ComplexMatrix(rand_entries(rng, n, height))
+
+
+def cx_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def cx_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+class TestPairArithmetic:
+    """The (re, im) pair arithmetic, entry by entry, as the reference for the
+    operations ComplexMatrix takes from its realified body."""
+
+    def test_entries_read_back(self):
+        rng = random.Random(98)
+        for _ in range(40):
+            rows = rand_entries(rng, rng.randint(1, 3))
+            assert ComplexMatrix(rows).entries == rows
+
+    def test_sum_and_product(self):
+        rng = random.Random(99)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            x, y = rand_entries(rng, n), rand_entries(rng, n)
+            m1, m2 = ComplexMatrix(x), ComplexMatrix(y)
+            total = tuple(tuple(cx_add(a, b) for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
+            product = []
+            for i in range(n):
+                row = []
+                for j in range(n):
+                    acc = (Fraction(0), Fraction(0))
+                    for k in range(n):
+                        acc = cx_add(acc, cx_mul(x[i][k], y[k][j]))
+                    row.append(acc)
+                product.append(tuple(row))
+            assert (m1 + m2).entries == total
+            assert (m1 @ m2).entries == tuple(product)
+            assert m1 @ m2 == ComplexMatrix(product) and (m1 @ m2).n == n
+
+    def test_errors_name_complex_dimensions(self):
+        m2, m3 = ComplexMatrix.identity(2), ComplexMatrix.identity(3)
+        for op in (lambda: m2 @ m3, lambda: m2 + m3):
+            with pytest.raises(DimensionMismatch, match=r"^matrix sizes differ: 2 vs 3$"):
+                op()
+        with pytest.raises(TypeError, match=r"^expected ComplexMatrix, got MatQ$"):
+            m2 @ realify(m2)
 
 
 class TestRealify:

@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from latquot.errors import ParseError, SchemaError, ZeroDenominator
+from latquot.errors import DigitLimitError, ParseError, SchemaError, ZeroDenominator
 from latquot.exactnum import MatQ
 from latquot.lattice_core import from_basis, standard
 from latquot.quotient_torus import TorusPoint
@@ -25,6 +26,9 @@ from latquot.serialize import (
 
 from conftest import rand_fraction
 
+# the interpreter's int<->str digit limit, read as the library reads it: 0 for none
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 class TestParseRational:
     def test_normalizes(self):
@@ -43,12 +47,33 @@ class TestParseRational:
 
     @pytest.mark.parametrize(
         "text,offset",
-        [("", 0), ("-", 1), ("a", 0), ("1/", 2), ("1/-2", 2), ("1/2/3", 3), ("1.5", 1), (" 1", 0), ("1 ", 1)],
+        [("", 0), ("-", 1), ("a", 0), ("1/", 2), ("1/-2", 2), ("1/2/3", 3), ("1.5", 1), (" 1", 0), ("1 ", 1),
+         ("+/2", 1), ("1/2x", 3), ("\u0663", 0), ("1/\u0663", 2)],  # U+0663 is the Arabic-Indic digit three
     )
     def test_parse_errors_carry_offsets(self, text, offset):
         with pytest.raises(ParseError) as info:
             parse_rational(text)
         assert info.value.offset == offset
+
+    @pytest.mark.parametrize("prefix", ["", "-", "1/"])
+    def test_digit_run_over_the_limit(self, prefix):
+        run = "9" * (LIMIT + 1 if LIMIT else 5001)
+        if LIMIT:
+            with pytest.raises(ParseError) as info:
+                parse_rational(prefix + run)
+            assert info.value.offset == len(prefix)
+            assert parse_rational(prefix + run[1:]) == Fraction(prefix + run[1:])  # at the limit
+        else:
+            assert format_rational(parse_rational(prefix + run)) == prefix + run
+
+    def test_format_over_the_limit(self):
+        digits = LIMIT + 1 if LIMIT else 5001
+        for q in (Fraction(10 ** (digits - 1), 3), Fraction(3, 10 ** (digits - 1))):
+            if LIMIT:
+                with pytest.raises(DigitLimitError):
+                    format_rational(q)
+            else:
+                assert parse_rational(format_rational(q)) == q
 
     def test_round_trip(self):
         rng = random.Random(111)
