@@ -3,8 +3,9 @@
 Each subcommand wraps exactly one library operation: inputs are JSON files
 (rationals as strings, never floats), the output is a single JSON document
 on stdout (or --output), and identical inputs produce byte-identical output.
-Exit codes: 0 success, 1 domain error or internal failure, 2 parse/schema
-failure; errors are emitted as {"error": {"kind", "message", "input"}}.
+Exit codes: 0 success, 1 domain error, unwritable --output or internal
+failure, 2 parse/schema failure; errors are emitted as
+{"error": {"kind", "message", "input"}}.
 
 The subcommands are the rows of ``COMMANDS``: help line, library module,
 flags and handler.  ``run`` builds the argument parser of the named
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .errors import DigitLimitError, InputError, LatquotError, SchemaError
+from .errors import DigitLimitError, InputError, LatquotError, OutputError, SchemaError
 from .exactnum import float_sqrt
 from .serialize import (
     format_float,
@@ -277,7 +278,10 @@ def _emit(doc: dict[str, Any], output: str | None) -> None:
     except ValueError as exc:  # an int (a witness entry) over the int-to-str digit limit
         raise DigitLimitError(str(exc)) from exc
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OutputError(f"cannot write output file {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .exactnum import MatQ, MatZ
+from .exactnum import MatQ, MatZ, _frac
 from .lattice_core import Lattice, standard
 from .quotient_torus import InducedMap
 
@@ -21,10 +21,9 @@ CxRational = tuple[Fraction, Fraction]
 
 
 def _cx(z) -> CxRational:
-    if isinstance(z, tuple):
-        re, im = z
-        return (Fraction(re), Fraction(im))
-    return (Fraction(z), Fraction(0))
+    """z as an exact (re, im) pair; each part converts as a ``MatQ`` entry does, so floats raise."""
+    re, im = z if isinstance(z, tuple) else (z, 0)
+    return (_frac(re), _frac(im))
 
 
 class ComplexMatrix:

@@ -84,6 +84,13 @@ class DigitLimitError(LatquotError):
     int-to-str limit (``sys.get_int_max_str_digits()``) lets it print."""
 
 
+# CLI output
+
+class OutputError(LatquotError):
+    """The CLI's ``--output`` path cannot be written (a missing directory, a
+    directory, no permission); the message names the path."""
+
+
 # flat geometry
 
 class NonPositiveBound(LatquotError):

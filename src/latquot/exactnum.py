@@ -93,6 +93,9 @@ def _int_lift(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]
 
 def _int_entries(values: Sequence, message: str) -> tuple[int, ...]:
     """The values as ints: Fractions of denominator 1 pass, bools and other non-integers raise."""
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)):
+        return values  # the common case, without isinstance(x, Fraction), an abstract-base check, per entry
     out = []
     for x in values:
         if isinstance(x, Fraction):
@@ -186,7 +189,7 @@ class _Mat:
     def mul_vec(self, v: Sequence) -> tuple:
         if len(v) != self.n:
             raise DimensionMismatch(f"vector length {len(v)} does not match matrix size {self.n}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        return tuple(sum(map(mul, row, v)) for row in self.rows)
 
     def _factor(self) -> tuple[int, list[int], list[list[int]], int]:
         """(d, perm, lu, det): the common denominator d of the entries and what

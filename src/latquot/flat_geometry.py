@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -83,52 +84,88 @@ def _form_value(g: MatQ, a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, gb)), Fraction(0))
 
 
-def _enumerate_bounded(gs: tuple, bound: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All nonzero integer vectors x with x^T G' x <= bound, one per +- pair.
+def _norm_denominator(gs: tuple) -> tuple[int, list[int]]:
+    """(den, c) for the Gram-Schmidt data gs = (b, scale, d, lam) of G' = b / scale.
+
+    With y_k = d[k+1] x_k + sum_{j>k} lam[j][k] x_j the form splits as
+    x^T b x = sum_k y_k^2 / (d[k] d[k+1]).  With m = lcm_k d[k] d[k+1] and the
+    integers c_k = m / (d[k] d[k+1]), den = m * scale gives
+    den * x^T G' x = sum_k c_k y_k^2, an integer for every integer x.
+    """
+    _, scale, d, _ = gs
+    dd = [d[k] * d[k + 1] for k in range(len(d) - 1)]
+    m = math.lcm(*dd)
+    return m * scale, [m // x for x in dd]
+
+
+def _enumerate_bounded(gs: tuple, bound: Fraction) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(x, v) for all nonzero integer vectors x with x^T G' x = v / den <= bound, one per +- pair.
 
     ``gs`` is the integer Gram-Schmidt data (b, scale, d, lam) of the form
-    G' = b / scale (``Lattice.reduced_gram``).  With
-    y_k = d[k+1] x_k + sum_{j>k} lam[j][k] x_j the form splits as
-    x^T b x = sum_k y_k^2 / (d[k] d[k+1]); times m = lcm_k d[k] d[k+1] this
-    is sum_k c_k y_k^2 with integers c_k = m / (d[k] d[k+1]).  Choosing
-    x_{n-1} first and descending, each level's budget r bounds |y_k| by
-    isqrt(r // c_k), an exact integer interval for x_k.  The budget starts at
-    floor(bound * scale * m), exact because the sum is an integer.  The
-    representative of each +-c pair is the one whose highest-index nonzero
-    coordinate is positive, obtained for free by restricting the first
-    not-yet-nonzero coordinate to be >= 0.
+    G' = b / scale (``Lattice.reduced_gram``) and den, c_k come from
+    ``_norm_denominator``, so v = sum_k c_k y_k^2 is an integer.  The walk is
+    Fincke & Pohst's (Math. Comp. 44, 1985) as one loop, not a recursion (as
+    in Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT 48, 2002): x_{n-1} is
+    chosen first and the levels descend, each holding its coordinate x_k, the end of its interval,
+    its centre t_k = sum_{j>k} lam[j][k] x_j (so y_k = d[k+1] x_k + t_k) and
+    the budget left for it and the levels below.  A budget r bounds |y_k| by
+    isqrt(r // c_k), an exact integer interval for x_k; the first budget is
+    floor(bound * den), exact because v is an integer.  The representative
+    of each +-x pair is the one whose highest-index nonzero coordinate is
+    positive, obtained for free by restricting the first not-yet-nonzero
+    coordinate to be >= 0.  The vectors stream out one at a time.
     """
     if bound < 0:
         return
-    _, scale, d, lam = gs
+    d, lam = gs[2], gs[3]
     n = len(d) - 1
-    dd = [d[k] * d[k + 1] for k in range(n)]
-    m = math.lcm(*dd)
-    c = [m // x for x in dd]
-    top = bound.numerator * scale * m // bound.denominator
-    den = m * scale
-    coeff = [0] * n
-
-    def descend(k: int, r: int, zeros_above: bool):
-        t = 0
-        for j in range(k + 1, n):
-            t += lam[j][k] * coeff[j]
-        dk, ck = d[k + 1], c[k]
-        s = math.isqrt(r // ck)
+    den, c = _norm_denominator(gs)
+    top = bound.numerator * den // bound.denominator
+    below = [[lam[j][k] for j in range(k + 1, n)] for k in range(n)]  # column k of lam under the diagonal
+    x = [0] * n
+    end = [0] * n
+    centre = [0] * n
+    budget = [0] * n + [top]  # budget[k + 1]: what levels k, ..., 0 may still spend
+    k = n - 1
+    while True:
+        # enter level k: the interval [lo, hi] of x_k; while every x_j, j > k, is 0, x_k >= 0
+        above = x[k + 1:]
+        t = sum(map(mul, below[k], above))
+        dk, r = d[k + 1], budget[k + 1]
+        s = math.isqrt(r // c[k])
         lo = -((s + t) // dk)
-        if zeros_above and lo < 0:
-            lo = 0
-        for x in range(lo, (s - t) // dk + 1):
-            y = dk * x + t
-            coeff[k] = x
-            rest = r - ck * y * y
-            if k:
-                yield from descend(k - 1, rest, zeros_above and x == 0)
-            elif x or not zeros_above:
-                yield tuple(coeff), Fraction(top - rest, den)
-        coeff[k] = 0
-
-    yield from descend(n - 1, top, True)
+        hi = (s - t) // dk
+        if k:
+            if lo < 0 and not any(above):
+                lo = 0
+            if lo <= hi:
+                x[k], end[k], centre[k] = lo, hi, t
+                y = dk * lo + t
+                budget[k] = r - c[k] * y * y
+                k -= 1
+                continue
+        else:
+            if lo < 1 and not any(above):
+                lo = 1  # and x != 0
+            spent, c0 = top - r, c[0]
+            for x0 in range(lo, hi + 1):
+                x[0] = x0
+                y = dk * x0 + t
+                yield tuple(x), spent + c0 * y * y
+            x[0] = 0
+        # climb to the nearest level whose interval has room, and step it
+        while True:
+            k += 1
+            if k == n:
+                return
+            xk = x[k] + 1
+            if xk <= end[k]:
+                x[k] = xk
+                y = d[k + 1] * xk + centre[k]
+                budget[k] = budget[k + 1] - c[k] * y * y
+                k -= 1
+                break
+            x[k] = 0
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -148,7 +185,7 @@ def _minimum(gs: tuple) -> tuple[Fraction, list[tuple[int, ...]]]:
     """
     b, scale = gs[0], gs[1]
     start = Fraction(min(b[i][i] for i in range(len(b))), scale)
-    best: Fraction | None = None
+    best: int | None = None
     found: list[tuple[int, ...]] = []
     for coeffs, value in _enumerate_bounded(gs, start):
         if best is None or value < best:
@@ -156,7 +193,7 @@ def _minimum(gs: tuple) -> tuple[Fraction, list[tuple[int, ...]]]:
             found = [coeffs]
         elif value == best:
             found.append(coeffs)
-    return best, found
+    return Fraction(best, _norm_denominator(gs)[0]), found
 
 
 def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
@@ -171,10 +208,12 @@ def geodesic_spectrum(lattice: Lattice, bound) -> list[tuple[Fraction, int]]:
     bound = Fraction(bound)
     if bound <= 0:
         raise NonPositiveBound("spectrum bound must be positive")
-    tally: dict[Fraction, int] = {}
-    for _, value in _enumerate_bounded(lattice.reduced_gram()[2], bound):
+    gs = lattice.reduced_gram()[2]
+    tally: dict[int, int] = {}
+    for _, value in _enumerate_bounded(gs, bound):
         tally[value] = tally.get(value, 0) + 1
-    return sorted(tally.items())
+    den = _norm_denominator(gs)[0]
+    return [(Fraction(value, den), count) for value, count in sorted(tally.items())]
 
 
 def angle(v: LatticeVector, w: LatticeVector) -> float:
@@ -221,7 +260,10 @@ def _vectors_with_norm(gs: tuple, value: Fraction) -> list[tuple[int, ...]]:
     """Both signs of every integer vector with exact form value ``value``."""
     if value <= 0:
         return []
-    reps = [c for c, q in _enumerate_bounded(gs, value) if q == value]
+    target, rem = divmod(value.numerator * _norm_denominator(gs)[0], value.denominator)
+    if rem:
+        return []  # every form value is a multiple of 1 / den
+    reps = [c for c, v in _enumerate_bounded(gs, value) if v == target]
     return sorted(reps + [tuple(-x for x in c) for c in reps])
 
 
@@ -263,7 +305,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
         norm = b2[j][j]
         if norm not in candidates:
             candidates[norm] = [
-                (c, [scale2 * sum(x * y for x, y in zip(row, c)) for row in b1])
+                (c, [scale2 * sum(map(mul, row, c)) for row in b1])
                 for c in _vectors_with_norm(gs1, Fraction(norm, scale2))
             ]
         if not candidates[norm]:
@@ -278,7 +320,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
         target_row = targets[j]
         for cand in candidates[b2[j][j]]:
             c = cand[0]
-            if all(sum(x * y for x, y in zip(cols[i][1], c)) == target_row[i] for i in range(j)):
+            if all(sum(map(mul, cols[i][1], c)) == target_row[i] for i in range(j)):
                 cols.append(cand)
                 result = backtrack(j + 1)
                 cols.pop()

@@ -529,6 +529,14 @@ class TestOutputs:
         assert out == ""
         assert out_path.read_text(encoding="utf-8") == '{"covolume":"1"}\n'
 
+    @pytest.mark.parametrize("target", ["missing/result.json", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_output(self, capsys, write, tmp_path, target):
+        out_path = str(tmp_path / target)
+        code, out = invoke(capsys, ["volume", "--lattice", write("z2.json", Z2), "--output", out_path])
+        assert code == 1
+        error = one_document(out)["error"]
+        assert error["kind"] == "OutputError" and out_path in error["message"]
+
     def test_determinism(self, capsys, write):
         path = write("z2.json", Z2)
         _, first = invoke(capsys, ["shortest", "--lattice", path])

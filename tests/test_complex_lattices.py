@@ -83,6 +83,23 @@ class TestPairArithmetic:
             m2 @ realify(m2)
 
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ComplexMatrix([[0.1]]), lambda: ComplexMatrix([[(1, 0.5)]]), lambda: ComplexMatrix.scalar(1, 0.25)],
+        ids=["real-part", "imaginary-part", "scalar"],
+    )
+    def test_floats_are_refused_like_matq_entries(self, make):
+        with pytest.raises(TypeError, match=r"^floating-point entries are not allowed"):
+            make()
+
+    def test_exact_parts_parse(self):
+        m = ComplexMatrix([[(1, "1/2"), Fraction(2, 3)], ["-3/4", (0, 5)]])
+        assert m.entries == (
+            ((Fraction(1), Fraction(1, 2)), (Fraction(2, 3), Fraction(0))),
+            ((Fraction(-3, 4), Fraction(0)), (Fraction(0), Fraction(5))),
+        )
+
+
 class TestRealify:
     def test_complex_identity(self):
         assert realify(ComplexMatrix.identity(1)) == MatQ.identity(2)

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import itertools
 import math
 import random
@@ -22,6 +23,9 @@ from latquot.exactnum import MatQ, MatZ, PosDefForm
 from latquot.flat_geometry import (
     GramForm,
     LatticeVector,
+    _enumerate_bounded,
+    _form_value,
+    _norm_denominator,
     angle,
     geodesic_spectrum,
     gram,
@@ -469,6 +473,80 @@ class TestIntegerEnumeration:
         )
         assert {squared_length(v) for v in shortest} == {lam}
         assert injectivity_radius(lat)[0] == lam / 4
+
+
+class TestFlatWalk:
+    """``_enumerate_bounded`` streams (x, v) with integer v = den * x^T G' x."""
+
+    def test_values_over_the_shared_denominator(self):
+        rng = random.Random(91)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            lat = from_basis(rand_lattice(rng, n).basis @ rand_unimodular(rng, n, 20, 3).to_matq())
+            v, _, gs = lat.reduced_gram()
+            den = _norm_denominator(gs)[0]
+            g = lat.gram_matrix()
+            bound = 2 * squared_length(shortest_vectors(lat)[0])
+            seen = 0
+            for coeffs, value in _enumerate_bounded(gs, bound):
+                assert type(value) is int and 0 < value <= bound * den
+                assert Fraction(value, den) == _form_value(g, v.mul_vec(coeffs), v.mul_vec(coeffs))
+                seen += 1
+            assert seen >= 1
+
+    def test_streams_past_a_huge_bound(self):
+        with time_limit(1):
+            walk = _enumerate_bounded(standard(4).reduced_gram()[2], Fraction(10**6))
+            first = list(itertools.islice(walk, 1000))
+        assert inspect.isgenerator(walk)
+        assert len(first) == 1000 and all(0 < v <= 10**6 for _, v in first)
+        walk.close()
+
+
+def divisor_sum(k, power=1, keep=lambda d: True):
+    return sum(d**power for d in range(1, k + 1) if k % d == 0 and keep(d))
+
+
+# E8 (covolume 1, even) from the columns 2e1, e2 - e1, ..., e7 - e6 and (1/2, ..., 1/2)
+E8_COLUMNS = (
+    [[2] + [0] * 7]
+    + [[0] * (i - 1) + [-1, 1] + [0] * (7 - i) for i in range(1, 7)]
+    + [[Fraction(1, 2)] * 8]
+)
+
+
+class TestThetaSeries:
+    """Theta-series oracles for the enumeration, on the lattice and on a re-presentation.
+
+    ``geodesic_spectrum`` counts each +- pair once, so every count is half
+    the coefficient of the theta series.
+    """
+
+    @pytest.mark.parametrize("sheared", [False, True], ids=["nice", "sheared"])
+    def test_e8(self, sheared):
+        lat = from_basis(MatQ.from_columns(E8_COLUMNS))
+        assert lat.basis.det() == 1
+        if sheared:
+            lat = from_basis(lat.basis @ rand_unimodular(random.Random(8), 8, 30, 3).to_matq())
+        with time_limit(5):
+            spectrum = geodesic_spectrum(lat, 6)
+            shortest = shortest_vectors(lat)
+            r_sq, _ = injectivity_radius(lat)
+        # 240 sigma_3(k) vectors of norm 2k
+        assert spectrum == [(2 * k, 120 * divisor_sum(k, 3)) for k in (1, 2, 3)]
+        assert spectrum == [(2, 120), (4, 1080), (6, 3360)]
+        assert len(shortest) == 120 and {squared_length(v) for v in shortest} == {2}
+        assert r_sq == Fraction(1, 2)
+
+    @pytest.mark.parametrize("sheared", [False, True], ids=["nice", "sheared"])
+    def test_z4(self, sheared):
+        lat = standard(4)
+        if sheared:
+            lat = from_basis(rand_unimodular(random.Random(4), 4, 30, 4).to_matq())
+        with time_limit(5):
+            spectrum = geodesic_spectrum(lat, 12)
+        # Jacobi: r_4(k) = 8 sum_{d | k, 4 does not divide d} d
+        assert spectrum == [(k, 4 * divisor_sum(k, keep=lambda d: d % 4)) for k in range(1, 13)]
 
 
 class TestSympyLllOracle:
