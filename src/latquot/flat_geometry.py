@@ -28,7 +28,7 @@ from .errors import (
     NonPositiveBound,
     ZeroVector,
 )
-from .exactnum import MatQ, MatZ, PosDefForm, _int_entries, float_sqrt
+from .exactnum import MatQ, MatZ, PosDefForm, _frac, _int_entries, float_sqrt
 from .lattice_core import Lattice
 
 _ISOMETRY_MAX_DIM = 4
@@ -113,10 +113,9 @@ def _enumerate_bounded(gs: tuple, bound: Fraction) -> Iterator[tuple[tuple[int, 
     floor(bound * den), exact because v is an integer.  The representative
     of each +-x pair is the one whose highest-index nonzero coordinate is
     positive, obtained for free by restricting the first not-yet-nonzero
-    coordinate to be >= 0.  The vectors stream out one at a time.
+    coordinate to be >= 0.  The vectors stream out one at a time.  Every
+    caller passes a positive bound.
     """
-    if bound < 0:
-        return
     d, lam = gs[2], gs[3]
     n = len(d) - 1
     den, c = _norm_denominator(gs)
@@ -169,12 +168,12 @@ def _enumerate_bounded(gs: tuple, bound: Fraction) -> Iterator[tuple[tuple[int, 
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """coeffs or -coeffs, whichever has its last nonzero entry positive; coeffs is never zero."""
     for c in reversed(coeffs):
         if c > 0:
             return coeffs
         if c < 0:
             return tuple(-x for x in coeffs)
-    return coeffs
 
 
 def _minimum(gs: tuple) -> tuple[Fraction, list[tuple[int, ...]]]:
@@ -205,7 +204,7 @@ def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
 
 def geodesic_spectrum(lattice: Lattice, bound) -> list[tuple[Fraction, int]]:
     """Squared lengths <= bound with multiplicities (each +- pair counted once)."""
-    bound = Fraction(bound)
+    bound = _frac(bound)
     if bound <= 0:
         raise NonPositiveBound("spectrum bound must be positive")
     gs = lattice.reduced_gram()[2]
@@ -256,17 +255,6 @@ def is_orthogonal(t: MatQ) -> bool:
     return t.transpose() @ t == MatQ.identity(t.n)
 
 
-def _vectors_with_norm(gs: tuple, value: Fraction) -> list[tuple[int, ...]]:
-    """Both signs of every integer vector with exact form value ``value``."""
-    if value <= 0:
-        return []
-    target, rem = divmod(value.numerator * _norm_denominator(gs)[0], value.denominator)
-    if rem:
-        return []  # every form value is a multiple of 1 / den
-    reps = [c for c, v in _enumerate_bounded(gs, value) if v == target]
-    return sorted(reps + [tuple(-x for x in c) for c in reps])
-
-
 def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> MatZ | None:
     """Search for a unimodular U with U^T G1 U = G2, exactly.
 
@@ -298,16 +286,19 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     b2, scale2 = gs2[0], gs2[1]
     # c_i^T G1' c_j = G2'_ij  <=>  (scale2 * b1 c_i) . c_j = scale1 * b2_ij, in integers
     targets = [[scale1 * x for x in row] for row in b2]
+    den1 = _norm_denominator(gs1)[0]
 
-    # each candidate column c of U' carries scale2 * b1 c, for the checks against later columns
+    # the candidates for a column of norm b2_jj / scale2: both signs of every c with
+    # den1 * c^T G1' c = target, sorted (no c if target is not an integer, as every form
+    # value is a multiple of 1 / den1), each with scale2 * b1 c for the checks against later columns
     candidates: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
     for j in range(n):
         norm = b2[j][j]
         if norm not in candidates:
-            candidates[norm] = [
-                (c, [scale2 * sum(map(mul, row, c)) for row in b1])
-                for c in _vectors_with_norm(gs1, Fraction(norm, scale2))
-            ]
+            target, rem = divmod(norm * den1, scale2)
+            reps = [] if rem else [c for c, v in _enumerate_bounded(gs1, Fraction(norm, scale2)) if v == target]
+            reps += [tuple(-x for x in c) for c in reps]
+            candidates[norm] = [(c, [scale2 * sum(map(mul, row, c)) for row in b1]) for c in sorted(reps)]
         if not candidates[norm]:
             return None
 

@@ -21,7 +21,7 @@ from .errors import (
     SingularBasis,
     ZeroScale,
 )
-from .exactnum import MatQ, MatZ, _int_lift, _lll, hnf
+from .exactnum import MatQ, MatZ, _frac, _int_lift, _lll, hnf
 
 
 class Lattice:
@@ -112,7 +112,7 @@ def standard(n: int) -> Lattice:
 
 def scale(lattice: Lattice, c) -> Lattice:
     """The lattice c*L for a nonzero rational scalar c."""
-    c = Fraction(c)
+    c = _frac(c)
     if c == 0:
         raise ZeroScale("scaling a lattice by 0 is not allowed")
     return Lattice(c * lattice.basis)
@@ -120,7 +120,7 @@ def scale(lattice: Lattice, c) -> Lattice:
 
 def contains(lattice: Lattice, x: Sequence) -> bool:
     """Exact membership: x is in L iff basis^-1 x is an integer vector."""
-    return all(c.denominator == 1 for c in lattice.coordinates([Fraction(c) for c in x]))
+    return all(c.denominator == 1 for c in lattice.coordinates(x))
 
 
 def equals(l1: Lattice, l2: Lattice) -> bool:

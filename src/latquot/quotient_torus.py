@@ -23,7 +23,7 @@ from .errors import (
     SingularMatrix,
     ZeroScale,
 )
-from .exactnum import MatQ, MatZ, to_float
+from .exactnum import MatQ, MatZ, _frac, to_float
 from .lattice_core import Lattice, covolume, equals
 
 
@@ -33,7 +33,7 @@ class TorusPoint:
     __slots__ = ("lattice", "coords")
 
     def __init__(self, lattice: Lattice, coords: Sequence):
-        cs = tuple(Fraction(c) for c in coords)
+        cs = tuple(map(_frac, coords))
         if len(cs) != lattice.n:
             raise DimensionMismatch(
                 f"coordinate length {len(cs)} does not match dimension {lattice.n}"
@@ -65,7 +65,7 @@ class TorusPoint:
 
 def reduce(lattice: Lattice, x: Sequence) -> TorusPoint:
     """Canonical quotient map: send x in R^n to its class modulo the lattice."""
-    coords = lattice.coordinates([Fraction(c) for c in x])
+    coords = lattice.coordinates(x)
     return TorusPoint(lattice, tuple(c % 1 for c in coords))
 
 
@@ -145,11 +145,13 @@ def volume_of_scaled(lattice: Lattice, c) -> float:
     """Volume of the quotient by c*L for a real (possibly irrational) c.
 
     The only sanctioned irrational-scaling path; everything rational stays in
-    the exact layer via ``lattice_core.scale``.
+    the exact layer via ``lattice_core.scale``.  |c|^n * covolume is formed
+    exactly from the float of c and rounded once, so FloatRangeError refuses
+    only a volume outside the normal floats, never an intermediate power.
     """
     if c == 0:
         raise ZeroScale("scaling a lattice by 0 is not allowed")
-    return to_float(abs(to_float(c)) ** lattice.n * to_float(covolume(lattice)))
+    return to_float(abs(Fraction(to_float(c))) ** lattice.n * covolume(lattice))
 
 
 def parallelepiped_image_volume(f: InducedMap, edge_coords: MatQ) -> Fraction:

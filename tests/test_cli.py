@@ -291,10 +291,14 @@ class TestErrorHandling:
     }}
 
     def test_float_overflow_in_volume_scaled(self, capsys, write):
-        path = write("big.json", lattice_doc([[self.HUGE, "0"], ["0", "1"]]))
-        code, out = invoke(capsys, ["volume-scaled", "--lattice", path, "--scale", "2pi"])
-        assert code == 1
-        assert json.loads(out) == self.FLOAT_RANGE
+        # a covolume beyond the float range, and a scale of 10^200 that fits a
+        # float whose square does not
+        for basis, scale in (([[self.HUGE, "0"], ["0", "1"]], "2pi"), ([["1", "0"], ["0", "1"]], "1" + "0" * 200)):
+            path = write("big.json", lattice_doc(basis))
+            code, out = invoke(capsys, ["volume-scaled", "--lattice", path, "--scale", scale])
+            assert code == 1
+            assert json.loads(out) == self.FLOAT_RANGE
+            assert out.count("\n") == 1
 
     def test_float_overflow_in_injectivity(self, capsys, write):
         code, out = invoke(capsys, ["injectivity", "--lattice", write("big.json", lattice_doc([[self.HUGE]]))])
@@ -322,6 +326,17 @@ class TestErrorHandling:
         with pytest.raises(exc):
             run(["volume", "--lattice", write("z2.json", Z2)])
         assert capsys.readouterr().out == ""
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, write, monkeypatch):
+        def handler(lib, args):
+            raise RuntimeError("boom")
+
+        help_text, module, flags, _ = cli.COMMANDS["volume"]
+        monkeypatch.setitem(cli.COMMANDS, "volume", (help_text, module, flags, handler))
+        code, out = invoke(capsys, ["volume", "--lattice", write("z2.json", Z2)])
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": {"kind": "InternalError", "message": "RuntimeError: boom", "input": None}}
 
 
 # The interpreter's int<->str digit limit, read at call time as the CLI reads

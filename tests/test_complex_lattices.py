@@ -82,6 +82,11 @@ class TestPairArithmetic:
         with pytest.raises(TypeError, match=r"^expected ComplexMatrix, got MatQ$"):
             m2 @ realify(m2)
 
+    @pytest.mark.parametrize("entries", [[], [[1, 2]], [[1, 0], [0]]], ids=["empty", "wide", "ragged"])
+    def test_must_be_square(self, entries):
+        with pytest.raises(ValueError, match="^matrix must be square with n >= 1$"):
+            ComplexMatrix(entries)
+
 
     @pytest.mark.parametrize(
         "make",
@@ -191,6 +196,10 @@ class TestComplexStructure:
         with pytest.raises(ValueError):
             ComplexStructure(1, MatZ.identity(2))
 
+    def test_rejects_wrong_size(self):
+        with pytest.raises(DimensionMismatch, match=r"^complex structure on C\^2 must act on R\^4$"):
+            ComplexStructure(2, standard_complex_structure(1).j)
+
 
 class TestComplexLinear:
     def test_realifications_are_complex_linear(self):
@@ -217,6 +226,10 @@ class TestGaussianLattice:
 
     def test_two_dim(self):
         assert gaussian_lattice(2).n == 4
+
+    def test_needs_a_dimension(self):
+        with pytest.raises(ValueError, match="^complex dimension must be >= 1$"):
+            gaussian_lattice(0)
 
     def test_unit_covolume(self):
         for n in (1, 2, 3):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from latquot.complex_lattices import ComplexMatrix
 from latquot.errors import (
     DimensionMismatch,
     FloatRangeError,
@@ -30,6 +31,9 @@ from latquot.exactnum import (
     lll_gram,
     to_float,
 )
+from latquot.flat_geometry import LatticeVector, geodesic_spectrum
+from latquot.lattice_core import contains, scale, standard
+from latquot.quotient_torus import TorusPoint, reduce
 
 from conftest import rand_invertible, rand_matq, rand_unimodular, rand_unimodular_pm
 
@@ -477,8 +481,14 @@ class TestMatrixBasics:
         assert MatQ([["1/2", "0"], ["0", "2"]]).rows[0][0] == frac(1, 2)
 
     def test_matz_requires_integers(self):
-        with pytest.raises(ValueError):
-            MatZ([[frac(1, 2), 0], [0, 1]])
+        for entry in (frac(1, 2), 0.5, True):
+            with pytest.raises(ValueError, match="^MatZ entries must be integers$"):
+                MatZ([[entry, 0], [0, 1]])
+
+    def test_to_matz_requires_integral_entries(self):
+        assert MatQ([[2, 0], [0, 1]]).to_matz() == MatZ([[2, 0], [0, 1]])
+        with pytest.raises(ValueError, match="^matrix has non-integer entries$"):
+            MatQ([[frac(1, 2), 0], [0, 1]]).to_matz()
 
     def test_from_columns(self):
         m = MatQ.from_columns([[1, 0], [2, 3]])
@@ -487,8 +497,10 @@ class TestMatrixBasics:
     def test_random_products_stay_exact(self):
         rng = random.Random(41)
         m = rand_matq(rng, 3)
-        assert (m + (-m)) == MatQ([[0] * 3 for _ in range(3)])
+        assert (m + (-m)) == MatQ([[0] * 3 for _ in range(3)]) == m - m
         assert 2 * m == m + m
+        assert 2 * m - m == m
+        assert MatQ([[1, 2], [3, 4]]) - MatQ.identity(2) == MatQ([[0, 2], [3, 3]])
 
 
 class TestFloatSqrt:
@@ -616,6 +628,18 @@ class TestMatrixBody:
         with pytest.raises(TypeError, match="^expected MatQ, got MatZ$"):
             MatQ.identity(2) @ MatZ.identity(2)
 
+    @pytest.mark.parametrize("cls", [MatQ, MatZ])
+    def test_sizes_must_agree(self, cls):
+        a = cls.identity(2)
+        with pytest.raises(DimensionMismatch, match="^matrix sizes differ: 2 vs 3$"):
+            a @ cls.identity(3)
+        with pytest.raises(DimensionMismatch, match="^vector length 3 does not match matrix size 2$"):
+            a.mul_vec([1, 0, 0])
+        if cls is MatQ:
+            for op in (MatQ.__add__, MatQ.__sub__):
+                with pytest.raises(DimensionMismatch, match="^matrix sizes differ: 2 vs 3$"):
+                    op(a, MatQ.identity(3))
+
     def test_no_instance_dict(self):
         for m in (MatQ.identity(2), MatZ.identity(2)):
             assert not hasattr(m, "__dict__")
@@ -628,3 +652,36 @@ class TestMatrixBody:
         assert z.det() == _sympy_matrix(sympy, z.rows).det()
         lu = z._factor()
         assert z.det() == lu[3] and z._factor() is lu
+
+
+# every exact entry point converts a caller's value with exactnum._frac, so a
+# float raises there instead of entering as its binary expansion; the
+# integer-only types keep their ValueError
+NO_FLOATS = "^floating-point entries are not allowed in exact matrices$"
+
+
+class TestFloatRefusal:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: MatQ([[0.5]]), TypeError, NO_FLOATS),
+        (lambda: MatQ.identity(2).mul_vec([0.5, 0]), TypeError, NO_FLOATS),
+        (lambda: MatQ.identity(2).solve([0.5, 0]), TypeError, NO_FLOATS),
+        (lambda: 0.5 * MatQ.identity(2), TypeError, NO_FLOATS),
+        (lambda: MatZ([[1.0]]), ValueError, "^MatZ entries must be integers$"),
+        (lambda: ComplexMatrix([[0.5]]), TypeError, NO_FLOATS),
+        (lambda: TorusPoint(standard(2), [0.5, 0]), TypeError, NO_FLOATS),
+        (lambda: reduce(standard(2), [0.1, 0]), TypeError, NO_FLOATS),
+        (lambda: contains(standard(2), [1.0, 0]), TypeError, NO_FLOATS),
+        (lambda: scale(standard(2), 0.5), TypeError, NO_FLOATS),
+        (lambda: geodesic_spectrum(standard(2), 2.0), TypeError, NO_FLOATS),
+        (lambda: LatticeVector(standard(2), [1.0, 0]), ValueError, "^lattice vector coefficients must be integers$"),
+    ], ids=["MatQ", "MatQ.mul_vec", "MatQ.solve", "c*MatQ", "MatZ", "ComplexMatrix", "TorusPoint", "reduce",
+            "contains", "scale", "geodesic_spectrum", "LatticeVector"])
+    def test_floats_are_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_exact_values_still_convert(self):
+        assert reduce(standard(2), ["3/2", 1]).coords == (frac(1, 2), 0)
+        assert contains(standard(2), ["2", frac(4, 2)])
+        assert scale(standard(1), "1/2").basis == MatQ([[frac(1, 2)]])
+        assert geodesic_spectrum(standard(1), "4") == [(1, 1), (4, 1)]

@@ -116,6 +116,10 @@ class TestLatticeVector:
         other = LatticeVector(l2, [c + 1 for c in w.coeffs])
         assert len({v, w, other}) == 2
 
+    def test_length_must_match_the_dimension(self):
+        with pytest.raises(DimensionMismatch, match="^coefficient length 1 does not match dimension 2$"):
+            LatticeVector(standard(2), [1])
+
 
 class TestSquaredLength:
     def test_unit(self):
@@ -296,6 +300,19 @@ class TestIsometry:
         l1 = from_basis(MatQ([[1, 0], [0, 4]]))
         l2 = from_basis(MatQ([[2, 0], [0, 2]]))
         assert isometric_mod_rotation(l1, l2) is None
+
+    def test_different_covolumes(self):
+        assert isometric_mod_rotation(standard(2), scale(standard(2), 2)) is None
+
+    def test_a_norm_without_candidates(self):
+        # covolume 1 on both sides; the Gram form of the second is diag(1/2, 2).
+        # Z^2 has no vector of norm 1/2, not even a form value with its
+        # denominator (the remainder branch), and the second lattice has no
+        # vector of norm 1 (x^2/2 + 2y^2 = 1 has no integer solution)
+        other = from_basis(MatQ([["1/2", 1], ["1/2", -1]]))
+        assert other.gram_matrix() == MatQ([["1/2", 0], [0, 2]])
+        assert isometric_mod_rotation(standard(2), other) is None
+        assert isometric_mod_rotation(other, standard(2)) is None
 
     def test_rotated_standard(self):
         q = MatQ([["3/5", "-4/5"], ["4/5", "3/5"]])

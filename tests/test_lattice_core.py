@@ -36,6 +36,8 @@ class TestConstruction:
     def test_standard(self):
         for n in (1, 2, 4):
             assert standard(n).basis == MatQ.identity(n)
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            standard(0)
 
     def test_from_basis(self):
         lat = from_basis(MatQ([[2, 0], [0, 3]]))
@@ -104,8 +106,9 @@ class TestEquals:
             assert equals(lat, from_basis(lat.basis @ u.to_matq()))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            equals(standard(2), standard(3))
+        for compare in (equals, sublattice_index, change_of_basis_witness):
+            with pytest.raises(DimensionMismatch, match="^lattice dimensions differ: 2 vs 3$"):
+                compare(standard(2), standard(3))
 
     def test_dunder_eq_and_hash_use_canonical_form(self):
         l1 = standard(2)

@@ -83,6 +83,11 @@ class TestSameLeftCoset:
     def test_scaling_breaks_it(self):
         assert not same_left_coset(MatQ.identity(2), 2 * MatQ.identity(2))
 
+    def test_singular(self):
+        for pair in ((MatQ([[1, 0], [0, 0]]), MatQ.identity(2)), (MatQ.identity(2), MatQ([[1, 1], [1, 1]]))):
+            with pytest.raises(SingularMatrix, match="^matrices must be invertible$"):
+                same_left_coset(*pair)
+
     def test_characterizations_agree(self):
         # oracle: t2 = R t1 with R orthogonal iff t2 * t1^-1 is orthogonal
         rng = random.Random(103)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from latquot.errors import (
     DegenerateParallelepiped,
+    DimensionMismatch,
     FloatRangeError,
     LatticeMismatch,
     NonFiniteInput,
@@ -90,6 +91,8 @@ class TestTorusPoint:
     def test_coords_validated(self):
         with pytest.raises(ValueError):
             TorusPoint(standard(2), [Fraction(3, 2), 0])
+        with pytest.raises(DimensionMismatch, match="^coordinate length 1 does not match dimension 2$"):
+            TorusPoint(standard(2), [0])
 
     def test_equality_across_presentations(self):
         l1 = standard(2)
@@ -151,6 +154,17 @@ class TestInducedMap:
     def test_singular(self):
         with pytest.raises(SingularMatrix):
             make_induced_map(MatQ([[1, 0], [0, 0]]), standard(2), standard(2))
+
+    @pytest.mark.parametrize("sizes", [(3, 2, 2), (2, 2, 3)])
+    def test_sizes_must_agree(self, sizes):
+        a, source, target = sizes
+        with pytest.raises(DimensionMismatch, match="^matrix and lattice dimensions must all agree$"):
+            InducedMap(MatQ.identity(a), standard(source), standard(target))
+
+    def test_compose_needs_matching_lattices(self):
+        g = make_induced_map(2 * MatQ.identity(2), standard(2), scale(standard(2), 2))
+        with pytest.raises(LatticeMismatch, match="^maps are not composable: target of g differs from source of f$"):
+            compose(g, g)
 
     def test_apply_doubling(self):
         f = make_induced_map(2 * MatQ.identity(2), standard(2), scale(standard(2), 2))
@@ -294,6 +308,16 @@ class TestVolumes:
         with pytest.raises(ZeroScale):
             volume_of_scaled(standard(2), 0)
 
+    def test_power_beyond_float_range_raises(self):
+        # 10^200 fits a float, its square does not
+        with pytest.raises(FloatRangeError, match="^value is outside the range of normal floats$"):
+            volume_of_scaled(standard(2), 10**200)
+
+    def test_only_the_result_must_fit_a_float(self):
+        # |c|^n = 2^1200 and the covolume 2^-1200 are each outside the float
+        # range; their product is 1, and only the product is rounded
+        assert volume_of_scaled(scale(standard(2), Fraction(1, 2**600)), 2**600) == 1.0
+
     def test_parallelepiped_identity_map(self):
         f = make_induced_map(MatQ.identity(2), standard(2), standard(2))
         edges = Fraction(1, 2) * MatQ.identity(2)
@@ -314,3 +338,5 @@ class TestVolumes:
         f = make_induced_map(MatQ.identity(2), standard(2), standard(2))
         with pytest.raises(ValueError):
             parallelepiped_image_volume(f, MatQ([[2, 0], [0, 1]]))
+        with pytest.raises(DimensionMismatch, match="^edge matrix size does not match the source dimension$"):
+            parallelepiped_image_volume(f, Fraction(1, 2) * MatQ.identity(3))

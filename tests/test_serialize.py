@@ -16,6 +16,7 @@ from latquot.serialize import (
     matrix_to_json,
     parse_complex_matrix,
     parse_lattice,
+    parse_lattice_vector,
     parse_matrix,
     parse_point,
     parse_rational,
@@ -159,3 +160,34 @@ class TestComplexMatrix:
     def test_entry_shape_checked(self):
         with pytest.raises(SchemaError):
             parse_complex_matrix([[["1", "0", "0"]]])
+
+
+Z1 = {"n": 1, "basis": [["1"]]}
+
+
+class TestSchemaErrors:
+    """Each malformed document is refused with its own kind and message."""
+
+    @pytest.mark.parametrize("parse, doc, kind, message", [
+        (parse_rational, 5, ParseError, "expected a rational string, got int"),
+        (parse_vector, [True], SchemaError, "expected a rational string or integer, got a boolean"),
+        (parse_matrix, "1", SchemaError, "matrix must be a non-empty array of rows"),
+        (parse_lattice, [Z1], SchemaError, "lattice must be an object with 'n' and 'basis'"),
+        (parse_lattice, {"n": "1", "basis": [["1"]]}, SchemaError, "lattice 'n' must be an integer"),
+        (parse_lattice, {"n": True, "basis": [["1"]]}, SchemaError, "lattice 'n' must be an integer"),
+        (parse_point, [Z1, ["0"]], SchemaError, "torus point must be an object with 'lattice' and 'coords'"),
+        (parse_lattice_vector, {"lattice": Z1}, SchemaError,
+         "lattice vector must be an object with 'lattice' and 'coeffs'"),
+        (parse_lattice_vector, {"lattice": Z1, "coeffs": ["1"]}, SchemaError,
+         "lattice vector 'coeffs' must be an array of integers"),
+        (parse_lattice_vector, {"lattice": Z1, "coeffs": [True]}, SchemaError,
+         "lattice vector 'coeffs' must be an array of integers"),
+        (parse_complex_matrix, {"0": ["1", "0"]}, SchemaError, "complex matrix must be a non-empty array of rows"),
+        (parse_complex_matrix, [[["1", "0"], ["0", "1"]]], SchemaError, "complex matrix must be square"),
+    ], ids=["rational-not-a-string", "rational-bool", "matrix-not-a-list", "lattice-not-an-object",
+            "lattice-n-string", "lattice-n-bool", "point-not-an-object", "vector-no-coeffs",
+            "vector-coeffs-strings", "vector-coeffs-bools", "complex-not-a-list", "complex-not-square"])
+    def test_kind_and_message(self, parse, doc, kind, message):
+        with pytest.raises(kind) as info:
+            parse(doc)
+        assert type(info.value) is kind and str(info.value) == message
