@@ -42,7 +42,7 @@ def _frac(x) -> Fraction:
     if type(x) is Fraction:
         return x  # immutable, so sharing it is safe
     if isinstance(x, float):
-        raise TypeError("floating-point entries are not allowed in exact matrices")
+        raise TypeError("floating-point values are not allowed in exact arithmetic")
     return Fraction(x)
 
 
@@ -64,10 +64,21 @@ def to_float(x: Fraction | float) -> float:
 
 
 def float_sqrt(x: Fraction) -> float:
-    """sqrt(x) for an exact x >= 0, refusing only a nonzero root that no normal float represents:
-    x is scaled exactly by 4^k to about 1 and the root by 2^-k, so x itself need not fit a float."""
-    k = (x.denominator.bit_length() - x.numerator.bit_length()) // 2
-    return to_float(Fraction(math.sqrt(x * Fraction(4) ** k)) / Fraction(2) ** k)
+    """sqrt(x) for an exact x = p / q >= 0, refusing only a nonzero root that no normal float represents.
+
+    x is scaled by 4^k to about 1 as one correctly rounded integer division
+    (p * 4^k / q, or p / (q * 4^-k)) and the root by 2^-k, exactly, with
+    ``ldexp``, so x itself need not fit a float and no Fraction is formed.
+    """
+    p, q = x.numerator, x.denominator
+    if not p:
+        return 0.0
+    k = (q.bit_length() - p.bit_length()) // 2
+    try:
+        root = math.ldexp(math.sqrt((p << 2 * k) / q if k >= 0 else p / (q << -2 * k)), -k)
+    except OverflowError:
+        root = math.inf
+    return to_float(root)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -147,9 +158,12 @@ class _Mat:
     """What ``MatQ`` and ``MatZ`` share: an immutable square matrix, stored row-major,
     that keeps the fraction-free LU of its first elimination (``_factor``).
 
-    A subclass converts its entries and hands the rows of tuples to this
-    constructor; results of ``transpose`` and ``@`` are built by the
-    operand's own class, so they stay within one type.
+    A subclass converts a caller's entries and hands the rows of tuples to
+    this constructor.  Matrices the library builds from entries already of
+    the right type (``transpose``, ``@``, solves and inverses, ``hnf``, the
+    LLL transforms) skip that conversion through ``_of``; results of
+    ``transpose`` and ``@`` are built by the operand's own class, so they
+    stay within one type.
     """
 
     __slots__ = ("n", "rows", "_lu")
@@ -163,11 +177,24 @@ class _Mat:
         self._lu: tuple | None = None
 
     @classmethod
+    def _of(cls, rows: tuple):
+        """The matrix on ``rows``, a square tuple of tuples of the class's own entry type
+        (``Fraction`` or ``int``) that the library built: no conversion, and the shape
+        is checked only under ``__debug__`` (``python -O`` drops the check)."""
+        if __debug__ and not (rows and all(len(row) == len(rows) for row in rows)):
+            raise ValueError("matrix must be square with n >= 1")
+        m = object.__new__(cls)
+        m.n = len(rows)
+        m.rows = rows
+        m._lu = None
+        return m
+
+    @classmethod
     def identity(cls, n: int):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def transpose(self):
-        return type(self)(tuple(zip(*self.rows)))
+        return self._of(tuple(zip(*self.rows)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, type(self)) and self.rows == other.rows
@@ -178,7 +205,7 @@ class _Mat:
     def __matmul__(self, other):
         self._check_same_size(other)
         cols = tuple(zip(*other.rows))
-        return type(self)([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
+        return self._of(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows))
 
     def _check_same_size(self, other) -> None:
         if not isinstance(other, type(self)):
@@ -269,7 +296,7 @@ class MatQ(_Mat):
         if isinstance(rhs, MatQ):
             if rhs.n != n:
                 raise DimensionMismatch(f"matrix sizes differ: {n} vs {rhs.n}")
-            return MatQ(tuple(zip(*self._substitute(*_int_lift(tuple(zip(*rhs.rows)))))))
+            return MatQ._of(tuple(zip(*self._substitute(*_int_lift(tuple(zip(*rhs.rows)))))))
         if len(rhs) != n:
             raise DimensionMismatch(f"vector length {len(rhs)} does not match dimension {n}")
         return self._substitute(*_int_lift([[_frac(x) for x in rhs]]))[0]
@@ -277,7 +304,7 @@ class MatQ(_Mat):
     def inverse(self) -> "MatQ":
         """Exact inverse: ``solve``'s identity case, the identity fed as integers."""
         n = self.n
-        return MatQ(tuple(zip(*self._substitute([[int(i == j) for i in range(n)] for j in range(n)], 1))))
+        return MatQ._of(tuple(zip(*self._substitute([[int(i == j) for i in range(n)] for j in range(n)], 1))))
 
     def _substitute(self, cols: list[list[int]], e: int) -> list[tuple[Fraction, ...]]:
         """A^-1 c / e for each integer column c: fraction-free forward and back
@@ -384,7 +411,7 @@ def hnf(m: MatZ) -> MatZ:
             if f:
                 for r in range(n):
                     a[r][j] -= f * a[r][i]
-    return MatZ(a)
+    return MatZ._of(tuple(map(tuple, a)))
 
 
 def _symmetric_bareiss(s: MatQ) -> tuple[list[list[int]], int, list[int], list[list[int]]]:
@@ -523,7 +550,7 @@ def _lll(g: MatQ) -> tuple[MatZ, MatZ, tuple]:
                 red(k, j)
             k += 1
     gs = (tuple(map(tuple, b)), scale, tuple(d), tuple(map(tuple, lam)))
-    return MatZ(tuple(zip(*cols))), MatZ(inv), gs
+    return MatZ._of(tuple(zip(*cols))), MatZ._of(tuple(map(tuple, inv))), gs
 
 
 def is_positive_definite(s: MatQ) -> bool:

@@ -11,7 +11,12 @@ runs the LLL once and keeps what it returns, the triple (V, V^-1, gs) of
 transform, inverse transform and that data (``Lattice.reduced_gram``);
 enumeration and the isometry search work in reduced coordinates and map
 their answers back through V and V^-1, so results never depend on the
-presentation.
+presentation.  Each lattice also keeps its minimum, the squared length of
+its shortest closed geodesics, with the minimal vectors (``_kept_minimum``):
+one walk answers ``shortest_vectors``, ``injectivity_radius`` (half the
+minimal length, the largest radius on which R^n -> R^n / L is injective)
+and the isometry search's minimal-norm columns.  The gain is on repeated
+calls on one lattice object: a first call still walks once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -176,30 +181,47 @@ def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
             return tuple(-x for x in coeffs)
 
 
-def _minimum(gs: tuple) -> tuple[Fraction, list[tuple[int, ...]]]:
-    """The minimum of the form and its vectors, one per +- pair, in reduced coordinates.
+class _Minimum(NamedTuple):
+    """What ``Lattice._minimum`` keeps: the minimum of the lattice, the squared length
+    of its shortest closed geodesics; the minimal vectors over its basis, one per +-
+    pair, last nonzero entry positive, sorted; and the same vectors in LLL-reduced
+    coordinates, in walk order."""
 
-    Exact: the initial bound is the smallest diagonal entry of the reduced
-    form (always attained) and the enumeration below it is complete.
+    value: Fraction
+    vectors: tuple[tuple[int, ...], ...]
+    reduced: tuple[tuple[int, ...], ...]
+
+
+def _kept_minimum(lattice: Lattice, walked: Iterable | None = None) -> _Minimum:
+    """The lattice's minimum, found on first use and kept on the lattice; the
+    lattice is immutable, so it never goes stale.
+
+    The first use reads it off ``walked`` when given: a walk of the reduced
+    form (``_enumerate_bounded``) that the caller made anyway, to a bound at
+    or above the minimum.  Otherwise it walks to the smallest diagonal entry
+    of the reduced form, which is always attained, so the minimum is below it.
     """
-    b, scale = gs[0], gs[1]
-    start = Fraction(min(b[i][i] for i in range(len(b))), scale)
-    best: int | None = None
-    found: list[tuple[int, ...]] = []
-    for coeffs, value in _enumerate_bounded(gs, start):
-        if best is None or value < best:
-            best = value
-            found = [coeffs]
-        elif value == best:
-            found.append(coeffs)
-    return Fraction(best, _norm_denominator(gs)[0]), found
+    if lattice._minimum is None:
+        v, _, gs = lattice.reduced_gram()
+        if walked is None:
+            b = gs[0]
+            walked = _enumerate_bounded(gs, Fraction(min(b[i][i] for i in range(len(b))), gs[1]))
+        best: int | None = None
+        found: list[tuple[int, ...]] = []
+        for coeffs, value in walked:
+            if best is None or value < best:
+                best = value
+                found = [coeffs]
+            elif value == best:
+                found.append(coeffs)
+        vectors = tuple(sorted(_canonical_sign(v.mul_vec(c)) for c in found))
+        lattice._minimum = _Minimum(Fraction(best, _norm_denominator(gs)[0]), vectors, tuple(found))
+    return lattice._minimum
 
 
 def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
     """All shortest nonzero vector classes, one per +- pair, in coefficient order."""
-    v, _, gs = lattice.reduced_gram()
-    out = sorted(_canonical_sign(v.mul_vec(c)) for c in _minimum(gs)[1])
-    return [LatticeVector(lattice, c) for c in out]
+    return [LatticeVector(lattice, c) for c in _kept_minimum(lattice).vectors]
 
 
 def geodesic_spectrum(lattice: Lattice, bound) -> list[tuple[Fraction, int]]:
@@ -246,7 +268,7 @@ def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
 
     r is half the minimal geodesic length.
     """
-    r_sq = _minimum(lattice.reduced_gram()[2])[0] / 4
+    r_sq = _kept_minimum(lattice).value / 4
     return r_sq, float_sqrt(r_sq)
 
 
@@ -264,6 +286,18 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     G2' = V2^T G2 V2: it matches G2' column by column against enumerated
     vectors of G1', and a witness U' with U'^T G1' U' = G2' maps back to
     U = V1 U' V2^-1, V2^-1 the one ``reduced_gram`` keeps beside V2.
+
+    The minimum of the first lattice (``_kept_minimum``) serves the search:
+    every column of G2' is a nonzero vector of L2, so no column of an
+    isometric pair is shorter than it, and a column of that norm takes its
+    candidates from the kept minimal vectors; only the other norms walk.  On
+    first use the minimum is read off the walk for the smallest column norm,
+    which passes every shorter vector of G1', so a first search walks each
+    distinct column norm at most once.  When the second lattice's minimum is
+    kept too, a pair whose minima or numbers of minimal vectors differ is
+    rejected before any candidate is sought; the search never walks the
+    second lattice for that check, which would cost every isometric pair one
+    more walk.
 
     With ``oriented`` the witness must additionally have determinant +1 and
     the implied ambient map must preserve orientation.
@@ -287,16 +321,34 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     # c_i^T G1' c_j = G2'_ij  <=>  (scale2 * b1 c_i) . c_j = scale1 * b2_ij, in integers
     targets = [[scale1 * x for x in row] for row in b2]
     den1 = _norm_denominator(gs1)[0]
+    low = min(b2[j][j] for j in range(n))
+    walked = None
+    if l1._minimum is None:
+        walked = list(_enumerate_bounded(gs1, Fraction(low, scale2)))
+        if not walked:
+            return None  # G1' has no vector as short as a column of G2'
+    min1, _, short1 = _kept_minimum(l1, walked)
+    if low < min1 * scale2:
+        return None
+    kept2 = l2._minimum
+    if kept2 is not None and (kept2.value != min1 or len(kept2.reduced) != len(short1)):
+        return None
 
     # the candidates for a column of norm b2_jj / scale2: both signs of every c with
     # den1 * c^T G1' c = target, sorted (no c if target is not an integer, as every form
-    # value is a multiple of 1 / den1), each with scale2 * b1 c for the checks against later columns
+    # value is a multiple of 1 / den1), each with scale2 * b1 c for the checks against later columns;
+    # at the minimum these are the kept minimal vectors, at the smallest norm the cold walk's
     candidates: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
     for j in range(n):
         norm = b2[j][j]
         if norm not in candidates:
-            target, rem = divmod(norm * den1, scale2)
-            reps = [] if rem else [c for c, v in _enumerate_bounded(gs1, Fraction(norm, scale2)) if v == target]
+            value = Fraction(norm, scale2)
+            if value == min1:
+                reps = list(short1)
+            else:
+                target, rem = divmod(norm * den1, scale2)
+                walk = walked if norm == low and walked is not None else _enumerate_bounded(gs1, value)
+                reps = [] if rem else [c for c, v in walk if v == target]
             reps += [tuple(-x for x in c) for c in reps]
             candidates[norm] = [(c, [scale2 * sum(map(mul, row, c)) for row in b1]) for c in sorted(reps)]
         if not candidates[norm]:
@@ -306,7 +358,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
 
     def backtrack(j: int) -> MatZ | None:
         if j == n:
-            u = MatZ([[cols[c][0][r] for c in range(n)] for r in range(n)])
+            u = MatZ._of(tuple(zip(*(col[0] for col in cols))))
             return None if oriented and u.det() * sign != 1 else u
         target_row = targets[j]
         for cand in candidates[b2[j][j]]:

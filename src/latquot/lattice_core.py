@@ -27,7 +27,7 @@ from .exactnum import MatQ, MatZ, _frac, _int_lift, _lll, hnf
 class Lattice:
     """Lattice basis(Z^n); the columns of ``basis`` are the generators."""
 
-    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced")
+    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced", "_minimum")
 
     def __init__(self, basis: MatQ):
         det = basis.det()
@@ -40,6 +40,8 @@ class Lattice:
         self._canonical: MatQ | None = None
         self._gram: MatQ | None = None
         self._reduced: tuple | None = None
+        # flat_geometry's: it fills and reads this slot (``_kept_minimum``)
+        self._minimum: tuple | None = None
 
     def canonical_basis(self) -> MatQ:
         """Presentation-independent basis: the scaled column Hermite form.
@@ -50,7 +52,7 @@ class Lattice:
         """
         if self._canonical is None:
             lift, d = _int_lift(self.basis.rows)
-            self._canonical = MatQ([[Fraction(h, d) for h in row] for row in hnf(MatZ(lift)).rows])
+            self._canonical = MatQ._of(tuple(tuple(Fraction(h, d) for h in row) for row in hnf(MatZ(lift)).rows))
         return self._canonical
 
     def gram_matrix(self) -> MatQ:

@@ -146,12 +146,14 @@ def volume_of_scaled(lattice: Lattice, c) -> float:
 
     The only sanctioned irrational-scaling path; everything rational stays in
     the exact layer via ``lattice_core.scale``.  |c|^n * covolume is formed
-    exactly from the float of c and rounded once, so FloatRangeError refuses
-    only a volume outside the normal floats, never an intermediate power.
+    exactly, from c itself when it is an int or a Fraction and from its float
+    otherwise, and rounded once, so FloatRangeError refuses only a volume
+    outside the normal floats, never an intermediate power or an exact scale.
     """
     if c == 0:
         raise ZeroScale("scaling a lattice by 0 is not allowed")
-    return to_float(abs(Fraction(to_float(c))) ** lattice.n * covolume(lattice))
+    exact = c if isinstance(c, (int, Fraction)) else Fraction(to_float(c))
+    return to_float(abs(exact) ** lattice.n * covolume(lattice))
 
 
 def parallelepiped_image_volume(f: InducedMap, edge_coords: MatQ) -> Fraction:

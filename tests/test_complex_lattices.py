@@ -94,7 +94,7 @@ class TestPairArithmetic:
         ids=["real-part", "imaginary-part", "scalar"],
     )
     def test_floats_are_refused_like_matq_entries(self, make):
-        with pytest.raises(TypeError, match=r"^floating-point entries are not allowed"):
+        with pytest.raises(TypeError, match=r"^floating-point values are not allowed"):
             make()
 
     def test_exact_parts_parse(self):

@@ -539,6 +539,47 @@ class TestFloatSqrt:
         assert Fraction(math.nextafter(r, 0)) ** 2 < x < Fraction(math.nextafter(r, math.inf)) ** 2
 
 
+def fraction_float_sqrt(x):
+    """The Fraction formula float_sqrt used before it ran in integers: the oracle."""
+    k = (x.denominator.bit_length() - x.numerator.bit_length()) // 2
+    return to_float(Fraction(math.sqrt(x * Fraction(4) ** k)) / Fraction(2) ** k)
+
+
+def float_sqrt_or_refusal(sqrt, x):
+    try:
+        return sqrt(x)
+    except FloatRangeError:
+        return FloatRangeError
+
+
+# squares of the smallest and largest normal floats, and their neighbours
+NORMAL_EDGES = [
+    f * f * s
+    for f in (Fraction(sys.float_info.min), Fraction(sys.float_info.max))
+    for s in (Fraction(1), 1 - Fraction(1, 2**60), 1 + Fraction(1, 2**60), Fraction(1, 2), 2)
+] + [Fraction(math.nextafter(sys.float_info.max, 0)) ** 2, Fraction(2) ** 2048 - 1, Fraction(2) ** -2044]
+
+
+class TestFloatSqrtOracle:
+    """``float_sqrt`` in integers answers bit for bit what the Fraction formula did."""
+
+    @pytest.mark.parametrize("x", NORMAL_EDGES)
+    def test_normal_range_edges(self, x):
+        assert float_sqrt_or_refusal(float_sqrt, x) == float_sqrt_or_refusal(fraction_float_sqrt, x)
+
+    @given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=10**60),
+           st.integers(min_value=-2100, max_value=2100))
+    def test_matches_the_fraction_formula(self, p, q, e):
+        x = Fraction(p, q) * Fraction(2) ** e
+        assert float_sqrt_or_refusal(float_sqrt, x) == float_sqrt_or_refusal(fraction_float_sqrt, x)
+
+    def test_random_rationals(self):
+        rng = random.Random(14)
+        for _ in range(2000):
+            x = Fraction(rng.getrandbits(rng.randint(1, 200)), rng.getrandbits(rng.randint(1, 200)) or 1)
+            assert float_sqrt(x) == fraction_float_sqrt(x)
+
+
 def _sympy_matrix(sympy, m):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
 
@@ -640,6 +681,15 @@ class TestMatrixBody:
                 with pytest.raises(DimensionMismatch, match="^matrix sizes differ: 2 vs 3$"):
                     op(a, MatQ.identity(3))
 
+    @pytest.mark.skipif(not __debug__, reason="python -O drops the check")
+    @pytest.mark.parametrize("cls", [MatQ, MatZ])
+    def test_library_built_matrices_are_checked_square(self, cls):
+        one = cls.identity(1).rows[0][0]
+        for rows in ((), ((one,), (one,)), ((one, one),)):
+            with pytest.raises(ValueError, match="^matrix must be square with n >= 1$"):
+                cls._of(rows)
+        assert cls._of(((one,),)) == cls.identity(1)
+
     def test_no_instance_dict(self):
         for m in (MatQ.identity(2), MatZ.identity(2)):
             assert not hasattr(m, "__dict__")
@@ -657,7 +707,7 @@ class TestMatrixBody:
 # every exact entry point converts a caller's value with exactnum._frac, so a
 # float raises there instead of entering as its binary expansion; the
 # integer-only types keep their ValueError
-NO_FLOATS = "^floating-point entries are not allowed in exact matrices$"
+NO_FLOATS = "^floating-point values are not allowed in exact arithmetic$"
 
 
 class TestFloatRefusal:

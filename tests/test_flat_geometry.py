@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import itertools
 import math
+import operator
 import random
 import signal
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from latquot import flat_geometry
 from latquot.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -23,8 +25,10 @@ from latquot.exactnum import MatQ, MatZ, PosDefForm
 from latquot.flat_geometry import (
     GramForm,
     LatticeVector,
+    _canonical_sign,
     _enumerate_bounded,
     _form_value,
+    _kept_minimum,
     _norm_denominator,
     angle,
     geodesic_spectrum,
@@ -37,7 +41,7 @@ from latquot.flat_geometry import (
     squared_length,
 )
 from latquot.lattice_core import Lattice, equals, from_basis, scale, standard
-from latquot.moduli_spaces import gram_map
+from latquot.moduli_spaces import double_coset_equivalent, gram_map
 
 from conftest import rand_invertible, rand_lattice, rand_orthogonal, rand_unimodular, rand_unimodular_pm
 
@@ -419,6 +423,195 @@ class TestShearedPresentations:
         assert lat.reduced_gram() is lat.reduced_gram()
 
 
+def count_calls(monkeypatch, name):
+    """Wrap flat_geometry's ``name`` so that each call is recorded; returns the list of their arguments."""
+    calls = []
+    inner = getattr(flat_geometry, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(flat_geometry, name, counted)
+    return calls
+
+
+class TestKeptMinimum:
+    """One walk per lattice serves shortest vectors, the radius and the isometry search."""
+
+    def test_one_walk_for_repeated_calls(self, monkeypatch):
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        lat = from_basis(rand_unimodular(random.Random(5), 3, 12, 3).to_matq())
+        first = shortest_vectors(lat)
+        assert len(walks) == 1
+        assert injectivity_radius(lat) == (Fraction(1, 4), 0.5)
+        again = shortest_vectors(lat)
+        assert len(walks) == 1
+        assert [v.coeffs for v in again] == [v.coeffs for v in first]
+        assert sorted(tuple(abs(x) for x in v.ambient()) for v in first) == sorted(MatQ.identity(3).rows)
+
+    def test_construction_never_walks(self, monkeypatch):
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        lattices = [
+            from_basis(rand_unimodular(random.Random(6), 4, 20, 3).to_matq()),
+            Lattice(MatQ([[1, 2], [3, 4]])),
+            standard(3),
+            scale(standard(2), Fraction(1, 3)),
+        ]
+        assert walks == [] and all(lat._minimum is None for lat in lattices)
+
+    @pytest.mark.parametrize("l1, l2", [
+        # covolume 2: minimum 1 against minimum 2; Z^2 has no vector of
+        # norm 2 * 1 either way round, which the walk used to find out
+        (from_basis(MatQ([[1, 0], [0, 2]])), from_basis(MatQ([[1, 1], [1, -1]]))),
+        (from_basis(MatQ([[1, 1], [1, -1]])), from_basis(MatQ([[1, 0], [0, 2]]))),
+        # covolume 1, minimum 1 on both sides: one minimal pair against Z^2's two,
+        # which the backtrack used to try
+        (from_basis(MatQ([[1, "1/2"], [0, 1]])), standard(2)),
+        (standard(2), from_basis(MatQ([[1, "1/2"], [0, 1]]))),
+    ], ids=["min-1-vs-2", "min-2-vs-1", "one-pair-vs-two", "two-pairs-vs-one"])
+    def test_differing_minima_reject_without_a_search(self, monkeypatch, l1, l2):
+        for lat in (l1, l2):
+            _kept_minimum(lat)  # the two walks, before the counting starts; the search never walks l2
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        products = count_calls(monkeypatch, "mul")  # every candidate and backtrack check multiplies
+        for oriented in (False, True):
+            assert isometric_mod_rotation(l1, l2, oriented=oriented) is None
+        assert double_coset_equivalent(l1, l2) is None
+        assert walks == [] and products == []
+
+    def test_minimal_norm_candidates_are_the_walks(self):
+        # the kept reduced vectors are exactly what a walk to the minimum keeps,
+        # so the search's candidate lists, and with them its witnesses, are unchanged
+        rng = random.Random(92)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            lat = from_basis(rand_lattice(rng, n, height=3).basis @ rand_unimodular(rng, n, 12, 3).to_matq())
+            gs = lat.reduced_gram()[2]
+            value, _, reduced = _kept_minimum(lat)
+            den = _norm_denominator(gs)[0]
+            walked = [c for c, v in _enumerate_bounded(gs, value) if Fraction(v, den) == value]
+            assert sorted(reduced) == sorted(walked)
+            assert len(set(reduced)) == len(reduced)
+
+    def test_first_search_walks_once_per_column_norm(self, monkeypatch):
+        # with no minimum kept, the search walks once per distinct column norm
+        # of G2' and reads l1's minimum off its smallest walk
+        rng = random.Random(93)
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            nice = rand_lattice(rng, n, height=3)
+            l1 = from_basis(nice.basis @ rand_unimodular(rng, n, 12, 3).to_matq())
+            l2 = from_basis(rand_orthogonal(rng, n) @ nice.basis @ rand_unimodular(rng, n, 12, 3).to_matq())
+            b2 = l2.reduced_gram()[2][0]
+            walks = count_calls(monkeypatch, "_enumerate_bounded")
+            assert isometric_mod_rotation(l1, l2) is not None
+            assert len(walks) == len({b2[j][j] for j in range(n)})
+            assert l2._minimum is None
+            monkeypatch.undo()
+            own = _kept_minimum(Lattice(l1.basis))
+            assert l1._minimum.value == own.value and l1._minimum.vectors == own.vectors
+            assert sorted(l1._minimum.reduced) == sorted(own.reduced)
+
+    def test_first_search_reuses_its_walk(self, monkeypatch):
+        # Z x 2Z has minimum 1, below both columns of the second basis (norm 2): the one
+        # walk, to 2, gives the minimum and the norm-2 candidates (none) at once
+        l1 = from_basis(MatQ([[1, 0], [0, 2]]))
+        l2 = from_basis(MatQ([[1, 1], [1, -1]]))
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        assert isometric_mod_rotation(l1, l2) is None
+        assert len(walks) == 1 and l1._minimum.value == 1 and l2._minimum is None
+
+    def test_short_columns_reject(self, monkeypatch):
+        # every vector of 2 Z^2 has norm >= 4 and the second basis has a column of norm 2:
+        # on first use the one walk, to 2, finds nothing; once the minimum of 2 Z^2
+        # is kept, the short column rejects with no walk at all
+        l1 = from_basis(MatQ([[2, 0], [0, 2]]))
+        l2 = from_basis(MatQ([[1, 2], [-1, 2]]))
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        assert isometric_mod_rotation(l1, l2) is None
+        assert len(walks) == 1 and l1._minimum is None
+        _kept_minimum(l1)
+        walks.clear()
+        assert isometric_mod_rotation(l1, l2) is None and walks == []
+
+
+def walk_search(l1, l2, oriented):
+    """Reference isometry search with every column's candidates walked, none kept:
+    the first tuple, in the order of itertools.product over each column's sorted
+    candidates (both signs), with c_i^T G1' c_j = G2'_ij for all i, j (and det +1
+    with ``oriented``), mapped back through V1 and V2^-1."""
+    if abs(l1.basis_det) != abs(l2.basis_det) or oriented and (l1.basis_det > 0) != (l2.basis_det > 0):
+        return None
+    v1, _, gs1 = l1.reduced_gram()
+    v2, v2_inv, gs2 = l2.reduced_gram()
+    (b1, scale1), (b2, scale2) = gs1[:2], gs2[:2]
+    n, den1 = l1.n, _norm_denominator(gs1)[0]
+    columns = []
+    for j in range(n):
+        target, rem = divmod(b2[j][j] * den1, scale2)
+        reps = [] if rem else [c for c, v in _enumerate_bounded(gs1, Fraction(b2[j][j], scale2)) if v == target]
+        columns.append(sorted(reps + [tuple(-x for x in c) for c in reps]))
+    for cols in itertools.product(*columns):
+        images = [[scale2 * sum(map(operator.mul, row, c)) for row in b1] for c in cols]
+        if all(sum(map(operator.mul, images[i], cols[j])) == scale1 * b2[i][j] for i in range(n) for j in range(n)):
+            w = v1 @ MatZ([list(row) for row in zip(*cols)]) @ v2_inv
+            if not oriented or w.det() == 1:
+                return w
+    return None
+
+
+class TestKeptMinimumAgainstOracles:
+    """400 random pairs, n <= 4: shortest vectors and radii against brute force,
+    and isometry witnesses equal to the all-walk reference search, in both
+    orders, oriented or not, and through ``double_coset_equivalent``, with
+    both minima kept and, on fresh copies, with none."""
+
+    def test_random_pairs(self):
+        rng = random.Random(1414)
+        pairs = isometric = 0
+        while pairs < 400:
+            n = rng.randint(1, 4)
+            nice = standard(n) if rng.random() < 0.25 else rand_lattice(rng, n, height=3)
+            if rng.random() < 0.5:
+                partner = from_basis(rand_orthogonal(rng, n) @ nice.basis)
+            else:
+                d = [Fraction(2), Fraction(1, 2)] + [Fraction(1)] * (n - 2) if n > 1 else [Fraction(-1)]
+                partner = from_basis(nice.basis @ MatQ([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+            oracles = []
+            for base in (nice, partner):
+                ceiling = min(base.gram_matrix().rows[i][i] for i in range(n))
+                box = cauchy_schwarz_box(base, ceiling)
+                if math.prod(2 * r + 1 for r in box) > 3000:
+                    break  # run time only: redraw
+                oracles.append(classes_within(base, ceiling, box))
+            else:
+                pairs += 1
+                lattices = [from_basis(base.basis @ rand_unimodular_pm(rng, n, 10, 2).to_matq())
+                            for base in (nice, partner)]
+                for lat, base, classes in zip(lattices, (nice, partner), oracles):
+                    lam = min(classes.values())
+                    want = sorted(_canonical_sign(tuple(int(x) for x in lat.coordinates(base.basis.mul_vec(c))))
+                                  for c, q in classes.items() if q == lam)
+                    assert [v.coeffs for v in shortest_vectors(lat)] == want
+                    r_sq, r = injectivity_radius(lat)
+                    assert r_sq == lam / 4 and abs(r * r - lam / 4) <= 1e-15 * (lam / 4)
+                for l1, l2 in (lattices, lattices[::-1]):
+                    for oriented in (False, True):
+                        got = isometric_mod_rotation(l1, l2, oriented=oriented)
+                        want = walk_search(l1, l2, oriented)
+                        assert (got is None) == (want is None) and (got is None or got.rows == want.rows)
+                        isometric += got is not None
+                    got = double_coset_equivalent(l1, l2)
+                    assert (got is None) == (walk_search(l1, l2, False) is None)
+                    # on fresh copies, with no minimum kept, the first search reads it off its walk
+                    got = isometric_mod_rotation(Lattice(l1.basis), Lattice(l2.basis))
+                    want = walk_search(l1, l2, False)
+                    assert (got is None) == (want is None) and (got is None or got.rows == want.rows)
+        # both answers occur often
+        assert 400 < isometric < 1200, isometric
+
+
 def cauchy_schwarz_box(lattice, bound):
     """Radii r_i with |x_i| <= r_i for every x with x^T G x <= bound: x_i^2 <= bound * (G^-1)_ii."""
     ginv = lattice.gram_matrix().inverse()
@@ -428,13 +621,16 @@ def cauchy_schwarz_box(lattice, bound):
 def classes_within(lattice, bound, box):
     """Oracle: squared length of every nonzero class with squared length <= bound,
     one per +- pair (highest-index nonzero coefficient positive), by ambient dot
-    products over ``cauchy_schwarz_box``."""
+    products over ``cauchy_schwarz_box``, in integers on the basis times the
+    common denominator d of its entries."""
+    d = math.lcm(*(x.denominator for row in lattice.basis.rows for x in row))
+    lift = [[int(x * d) for x in row] for row in lattice.basis.rows]
     out = {}
     for coeffs in itertools.product(*[range(-r, r + 1) for r in box]):
         if not any(coeffs) or next(c for c in reversed(coeffs) if c) < 0:
             continue
-        v = lattice.basis.mul_vec(coeffs)
-        q = sum((x * x for x in v), Fraction(0))
+        v = [sum(map(operator.mul, row, coeffs)) for row in lift]
+        q = Fraction(sum(x * x for x in v), d * d)
         if q <= bound:
             out[coeffs] = q
     return out

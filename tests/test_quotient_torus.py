@@ -318,6 +318,20 @@ class TestVolumes:
         # range; their product is 1, and only the product is rounded
         assert volume_of_scaled(scale(standard(2), Fraction(1, 2**600)), 2**600) == 1.0
 
+    @pytest.mark.parametrize("lattice_scale, c", [
+        (10**400, Fraction(1, 10**400)),
+        (Fraction(1, 10**400), 10**400),
+    ], ids=["fraction-scale", "int-scale"])
+    def test_exact_scale_outside_the_float_range(self, lattice_scale, c):
+        # neither c nor the covolume 10^(+-800) has a float; an int or Fraction
+        # scale enters the exact product as it is, and the volume is exactly 1
+        assert volume_of_scaled(scale(standard(2), lattice_scale), c) == 1.0
+
+    def test_exact_scale_rounds_once(self):
+        # (1/5)^2 = 1/25 rounded once; through the float of 1/5 it read 0.04000000000000001
+        assert volume_of_scaled(standard(2), Fraction(1, 5)) == 0.04 == float(Fraction(1, 25))
+        assert volume_of_scaled(standard(2), 0.2) == float(Fraction(0.2) ** 2) != 0.04
+
     def test_parallelepiped_identity_map(self):
         f = make_induced_map(MatQ.identity(2), standard(2), standard(2))
         edges = Fraction(1, 2) * MatQ.identity(2)
