@@ -11,17 +11,26 @@ runs the LLL once and keeps what it returns, the triple (V, V^-1, gs) of
 transform, inverse transform and that data (``Lattice.reduced_gram``);
 enumeration and the isometry search work in reduced coordinates and map
 their answers back through V and V^-1, so results never depend on the
-presentation.  Each lattice also keeps its minimum, the squared length of
-its shortest closed geodesics, with the minimal vectors (``_kept_minimum``):
-one walk answers ``shortest_vectors``, ``injectivity_radius`` (half the
-minimal length, the largest radius on which R^n -> R^n / L is injective)
-and the isometry search's minimal-norm columns.  The gain is on repeated
-calls on one lattice object: a first call still walks once.
+presentation.
+
+Each lattice also keeps what its short-vector walks found (``_Walks``, in
+the lattice's one slot for it): the norm data every walk shares; its
+minimum, the squared length of its shortest closed geodesics, with the
+minimal vectors, which answer ``shortest_vectors`` and
+``injectivity_radius`` (half the minimal length, the largest radius on
+which R^n -> R^n / L is injective); its geodesic spectrum up to the largest
+bound asked so far, which answers every smaller bound; and, for each norm
+an isometry search asked for, the vectors of that norm, which serve every
+later search from the lattice.  A first call still walks once; the gain is
+on repeated calls on one lattice object.  What is kept is bounded by what
+was asked: one (length, count) pair per length a spectrum returned, and the
+vectors of the norms a search asked for.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -56,6 +65,15 @@ class LatticeVector:
             )
         self.lattice = lattice
         self.coeffs = cs
+
+    @classmethod
+    def _of(cls, lattice: Lattice, coeffs: tuple[int, ...]) -> LatticeVector:
+        """The vector on ``coeffs``, a tuple of n ints that the library built: no
+        conversion or check (as ``MatQ._of``)."""
+        v = object.__new__(cls)
+        v.lattice = lattice
+        v.coeffs = coeffs
+        return v
 
     def ambient(self) -> tuple[Fraction, ...]:
         return self.lattice.basis.mul_vec(self.coeffs)
@@ -103,28 +121,27 @@ def _norm_denominator(gs: tuple) -> tuple[int, list[int]]:
     return m * scale, [m // x for x in dd]
 
 
-def _enumerate_bounded(gs: tuple, bound: Fraction) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(x, v) for all nonzero integer vectors x with x^T G' x = v / den <= bound, one per +- pair.
+def _enumerate_bounded(gs: tuple, c: list[int], top: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(x, v) for all nonzero integer vectors x with v = den * x^T G' x <= top, one per +- pair.
 
     ``gs`` is the integer Gram-Schmidt data (b, scale, d, lam) of the form
     G' = b / scale (``Lattice.reduced_gram``) and den, c_k come from
-    ``_norm_denominator``, so v = sum_k c_k y_k^2 is an integer.  The walk is
-    Fincke & Pohst's (Math. Comp. 44, 1985) as one loop, not a recursion (as
-    in Agrell, Eriksson, Vardy & Zeger, IEEE Trans. IT 48, 2002): x_{n-1} is
-    chosen first and the levels descend, each holding its coordinate x_k, the end of its interval,
-    its centre t_k = sum_{j>k} lam[j][k] x_j (so y_k = d[k+1] x_k + t_k) and
-    the budget left for it and the levels below.  A budget r bounds |y_k| by
+    ``_norm_denominator`` (a lattice keeps them, ``_Walks``), so
+    v = sum_k c_k y_k^2 is an integer and a bound on x^T G' x is the integer
+    top = floor(bound * den).  The walk is Fincke & Pohst's (Math. Comp. 44,
+    1985) as one loop, not a recursion (as in Agrell, Eriksson, Vardy &
+    Zeger, IEEE Trans. IT 48, 2002): x_{n-1} is chosen first and the levels
+    descend, each holding its coordinate x_k, the end of its interval, its
+    centre t_k = sum_{j>k} lam[j][k] x_j (so y_k = d[k+1] x_k + t_k) and the
+    budget left for it and the levels below.  A budget r bounds |y_k| by
     isqrt(r // c_k), an exact integer interval for x_k; the first budget is
-    floor(bound * den), exact because v is an integer.  The representative
-    of each +-x pair is the one whose highest-index nonzero coordinate is
-    positive, obtained for free by restricting the first not-yet-nonzero
-    coordinate to be >= 0.  The vectors stream out one at a time.  Every
-    caller passes a positive bound.
+    top.  The representative of each +-x pair is the one whose highest-index
+    nonzero coordinate is positive, obtained for free by restricting the
+    first not-yet-nonzero coordinate to be >= 0.  The vectors stream out one
+    at a time.  Every caller passes a nonnegative top.
     """
     d, lam = gs[2], gs[3]
     n = len(d) - 1
-    den, c = _norm_denominator(gs)
-    top = bound.numerator * den // bound.denominator
     below = [[lam[j][k] for j in range(k + 1, n)] for k in range(n)]  # column k of lam under the diagonal
     x = [0] * n
     end = [0] * n
@@ -182,30 +199,74 @@ def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Minimum(NamedTuple):
-    """What ``Lattice._minimum`` keeps: the minimum of the lattice, the squared length
-    of its shortest closed geodesics; the minimal vectors over its basis, one per +-
-    pair, last nonzero entry positive, sorted; and the same vectors in LLL-reduced
-    coordinates, in walk order."""
+    """A kept minimum: the minimum of the lattice, the squared length of its shortest
+    closed geodesics; the minimal vectors over its basis, one per +- pair, last
+    nonzero entry positive, sorted; the same vectors in LLL-reduced coordinates, in
+    walk order; and den times the minimum, the walk's integer for it."""
 
     value: Fraction
     vectors: tuple[tuple[int, ...], ...]
     reduced: tuple[tuple[int, ...], ...]
+    norm: int
+
+
+class _Spectrum(NamedTuple):
+    """A kept spectrum: top = floor(bound * den) for the largest bound asked so far;
+    norms, the integers v = den * length of the lengths attained up to it, sorted;
+    and tally, the answer's (length, count) pairs in the same order."""
+
+    top: int
+    norms: list[int]
+    tally: list[tuple[Fraction, int]]
+
+
+class _Walks:
+    """What a lattice keeps of its short-vector walks, in its slot ``Lattice._walks``.
+
+    ``den`` and ``c`` are the norm data of every walk of its reduced form
+    (``_norm_denominator``); ``minimum`` is a ``_Minimum``, ``spectrum`` a
+    ``_Spectrum``, each None until first asked; ``shells`` maps an integer
+    v = den * norm to the candidates of an isometry search for a column of
+    that norm: both signs of every vector x of the reduced form with
+    den * x^T G' x = v, sorted, each with the integers b x (b = scale * G').
+    The lattice is immutable, so nothing goes stale.  An entry is built
+    whole and then stored, never changed after: a walk that stops half way
+    keeps nothing, and concurrent callers read either the old entry or the
+    new.  No lock is taken: two callers that store at once can lose one of
+    their entries, which costs a later walk, never a wrong answer.
+    """
+
+    __slots__ = ("den", "c", "minimum", "spectrum", "shells")
+
+    def __init__(self, gs: tuple):
+        self.den, self.c = _norm_denominator(gs)
+        self.minimum: _Minimum | None = None
+        self.spectrum: _Spectrum | None = None
+        self.shells: dict[int, tuple] = {}
+
+
+def _walks(lattice: Lattice) -> _Walks:
+    """The lattice's kept walks; an empty store is made on first use, never at construction."""
+    kept = lattice._walks
+    if kept is None:
+        kept = lattice._walks = _Walks(lattice.reduced_gram()[2])
+    return kept
 
 
 def _kept_minimum(lattice: Lattice, walked: Iterable | None = None) -> _Minimum:
-    """The lattice's minimum, found on first use and kept on the lattice; the
-    lattice is immutable, so it never goes stale.
+    """The lattice's minimum, found on first use and kept (``_Walks``).
 
     The first use reads it off ``walked`` when given: a walk of the reduced
     form (``_enumerate_bounded``) that the caller made anyway, to a bound at
     or above the minimum.  Otherwise it walks to the smallest diagonal entry
     of the reduced form, which is always attained, so the minimum is below it.
     """
-    if lattice._minimum is None:
+    kept = _walks(lattice)
+    if kept.minimum is None:
         v, _, gs = lattice.reduced_gram()
         if walked is None:
             b = gs[0]
-            walked = _enumerate_bounded(gs, Fraction(min(b[i][i] for i in range(len(b))), gs[1]))
+            walked = _enumerate_bounded(gs, kept.c, min(b[i][i] for i in range(len(b))) * kept.den // gs[1])
         best: int | None = None
         found: list[tuple[int, ...]] = []
         for coeffs, value in walked:
@@ -215,26 +276,35 @@ def _kept_minimum(lattice: Lattice, walked: Iterable | None = None) -> _Minimum:
             elif value == best:
                 found.append(coeffs)
         vectors = tuple(sorted(_canonical_sign(v.mul_vec(c)) for c in found))
-        lattice._minimum = _Minimum(Fraction(best, _norm_denominator(gs)[0]), vectors, tuple(found))
-    return lattice._minimum
+        kept.minimum = _Minimum(Fraction(best, kept.den), vectors, tuple(found), best)
+    return kept.minimum
 
 
 def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
     """All shortest nonzero vector classes, one per +- pair, in coefficient order."""
-    return [LatticeVector(lattice, c) for c in _kept_minimum(lattice).vectors]
+    return [LatticeVector._of(lattice, c) for c in _kept_minimum(lattice).vectors]
 
 
 def geodesic_spectrum(lattice: Lattice, bound) -> list[tuple[Fraction, int]]:
-    """Squared lengths <= bound with multiplicities (each +- pair counted once)."""
+    """Squared lengths <= bound with multiplicities (each +- pair counted once).
+
+    The lattice keeps the spectrum to the largest bound asked so far
+    (``_Walks``): a bound at or below it is answered from the kept list, a
+    larger one walks once and replaces it.
+    """
     bound = _frac(bound)
     if bound <= 0:
         raise NonPositiveBound("spectrum bound must be positive")
-    gs = lattice.reduced_gram()[2]
-    tally: dict[int, int] = {}
-    for _, value in _enumerate_bounded(gs, bound):
-        tally[value] = tally.get(value, 0) + 1
-    den = _norm_denominator(gs)[0]
-    return [(Fraction(value, den), count) for value, count in sorted(tally.items())]
+    kept = _walks(lattice)
+    top = bound.numerator * kept.den // bound.denominator
+    spectrum = kept.spectrum
+    if spectrum is None or spectrum.top < top:
+        tally: dict[int, int] = {}
+        for _, value in _enumerate_bounded(lattice.reduced_gram()[2], kept.c, top):
+            tally[value] = tally.get(value, 0) + 1
+        norms = sorted(tally)
+        spectrum = kept.spectrum = _Spectrum(top, norms, [(Fraction(v, kept.den), tally[v]) for v in norms])
+    return spectrum.tally[:bisect_right(spectrum.norms, top)]
 
 
 def angle(v: LatticeVector, w: LatticeVector) -> float:
@@ -283,21 +353,24 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     Such a U certifies an ambient orthogonal map taking the first lattice
     onto the second, i.e. that the two quotient tori are isometric by a
     rotation.  The search runs on the LLL-reduced forms G1' = V1^T G1 V1 and
-    G2' = V2^T G2 V2: it matches G2' column by column against enumerated
-    vectors of G1', and a witness U' with U'^T G1' U' = G2' maps back to
-    U = V1 U' V2^-1, V2^-1 the one ``reduced_gram`` keeps beside V2.
+    G2' = V2^T G2 V2: it matches G2' column by column against vectors of G1'
+    of the column's norm, and a witness U' with U'^T G1' U' = G2' maps back
+    to U = V1 U' V2^-1, V2^-1 the one ``reduced_gram`` keeps beside V2.
 
-    The minimum of the first lattice (``_kept_minimum``) serves the search:
-    every column of G2' is a nonzero vector of L2, so no column of an
-    isometric pair is shorter than it, and a column of that norm takes its
-    candidates from the kept minimal vectors; only the other norms walk.  On
-    first use the minimum is read off the walk for the smallest column norm,
-    which passes every shorter vector of G1', so a first search walks each
-    distinct column norm at most once.  When the second lattice's minimum is
-    kept too, a pair whose minima or numbers of minimal vectors differ is
-    rejected before any candidate is sought; the search never walks the
-    second lattice for that check, which would cost every isometric pair one
-    more walk.
+    What the first lattice keeps of its walks (``_Walks``) serves the search,
+    as Plesken & Souvignier (JSC 24, 1997) compute the short vectors once for
+    every column.  The candidates of each column norm are walked once per
+    lattice and kept, without any data of the partner, so every later search
+    from the first lattice walks only for a norm it never asked; a column of
+    the minimal norm takes the kept minimal vectors.  Every column of G2' is
+    a nonzero vector of L2, so no column of an isometric pair is shorter than
+    the first minimum.  On first use the minimum is read off the walk for the
+    smallest column norm, which passes every shorter vector of G1', so a
+    first search walks each distinct column norm at most once.  When the
+    second lattice's minimum is kept too, a pair whose minima or numbers of
+    minimal vectors differ is rejected before any candidate is sought; the
+    search never walks the second lattice for that check, which would cost
+    every isometric pair one more walk.
 
     With ``oriented`` the witness must additionally have determinant +1 and
     the implied ambient map must preserve orientation.
@@ -314,54 +387,70 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     v1, _, gs1 = l1.reduced_gram()
     v2, v2_inv, gs2 = l2.reduced_gram()
     n = l1.n
-    # det U' = +-1 follows from det G1' = det G2'; det U = det U' * det V1 * det V2
-    sign = v1.det() * v2.det() if oriented else 1
     b1, scale1 = gs1[0], gs1[1]
     b2, scale2 = gs2[0], gs2[1]
-    # c_i^T G1' c_j = G2'_ij  <=>  (scale2 * b1 c_i) . c_j = scale1 * b2_ij, in integers
-    targets = [[scale1 * x for x in row] for row in b2]
-    den1 = _norm_denominator(gs1)[0]
-    low = min(b2[j][j] for j in range(n))
-    walked = None
-    if l1._minimum is None:
-        walked = list(_enumerate_bounded(gs1, Fraction(low, scale2)))
-        if not walked:
-            return None  # G1' has no vector as short as a column of G2'
-    min1, _, short1 = _kept_minimum(l1, walked)
-    if low < min1 * scale2:
-        return None
-    kept2 = l2._minimum
-    if kept2 is not None and (kept2.value != min1 or len(kept2.reduced) != len(short1)):
-        return None
-
-    # the candidates for a column of norm b2_jj / scale2: both signs of every c with
-    # den1 * c^T G1' c = target, sorted (no c if target is not an integer, as every form
-    # value is a multiple of 1 / den1), each with scale2 * b1 c for the checks against later columns;
-    # at the minimum these are the kept minimal vectors, at the smallest norm the cold walk's
-    candidates: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
+    kept1 = _walks(l1)
+    den1 = kept1.den
+    # c_i^T G1' c_j = G2'_ij  <=>  (b1 c_i) . c_j = scale1 * b2_ij / scale2, in integers, and
+    # den1 * c_j^T G1' c_j = den1 * b2_jj / scale2: a pair whose right side is no integer has no witness
+    targets = []
+    norms = []
     for j in range(n):
-        norm = b2[j][j]
-        if norm not in candidates:
-            value = Fraction(norm, scale2)
-            if value == min1:
-                reps = list(short1)
-            else:
-                target, rem = divmod(norm * den1, scale2)
-                walk = walked if norm == low and walked is not None else _enumerate_bounded(gs1, value)
-                reps = [] if rem else [c for c, v in walk if v == target]
-            reps += [tuple(-x for x in c) for c in reps]
-            candidates[norm] = [(c, [scale2 * sum(map(mul, row, c)) for row in b1]) for c in sorted(reps)]
-        if not candidates[norm]:
+        row = []
+        for i in range(j):
+            t, rem = divmod(scale1 * b2[j][i], scale2)
+            if rem:
+                return None
+            row.append(t)
+        targets.append(row)
+        norm, rem = divmod(den1 * b2[j][j], scale2)
+        if rem:
             return None
+        norms.append(norm)
+    low = min(norms)
+    shells = kept1.shells
+    walked = None
+    if kept1.minimum is None:
+        if shells.get(low) == ():
+            return None  # kept from an earlier search: the walk to low found nothing
+        walked = list(_enumerate_bounded(gs1, kept1.c, low))
+        if not walked:
+            shells[low] = ()  # G1' has no vector as short as a column of G2'
+            return None
+    minimum = _kept_minimum(l1, walked)
+    if low < minimum.norm:
+        return None
+    kept2 = l2._walks
+    if kept2 is not None and kept2.minimum is not None and (
+        kept2.minimum.value != minimum.value or len(kept2.minimum.reduced) != len(minimum.reduced)
+    ):
+        return None
 
-    cols: list[tuple[tuple[int, ...], list[int]]] = []
+    columns = []
+    for norm in norms:
+        shell = shells.get(norm)
+        if shell is None:
+            if norm == minimum.norm:
+                reps = list(minimum.reduced)
+            else:
+                walk = walked if norm == low and walked is not None else _enumerate_bounded(gs1, kept1.c, norm)
+                reps = [c for c, v in walk if v == norm]
+            reps += [tuple(-x for x in c) for c in reps]
+            shell = shells[norm] = tuple((c, tuple([sum(map(mul, row, c)) for row in b1])) for c in sorted(reps))
+        if not shell:
+            return None
+        columns.append(shell)
+
+    # det U' = +-1 follows from det G1' = det G2'; det U = det U' * det V1 * det V2
+    sign = v1.det() * v2.det() if oriented else 1
+    cols: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def backtrack(j: int) -> MatZ | None:
         if j == n:
             u = MatZ._of(tuple(zip(*(col[0] for col in cols))))
             return None if oriented and u.det() * sign != 1 else u
         target_row = targets[j]
-        for cand in candidates[b2[j][j]]:
+        for cand in columns[j]:
             c = cand[0]
             if all(sum(map(mul, cols[i][1], c)) == target_row[i] for i in range(j)):
                 cols.append(cand)

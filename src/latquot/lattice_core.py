@@ -27,7 +27,7 @@ from .exactnum import MatQ, MatZ, _frac, _int_lift, _lll, hnf
 class Lattice:
     """Lattice basis(Z^n); the columns of ``basis`` are the generators."""
 
-    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced", "_minimum")
+    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced", "_walks")
 
     def __init__(self, basis: MatQ):
         det = basis.det()
@@ -40,8 +40,8 @@ class Lattice:
         self._canonical: MatQ | None = None
         self._gram: MatQ | None = None
         self._reduced: tuple | None = None
-        # flat_geometry's: it fills and reads this slot (``_kept_minimum``)
-        self._minimum: tuple | None = None
+        # flat_geometry's: what the lattice's short-vector walks found (``flat_geometry._walks``)
+        self._walks = None
 
     def canonical_basis(self) -> MatQ:
         """Presentation-independent basis: the scaled column Hermite form.

@@ -146,6 +146,6 @@ def double_coset_equivalent(l1: Lattice, l2: Lattice, oriented: bool = False) ->
     # imported here, so that the rest of this module loads without flat_geometry
     from .flat_geometry import isometric_mod_rotation
 
-    if covolume(l1) != covolume(l2):
+    if abs(l1.basis_det) != abs(l2.basis_det):  # the covolumes
         raise CovolumeMismatch("lattices have different covolumes")
     return isometric_mod_rotation(l1, l2, oriented=oriented)

@@ -14,6 +14,8 @@ from latquot.lattice_core import Lattice
 
 settings.register_profile("exact", derandomize=True, max_examples=60, deadline=None)
 settings.load_profile("exact")
+# a wider random search, for a CI rerun of chosen files: pytest --hypothesis-profile=fuzz
+settings.register_profile("fuzz", derandomize=False, max_examples=400, deadline=None)
 
 # rational rotation blocks: (a, b, c) with a^2 + b^2 = c^2
 PYTHAGOREAN_TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]

@@ -5,6 +5,8 @@ import math
 import operator
 import random
 import signal
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from latquot.flat_geometry import (
     _form_value,
     _kept_minimum,
     _norm_denominator,
+    _walks,
     angle,
     geodesic_spectrum,
     gram,
@@ -40,7 +43,7 @@ from latquot.flat_geometry import (
     signed_cos_squared,
     squared_length,
 )
-from latquot.lattice_core import Lattice, equals, from_basis, scale, standard
+from latquot.lattice_core import Lattice, covolume, equals, from_basis, scale, standard
 from latquot.moduli_spaces import double_coset_equivalent, gram_map
 
 from conftest import rand_invertible, rand_lattice, rand_orthogonal, rand_unimodular, rand_unimodular_pm
@@ -60,6 +63,12 @@ def brute_force_classes(lattice, box):
         v = lattice.basis.mul_vec(coeffs)
         out[coeffs] = sum((x * x for x in v), Fraction(0))
     return out
+
+
+def walk(gs, bound):
+    """``_enumerate_bounded`` to a rational bound on x^T G' x, with the norm data computed afresh."""
+    den, c = _norm_denominator(gs)
+    return _enumerate_bounded(gs, c, math.floor(bound * den))
 
 
 def brute_force_minimum(lattice, box=5):
@@ -458,7 +467,7 @@ class TestKeptMinimum:
             standard(3),
             scale(standard(2), Fraction(1, 3)),
         ]
-        assert walks == [] and all(lat._minimum is None for lat in lattices)
+        assert walks == [] and all(lat._walks is None for lat in lattices)
 
     @pytest.mark.parametrize("l1, l2", [
         # covolume 2: minimum 1 against minimum 2; Z^2 has no vector of
@@ -488,9 +497,9 @@ class TestKeptMinimum:
             n = rng.randint(1, 4)
             lat = from_basis(rand_lattice(rng, n, height=3).basis @ rand_unimodular(rng, n, 12, 3).to_matq())
             gs = lat.reduced_gram()[2]
-            value, _, reduced = _kept_minimum(lat)
+            value, _, reduced, _ = _kept_minimum(lat)
             den = _norm_denominator(gs)[0]
-            walked = [c for c, v in _enumerate_bounded(gs, value) if Fraction(v, den) == value]
+            walked = [c for c, v in walk(gs, value) if Fraction(v, den) == value]
             assert sorted(reduced) == sorted(walked)
             assert len(set(reduced)) == len(reduced)
 
@@ -507,11 +516,11 @@ class TestKeptMinimum:
             walks = count_calls(monkeypatch, "_enumerate_bounded")
             assert isometric_mod_rotation(l1, l2) is not None
             assert len(walks) == len({b2[j][j] for j in range(n)})
-            assert l2._minimum is None
+            assert l2._walks is None
             monkeypatch.undo()
             own = _kept_minimum(Lattice(l1.basis))
-            assert l1._minimum.value == own.value and l1._minimum.vectors == own.vectors
-            assert sorted(l1._minimum.reduced) == sorted(own.reduced)
+            assert l1._walks.minimum.value == own.value and l1._walks.minimum.vectors == own.vectors
+            assert sorted(l1._walks.minimum.reduced) == sorted(own.reduced)
 
     def test_first_search_reuses_its_walk(self, monkeypatch):
         # Z x 2Z has minimum 1, below both columns of the second basis (norm 2): the one
@@ -520,7 +529,7 @@ class TestKeptMinimum:
         l2 = from_basis(MatQ([[1, 1], [1, -1]]))
         walks = count_calls(monkeypatch, "_enumerate_bounded")
         assert isometric_mod_rotation(l1, l2) is None
-        assert len(walks) == 1 and l1._minimum.value == 1 and l2._minimum is None
+        assert len(walks) == 1 and l1._walks.minimum.value == 1 and l2._walks is None
 
     def test_short_columns_reject(self, monkeypatch):
         # every vector of 2 Z^2 has norm >= 4 and the second basis has a column of norm 2:
@@ -530,7 +539,7 @@ class TestKeptMinimum:
         l2 = from_basis(MatQ([[1, 2], [-1, 2]]))
         walks = count_calls(monkeypatch, "_enumerate_bounded")
         assert isometric_mod_rotation(l1, l2) is None
-        assert len(walks) == 1 and l1._minimum is None
+        assert len(walks) == 1 and l1._walks.minimum is None
         _kept_minimum(l1)
         walks.clear()
         assert isometric_mod_rotation(l1, l2) is None and walks == []
@@ -550,7 +559,7 @@ def walk_search(l1, l2, oriented):
     columns = []
     for j in range(n):
         target, rem = divmod(b2[j][j] * den1, scale2)
-        reps = [] if rem else [c for c, v in _enumerate_bounded(gs1, Fraction(b2[j][j], scale2)) if v == target]
+        reps = [] if rem else [c for c, v in walk(gs1, Fraction(b2[j][j], scale2)) if v == target]
         columns.append(sorted(reps + [tuple(-x for x in c) for c in reps]))
     for cols in itertools.product(*columns):
         images = [[scale2 * sum(map(operator.mul, row, c)) for row in b1] for c in cols]
@@ -610,6 +619,250 @@ class TestKeptMinimumAgainstOracles:
                     assert (got is None) == (want is None) and (got is None or got.rows == want.rows)
         # both answers occur often
         assert 400 < isometric < 1200, isometric
+
+
+def represented(rng, lattice):
+    """The lattice on a randomly re-presented basis, a new object with nothing kept."""
+    return from_basis(lattice.basis @ rand_unimodular_pm(rng, lattice.n, 10, 2).to_matq())
+
+
+def rescaled_partner(lattice):
+    """A lattice of the same covolume whose Gram form has other denominators, in general not isometric."""
+    n = lattice.n
+    d = [Fraction(2), Fraction(1, 2)] + [Fraction(1)] * (n - 2) if n > 1 else [Fraction(-1)]
+    return from_basis(lattice.basis @ MatQ([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+
+
+def same_search(got, want):
+    return (got is None) == (want is None) and (got is None or got.rows == want.rows)
+
+
+CALL_KINDS = ("spectrum", "shortest", "radius", "search", "oriented", "coset")
+
+
+def check_calls(pool, calls):
+    """Run ``calls`` on the lattices of ``pool`` in the order given, each answer
+    against a fresh lattice that keeps nothing (the isometry search against
+    ``walk_search``); returns the pairs (i, j) of distinct lattices searched."""
+    unit = min(pool[0].gram_matrix().rows[i][i] for i in range(pool[0].n)) / 20
+    searched = set()
+    for kind, i, j, k in calls:
+        a, b = pool[i], pool[j]
+        if kind == "spectrum":
+            bound = k * unit  # a multiple of 1/den or not, rising, falling and repeated as drawn
+            assert geodesic_spectrum(a, bound) == geodesic_spectrum(Lattice(a.basis), bound)
+        elif kind == "shortest":
+            assert [v.coeffs for v in shortest_vectors(a)] == [v.coeffs for v in shortest_vectors(Lattice(a.basis))]
+        elif kind == "radius":
+            assert injectivity_radius(a) == injectivity_radius(Lattice(a.basis))
+        elif kind == "coset":
+            if covolume(a) == covolume(b):
+                assert same_search(double_coset_equivalent(a, b), walk_search(a, b, False))
+                searched.add((i, j))
+        else:
+            oriented = kind == "oriented"
+            assert same_search(isometric_mod_rotation(a, b, oriented=oriented), walk_search(a, b, oriented))
+            searched.add((i, j))
+    return {(i, j) for i, j in searched if i != j}
+
+
+def random_pool(rng, n):
+    """Three lattices: a re-presented random lattice, a rotated re-presentation of
+    it, and a re-presented partner of the same covolume and other Gram denominators."""
+    nice = rand_lattice(rng, n, height=3)
+    return [
+        represented(rng, nice),
+        from_basis(rand_orthogonal(rng, n) @ represented(rng, nice).basis) if n > 1 else represented(rng, nice),
+        represented(rng, rescaled_partner(nice)),
+    ]
+
+
+class TestKeptWalksAgainstOracles:
+    """Kept minima, spectra and shells answer as fresh lattices do, in any call order:
+    spectrum bounds that rise, fall, repeat or are not multiples of 1/den, one
+    lattice searched against partners with other Gram denominators (another
+    scale2), oriented or not and through ``double_coset_equivalent``, witnesses
+    equal to ``walk_search``'s row for row."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(
+            st.tuples(
+                st.sampled_from(CALL_KINDS),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=1, max_value=40),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_any_call_order(self, seed, calls):
+        rng = random.Random(seed)
+        check_calls(random_pool(rng, rng.randint(1, 4)), calls)
+
+    def test_random_pairs(self):
+        # every ordered pair of each pool, with spectra, minima and searches between
+        rng = random.Random(1515)
+        pairs = other_scale = 0
+        while pairs < 400:
+            n = rng.randint(1, 4)
+            pool = random_pool(rng, n)
+            calls = [(kind, i, j, rng.randint(1, 40)) for i in range(3) for j in range(3) for kind in CALL_KINDS]
+            rng.shuffle(calls)
+            pairs += len(check_calls(pool, calls))
+            other_scale += pool[0].reduced_gram()[2][1] != pool[2].reduced_gram()[2][1]
+        assert other_scale > 20, other_scale
+
+
+class TestKeptWalks:
+    """Which calls walk once a lattice keeps its walks, and what a walk cut short keeps."""
+
+    def test_spectrum_walks_only_past_the_kept_top(self, monkeypatch):
+        # lengths of (1/3) Z^3 are multiples of 1/9; 1/7 and 5/18 are not
+        lat = from_basis(Fraction(1, 3) * rand_unimodular(random.Random(8), 3, 12, 3).to_matq())
+        bounds = [Fraction(2, 9), Fraction(1, 9), Fraction(2, 9), Fraction(1, 7), Fraction(1, 100),
+                  Fraction(3, 9), Fraction(5, 18), Fraction(3, 9), Fraction(1)]
+        want = [geodesic_spectrum(Lattice(lat.basis), b) for b in bounds]
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        got, walked = [], []
+        for b in bounds:
+            got.append(geodesic_spectrum(lat, b))
+            walked.append(len(walks))
+        assert walked == [1, 1, 1, 1, 1, 2, 2, 2, 3]
+        assert got == want and want[4] == [] and want[1] == [(Fraction(1, 9), 3)]
+        assert _walks(lat).spectrum.top == 1 * _walks(lat).den
+
+    def test_a_larger_bound_replaces_the_kept_spectrum_whole(self):
+        lat = from_basis(rand_unimodular(random.Random(9), 3, 12, 3).to_matq())
+        small = geodesic_spectrum(lat, 2)
+        kept = _walks(lat).spectrum
+        before = (kept.top, list(kept.norms), list(kept.tally))
+        small.append("the caller's own list")
+        assert geodesic_spectrum(lat, 3) == [(1, 3), (2, 6), (3, 4)]
+        assert _walks(lat).spectrum is not kept and (kept.top, kept.norms, kept.tally) == before
+        assert geodesic_spectrum(lat, 2) == [(1, 3), (2, 6)]
+
+    def test_repeat_searches_walk_nothing(self, monkeypatch):
+        rng = random.Random(95)
+        for _ in range(40):
+            pool = random_pool(rng, rng.randint(2, 4))
+            l1 = pool[0]
+            calls = [(p, oriented) for p in pool[1:] for oriented in (False, True)]
+            first = [isometric_mod_rotation(l1, p, oriented=oriented) for p, oriented in calls]
+            walks = count_calls(monkeypatch, "_enumerate_bounded")
+            again = [isometric_mod_rotation(l1, p, oriented=oriented) for p, oriented in calls]
+            cosets = [double_coset_equivalent(l1, p) for p in pool[1:]]
+            assert walks == []
+            assert all(same_search(g, w) for g, w in zip(again, first))
+            assert all(same_search(g, w) for g, w in zip(cosets, first[::2]))
+            monkeypatch.undo()
+
+    def test_first_search_walks_each_norm_at_most_once(self, monkeypatch):
+        # isometric and not, on lattices that keep nothing: every walk goes to a
+        # distinct column norm of G2' (its top, den1 * b2_jj / scale2)
+        rng = random.Random(96)
+        for _ in range(60):
+            l1, iso, other = random_pool(rng, rng.randint(2, 4))
+            for l2 in (iso, other):
+                fresh = Lattice(l1.basis)
+                b2, scale2 = l2.reduced_gram()[2][:2]
+                den1 = _norm_denominator(fresh.reduced_gram()[2])[0]
+                tops = {Fraction(den1 * b2[j][j], scale2) for j in range(l1.n)}
+                walks = count_calls(monkeypatch, "_enumerate_bounded")
+                isometric_mod_rotation(fresh, l2)
+                assert len({top for _, _, top in walks}) == len(walks) and {top for _, _, top in walks} <= tops
+                monkeypatch.undo()
+
+    def test_a_search_that_found_no_short_vector_keeps_that(self, monkeypatch):
+        # 2 Z^2 has no vector of norm 2, the smallest column of the second basis
+        l1 = from_basis(MatQ([[2, 0], [0, 2]]))
+        l2 = from_basis(MatQ([[1, 2], [-1, 2]]))
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        assert isometric_mod_rotation(l1, l2) is None and len(walks) == 1
+        assert isometric_mod_rotation(l1, l2, oriented=True) is None and len(walks) == 1
+
+    def test_inner_products_off_the_first_lattice_reject_without_a_walk(self, monkeypatch):
+        # every inner product of the integral lattice l1 is an integer; the reduced Gram
+        # form of l2 (same covolume, norms that l1 may have) has one that is not
+        l1 = from_basis(MatQ([[2, 0], [2, 2]]))
+        l2 = from_basis(l1.basis @ MatQ([["3/4", -1], [1, 0]]))
+        gs1, (b2, scale2) = l1.reduced_gram()[2], l2.reduced_gram()[2][:2]
+        assert gs1[1] == 1 and all(_norm_denominator(gs1)[0] * b2[j][j] % scale2 == 0 for j in range(2))
+        assert b2[1][0] % scale2 != 0
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        assert isometric_mod_rotation(l1, l2) is None and walks == []
+        assert walk_search(l1, l2, False) is None
+
+    def test_a_walk_cut_short_keeps_nothing(self, monkeypatch):
+        class Cut(Exception):
+            pass
+
+        inner = flat_geometry._enumerate_bounded
+
+        def cut_short(gs, c, top):
+            for k, item in enumerate(inner(gs, c, top)):
+                if k == 1:
+                    raise Cut
+                yield item
+
+        # Z^2 + 2Z on sheared bases: 2 minimal pairs, and columns of norm 1 and 4
+        base = from_basis(MatQ([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+        rng = random.Random(97)
+        lat = represented(rng, base)
+        partner = from_basis(rand_orthogonal(rng, 3) @ represented(rng, base).basis)
+        monkeypatch.setattr(flat_geometry, "_enumerate_bounded", cut_short)
+        for call in (lambda: geodesic_spectrum(lat, 4), lambda: shortest_vectors(lat),
+                     lambda: isometric_mod_rotation(lat, partner)):
+            with pytest.raises(Cut):
+                call()
+        kept = lat._walks
+        assert kept.spectrum is None and kept.minimum is None and kept.shells == {}
+        # with the minimum kept, the cut falls on the walk to the norm-4 column
+        monkeypatch.undo()
+        _kept_minimum(lat)
+        monkeypatch.setattr(flat_geometry, "_enumerate_bounded", cut_short)
+        with pytest.raises(Cut):
+            isometric_mod_rotation(lat, partner)
+        assert set(kept.shells) == {kept.minimum.norm}
+        monkeypatch.undo()
+        assert geodesic_spectrum(lat, 4) == geodesic_spectrum(Lattice(lat.basis), 4)
+        assert [v.coeffs for v in shortest_vectors(lat)] == [v.coeffs for v in shortest_vectors(Lattice(lat.basis))]
+        assert same_search(isometric_mod_rotation(lat, partner), walk_search(lat, partner, False))
+        assert isometric_mod_rotation(lat, partner) is not None
+
+    def test_threads_read_whole_entries(self):
+        # four threads ask one lattice for spectra in mixed order while the kept
+        # spectrum is replaced under them; every answer is the fresh one
+        basis = from_basis(Fraction(1, 2) * rand_unimodular(random.Random(10), 3, 12, 3).to_matq()).basis
+        bounds = [Fraction(k, 8) for k in range(1, 25)]
+        want = {b: geodesic_spectrum(Lattice(basis), b) for b in bounds}
+        wrong = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(8):
+                lat = Lattice(basis)
+                start = threading.Barrier(4)
+
+                def ask(seed, lat=lat, start=start):
+                    order = bounds[:]
+                    random.Random(seed).shuffle(order)
+                    start.wait(timeout=30)
+                    for b in order:
+                        got = geodesic_spectrum(lat, b)
+                        if got != want[b]:
+                            wrong.append((b, got))
+
+                threads = [threading.Thread(target=ask, args=(4 * round_ + t,)) for t in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
 
 def cauchy_schwarz_box(lattice, bound):
@@ -701,7 +954,7 @@ class TestFlatWalk:
             g = lat.gram_matrix()
             bound = 2 * squared_length(shortest_vectors(lat)[0])
             seen = 0
-            for coeffs, value in _enumerate_bounded(gs, bound):
+            for coeffs, value in walk(gs, bound):
                 assert type(value) is int and 0 < value <= bound * den
                 assert Fraction(value, den) == _form_value(g, v.mul_vec(coeffs), v.mul_vec(coeffs))
                 seen += 1
@@ -709,11 +962,11 @@ class TestFlatWalk:
 
     def test_streams_past_a_huge_bound(self):
         with time_limit(1):
-            walk = _enumerate_bounded(standard(4).reduced_gram()[2], Fraction(10**6))
-            first = list(itertools.islice(walk, 1000))
-        assert inspect.isgenerator(walk)
+            walked = walk(standard(4).reduced_gram()[2], Fraction(10**6))
+            first = list(itertools.islice(walked, 1000))
+        assert inspect.isgenerator(walked)
         assert len(first) == 1000 and all(0 < v <= 10**6 for _, v in first)
-        walk.close()
+        walked.close()
 
 
 def divisor_sum(k, power=1, keep=lambda d: True):
