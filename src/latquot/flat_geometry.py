@@ -14,17 +14,19 @@ their answers back through V and V^-1, so results never depend on the
 presentation.
 
 Each lattice also keeps what its short-vector walks found (``_Walks``, in
-the lattice's one slot for it): the norm data every walk shares; its
-minimum, the squared length of its shortest closed geodesics, with the
-minimal vectors, which answer ``shortest_vectors`` and
-``injectivity_radius`` (half the minimal length, the largest radius on
-which R^n -> R^n / L is injective); its geodesic spectrum up to the largest
-bound asked so far, which answers every smaller bound; and, for each norm
-an isometry search asked for, the vectors of that norm, which serve every
-later search from the lattice.  A first call still walks once; the gain is
-on repeated calls on one lattice object.  What is kept is bounded by what
-was asked: one (length, count) pair per length a spectrum returned, and the
-vectors of the norms a search asked for.
+the lattice's one slot for it): the norm data every walk shares; its short
+vectors, every vector of the reduced form up to the largest norm asked so
+far, grouped by norm, from one walk; and its geodesic spectrum up to the
+largest bound asked so far, which answers every smaller bound.  The least
+norm of the short vectors is the minimum, the squared length of the
+shortest closed geodesics, and its vectors are the minimal ones: they answer
+``shortest_vectors`` and ``injectivity_radius`` (half the minimal length,
+the largest radius on which R^n -> R^n / L is injective).  Every isometry
+search from the lattice reads its candidates off the same vectors.  A first
+call still walks once; the gain is on repeated calls on one lattice object.
+What is kept is bounded by what was asked: one (length, count) pair per
+length a spectrum returned, and every vector up to the largest norm that a
+search or the minimum needed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -198,18 +200,6 @@ def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
             return tuple(-x for x in coeffs)
 
 
-class _Minimum(NamedTuple):
-    """A kept minimum: the minimum of the lattice, the squared length of its shortest
-    closed geodesics; the minimal vectors over its basis, one per +- pair, last
-    nonzero entry positive, sorted; the same vectors in LLL-reduced coordinates, in
-    walk order; and den times the minimum, the walk's integer for it."""
-
-    value: Fraction
-    vectors: tuple[tuple[int, ...], ...]
-    reduced: tuple[tuple[int, ...], ...]
-    norm: int
-
-
 class _Spectrum(NamedTuple):
     """A kept spectrum: top = floor(bound * den) for the largest bound asked so far;
     norms, the integers v = den * length of the lengths attained up to it, sorted;
@@ -224,25 +214,28 @@ class _Walks:
     """What a lattice keeps of its short-vector walks, in its slot ``Lattice._walks``.
 
     ``den`` and ``c`` are the norm data of every walk of its reduced form
-    (``_norm_denominator``); ``minimum`` is a ``_Minimum``, ``spectrum`` a
-    ``_Spectrum``, each None until first asked; ``shells`` maps an integer
-    v = den * norm to the candidates of an isometry search for a column of
-    that norm: both signs of every vector x of the reduced form with
-    den * x^T G' x = v, sorted, each with the integers b x (b = scale * G').
-    The lattice is immutable, so nothing goes stale.  An entry is built
-    whole and then stored, never changed after: a walk that stops half way
-    keeps nothing, and concurrent callers read either the old entry or the
-    new.  No lock is taken: two callers that store at once can lose one of
-    their entries, which costs a later walk, never a wrong answer.
+    (``_norm_denominator``).  ``short`` is (top, shells): shells maps every
+    integer v = den * x^T G' x <= top that the reduced form attains, in
+    rising order, to both signs of its vectors x, sorted, each with the
+    integers b x (b = scale * G').  One walk to top builds it, so its first
+    key is den times the minimum, and a v <= top that is no key has no
+    vector; it starts as (0, {}).  ``minimal`` is ``shortest_vectors``'
+    answer over the lattice's basis and ``spectrum`` a ``_Spectrum``, each
+    None until first asked.  The lattice is immutable, so nothing goes
+    stale.  An entry is built whole and then stored, never changed after: a
+    larger top replaces ``short`` whole, a walk that stops half way keeps
+    nothing, and concurrent callers read either the old entry or the new.
+    No lock is taken: two callers that store at once can lose one of their
+    entries, which costs a later walk, never a wrong answer.
     """
 
-    __slots__ = ("den", "c", "minimum", "spectrum", "shells")
+    __slots__ = ("den", "c", "short", "minimal", "spectrum")
 
     def __init__(self, gs: tuple):
         self.den, self.c = _norm_denominator(gs)
-        self.minimum: _Minimum | None = None
+        self.short: tuple[int, dict[int, tuple]] = (0, {})
+        self.minimal: tuple[tuple[int, ...], ...] | None = None
         self.spectrum: _Spectrum | None = None
-        self.shells: dict[int, tuple] = {}
 
 
 def _walks(lattice: Lattice) -> _Walks:
@@ -253,36 +246,43 @@ def _walks(lattice: Lattice) -> _Walks:
     return kept
 
 
-def _kept_minimum(lattice: Lattice, walked: Iterable | None = None) -> _Minimum:
-    """The lattice's minimum, found on first use and kept (``_Walks``).
+def _short(lattice: Lattice, top: int) -> dict[int, tuple]:
+    """The shells the lattice keeps (``_Walks.short``), first walked to ``top`` if its kept top is below."""
+    kept = _walks(lattice)
+    short = kept.short
+    if short[0] < top:
+        gs = lattice.reduced_gram()[2]
+        found: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        for x, v in _enumerate_bounded(gs, kept.c, top):
+            bx = tuple([sum(map(mul, row, x)) for row in gs[0]])
+            found.setdefault(v, []).extend(((x, bx), (tuple([-t for t in x]), tuple([-t for t in bx]))))
+        short = kept.short = (top, {v: tuple(sorted(found[v])) for v in sorted(found)})
+    return short[1]
 
-    The first use reads it off ``walked`` when given: a walk of the reduced
-    form (``_enumerate_bounded``) that the caller made anyway, to a bound at
-    or above the minimum.  Otherwise it walks to the smallest diagonal entry
-    of the reduced form, which is always attained, so the minimum is below it.
+
+def _least(lattice: Lattice) -> tuple[int, tuple]:
+    """(v, shell) of the lattice's minimum: the first key of its kept shells and what it maps to.
+
+    With no vector kept, one walk to the least diagonal entry of the reduced
+    form, which is attained, finds the minimum.
     """
     kept = _walks(lattice)
-    if kept.minimum is None:
-        v, _, gs = lattice.reduced_gram()
-        if walked is None:
-            b = gs[0]
-            walked = _enumerate_bounded(gs, kept.c, min(b[i][i] for i in range(len(b))) * kept.den // gs[1])
-        best: int | None = None
-        found: list[tuple[int, ...]] = []
-        for coeffs, value in walked:
-            if best is None or value < best:
-                best = value
-                found = [coeffs]
-            elif value == best:
-                found.append(coeffs)
-        vectors = tuple(sorted(_canonical_sign(v.mul_vec(c)) for c in found))
-        kept.minimum = _Minimum(Fraction(best, kept.den), vectors, tuple(found), best)
-    return kept.minimum
+    shells = kept.short[1]
+    if not shells:
+        b, scale = lattice.reduced_gram()[2][:2]
+        shells = _short(lattice, min(b[i][i] for i in range(len(b))) * kept.den // scale)
+    return next(iter(shells.items()))
 
 
 def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
     """All shortest nonzero vector classes, one per +- pair, in coefficient order."""
-    return [LatticeVector._of(lattice, c) for c in _kept_minimum(lattice).vectors]
+    kept = _walks(lattice)
+    if kept.minimal is None:
+        v = lattice.reduced_gram()[0]
+        shell = _least(lattice)[1]
+        # sorted, x comes after -x exactly when its first nonzero entry is positive: the upper half is one per +- pair
+        kept.minimal = tuple(sorted(_canonical_sign(v.mul_vec(x)) for x, _ in shell[len(shell) // 2:]))
+    return [LatticeVector._of(lattice, c) for c in kept.minimal]
 
 
 def geodesic_spectrum(lattice: Lattice, bound) -> list[tuple[Fraction, int]]:
@@ -338,7 +338,7 @@ def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
 
     r is half the minimal geodesic length.
     """
-    r_sq = _kept_minimum(lattice).value / 4
+    r_sq = Fraction(_least(lattice)[0], 4 * _walks(lattice).den)
     return r_sq, float_sqrt(r_sq)
 
 
@@ -359,18 +359,19 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
 
     What the first lattice keeps of its walks (``_Walks``) serves the search,
     as Plesken & Souvignier (JSC 24, 1997) compute the short vectors once for
-    every column.  The candidates of each column norm are walked once per
-    lattice and kept, without any data of the partner, so every later search
-    from the first lattice walks only for a norm it never asked; a column of
-    the minimal norm takes the kept minimal vectors.  Every column of G2' is
-    a nonzero vector of L2, so no column of an isometric pair is shorter than
-    the first minimum.  On first use the minimum is read off the walk for the
-    smallest column norm, which passes every shorter vector of G1', so a
-    first search walks each distinct column norm at most once.  When the
-    second lattice's minimum is kept too, a pair whose minima or numbers of
-    minimal vectors differ is rejected before any candidate is sought; the
-    search never walks the second lattice for that check, which would cost
-    every isometric pair one more walk.
+    every column: the search walks G1' once, to the largest column norm, and
+    each column's candidates are the kept vectors of its norm.  They hold no
+    data of the partner, so every later search from the first lattice walks
+    only past the largest norm asked so far.  Every column of G2' is a
+    nonzero vector of L2, so no column of an isometric pair is shorter than
+    the first minimum.  When the first lattice keeps any vector, its minimum
+    is known: a shorter column rejects the pair before any walk, and so do
+    minima or numbers of minimal vectors that differ from those the second
+    lattice keeps; the search never walks the second lattice for that check,
+    which would cost every isometric pair one more walk.  The backtrack
+    checks c_i^T G1' c_j for i < j; each complete candidate is checked
+    against every column's own norm too, so a kept vector under the wrong
+    norm raises ``RuntimeError``, never a wrong answer.
 
     With ``oriented`` the witness must additionally have determinant +1 and
     the implied ambient map must preserve orientation.
@@ -407,39 +408,21 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
         if rem:
             return None
         norms.append(norm)
-    low = min(norms)
-    shells = kept1.shells
-    walked = None
-    if kept1.minimum is None:
-        if shells.get(low) == ():
-            return None  # kept from an earlier search: the walk to low found nothing
-        walked = list(_enumerate_bounded(gs1, kept1.c, low))
-        if not walked:
-            shells[low] = ()  # G1' has no vector as short as a column of G2'
+    shells = kept1.short[1]
+    if shells:
+        least = next(iter(shells))
+        if min(norms) < least:
             return None
-    minimum = _kept_minimum(l1, walked)
-    if low < minimum.norm:
+        kept2 = l2._walks
+        shells2 = kept2.short[1] if kept2 is not None else None
+        if shells2:
+            least2 = next(iter(shells2))
+            if least * kept2.den != least2 * den1 or len(shells[least]) != len(shells2[least2]):
+                return None
+    shells = _short(l1, max(norms))
+    columns = [shells.get(norm) for norm in norms]
+    if None in columns:
         return None
-    kept2 = l2._walks
-    if kept2 is not None and kept2.minimum is not None and (
-        kept2.minimum.value != minimum.value or len(kept2.minimum.reduced) != len(minimum.reduced)
-    ):
-        return None
-
-    columns = []
-    for norm in norms:
-        shell = shells.get(norm)
-        if shell is None:
-            if norm == minimum.norm:
-                reps = list(minimum.reduced)
-            else:
-                walk = walked if norm == low and walked is not None else _enumerate_bounded(gs1, kept1.c, norm)
-                reps = [c for c, v in walk if v == norm]
-            reps += [tuple(-x for x in c) for c in reps]
-            shell = shells[norm] = tuple((c, tuple([sum(map(mul, row, c)) for row in b1])) for c in sorted(reps))
-        if not shell:
-            return None
-        columns.append(shell)
 
     # det U' = +-1 follows from det G1' = det G2'; det U = det U' * det V1 * det V2
     sign = v1.det() * v2.det() if oriented else 1
@@ -447,6 +430,8 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
 
     def backtrack(j: int) -> MatZ | None:
         if j == n:
+            if any(den1 * sum(map(mul, b1c, c)) != scale1 * norm for (c, b1c), norm in zip(cols, norms)):
+                raise RuntimeError("isometry witness check failed: a kept candidate does not have its column's norm")
             u = MatZ._of(tuple(zip(*(col[0] for col in cols))))
             return None if oriented and u.det() * sign != 1 else u
         target_row = targets[j]

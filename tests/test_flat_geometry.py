@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import itertools
+import json
 import math
 import operator
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from latquot import flat_geometry
+from latquot import cli, flat_geometry
 from latquot.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -30,8 +31,8 @@ from latquot.flat_geometry import (
     _canonical_sign,
     _enumerate_bounded,
     _form_value,
-    _kept_minimum,
     _norm_denominator,
+    _short,
     _walks,
     angle,
     geodesic_spectrum,
@@ -481,7 +482,7 @@ class TestKeptMinimum:
     ], ids=["min-1-vs-2", "min-2-vs-1", "one-pair-vs-two", "two-pairs-vs-one"])
     def test_differing_minima_reject_without_a_search(self, monkeypatch, l1, l2):
         for lat in (l1, l2):
-            _kept_minimum(lat)  # the two walks, before the counting starts; the search never walks l2
+            shortest_vectors(lat)  # the two walks, before the counting starts; the search never walks l2
         walks = count_calls(monkeypatch, "_enumerate_bounded")
         products = count_calls(monkeypatch, "mul")  # every candidate and backtrack check multiplies
         for oriented in (False, True):
@@ -490,37 +491,42 @@ class TestKeptMinimum:
         assert walks == [] and products == []
 
     def test_minimal_norm_candidates_are_the_walks(self):
-        # the kept reduced vectors are exactly what a walk to the minimum keeps,
-        # so the search's candidate lists, and with them its witnesses, are unchanged
+        # the kept reduced vectors of the least norm are exactly what a walk to the minimum
+        # finds, both signs, so the search's candidate lists, and with them its witnesses, are unchanged
         rng = random.Random(92)
         for _ in range(60):
             n = rng.randint(1, 4)
             lat = from_basis(rand_lattice(rng, n, height=3).basis @ rand_unimodular(rng, n, 12, 3).to_matq())
             gs = lat.reduced_gram()[2]
-            value, _, reduced, _ = _kept_minimum(lat)
+            value = 4 * injectivity_radius(lat)[0]
+            least, shell = next(iter(lat._walks.short[1].items()))
+            reduced = [c for c, _ in shell]
             den = _norm_denominator(gs)[0]
             walked = [c for c, v in walk(gs, value) if Fraction(v, den) == value]
-            assert sorted(reduced) == sorted(walked)
+            assert Fraction(least, den) == value
+            assert reduced == sorted(walked + [tuple(-x for x in c) for c in walked])
             assert len(set(reduced)) == len(reduced)
 
-    def test_first_search_walks_once_per_column_norm(self, monkeypatch):
-        # with no minimum kept, the search walks once per distinct column norm
-        # of G2' and reads l1's minimum off its smallest walk
+    def test_a_first_search_walks_exactly_once(self, monkeypatch):
+        # with nothing kept, the search walks once, to the largest column norm of G2',
+        # and l1's minimum and minimal vectors are then read off that walk, with no other
         rng = random.Random(93)
         for _ in range(40):
             n = rng.randint(2, 4)
             nice = rand_lattice(rng, n, height=3)
             l1 = from_basis(nice.basis @ rand_unimodular(rng, n, 12, 3).to_matq())
             l2 = from_basis(rand_orthogonal(rng, n) @ nice.basis @ rand_unimodular(rng, n, 12, 3).to_matq())
-            b2 = l2.reduced_gram()[2][0]
+            b2, scale2 = l2.reduced_gram()[2][:2]
             walks = count_calls(monkeypatch, "_enumerate_bounded")
             assert isometric_mod_rotation(l1, l2) is not None
-            assert len(walks) == len({b2[j][j] for j in range(n)})
+            den1 = l1._walks.den
+            assert [top for _, _, top in walks] == [max(den1 * b2[j][j] // scale2 for j in range(n))]
             assert l2._walks is None
+            got = [v.coeffs for v in shortest_vectors(l1)], injectivity_radius(l1)
+            assert len(walks) == 1
             monkeypatch.undo()
-            own = _kept_minimum(Lattice(l1.basis))
-            assert l1._walks.minimum.value == own.value and l1._walks.minimum.vectors == own.vectors
-            assert sorted(l1._walks.minimum.reduced) == sorted(own.reduced)
+            own = Lattice(l1.basis)
+            assert got == ([v.coeffs for v in shortest_vectors(own)], injectivity_radius(own))
 
     def test_first_search_reuses_its_walk(self, monkeypatch):
         # Z x 2Z has minimum 1, below both columns of the second basis (norm 2): the one
@@ -529,20 +535,26 @@ class TestKeptMinimum:
         l2 = from_basis(MatQ([[1, 1], [1, -1]]))
         walks = count_calls(monkeypatch, "_enumerate_bounded")
         assert isometric_mod_rotation(l1, l2) is None
-        assert len(walks) == 1 and l1._walks.minimum.value == 1 and l2._walks is None
+        den = l1._walks.den
+        assert len(walks) == 1 and l2._walks is None
+        assert l1._walks.short[0] == 2 * den and list(l1._walks.short[1]) == [den]
+        assert injectivity_radius(l1) == (Fraction(1, 4), 0.5) and len(walks) == 1
 
     def test_short_columns_reject(self, monkeypatch):
-        # every vector of 2 Z^2 has norm >= 4 and the second basis has a column of norm 2:
-        # on first use the one walk, to 2, finds nothing; once the minimum of 2 Z^2
-        # is kept, the short column rejects with no walk at all
+        # every vector of 2 Z^2 has norm >= 4 and the second basis has columns of norm 2 and 8:
+        # on first use the one walk, to 8, finds no vector of norm 2; once only the minimum
+        # of 2 Z^2 is kept, below the column of norm 8, the short column rejects with no walk
         l1 = from_basis(MatQ([[2, 0], [0, 2]]))
         l2 = from_basis(MatQ([[1, 2], [-1, 2]]))
         walks = count_calls(monkeypatch, "_enumerate_bounded")
         assert isometric_mod_rotation(l1, l2) is None
-        assert len(walks) == 1 and l1._walks.minimum is None
-        _kept_minimum(l1)
+        den = l1._walks.den
+        assert [top for _, _, top in walks] == [8 * den] and list(l1._walks.short[1]) == [4 * den, 8 * den]
+        fresh = Lattice(l1.basis)
+        shortest_vectors(fresh)
+        assert fresh._walks.short[0] == 4 * den
         walks.clear()
-        assert isometric_mod_rotation(l1, l2) is None and walks == []
+        assert isometric_mod_rotation(fresh, l2) is None and walks == []
 
 
 def walk_search(l1, l2, oriented):
@@ -663,7 +675,21 @@ def check_calls(pool, calls):
             oriented = kind == "oriented"
             assert same_search(isometric_mod_rotation(a, b, oriented=oriented), walk_search(a, b, oriented))
             searched.add((i, j))
+    for lat in pool:
+        top, shells = _walks(lat).short
+        assert list(shells.items()) == list(walked_shells(Lattice(lat.basis), top).items())
     return {(i, j) for i, j in searched if i != j}
+
+
+def walked_shells(lattice, top):
+    """Oracle for ``_Walks.short``: every norm v <= top attained in one walk of the
+    reduced form, rising, to both signs of its vectors x, sorted, each with b x."""
+    gs = lattice.reduced_gram()[2]
+    found = {}
+    for x, v in _enumerate_bounded(gs, _norm_denominator(gs)[1], top):
+        found.setdefault(v, []).extend([x, tuple(-t for t in x)])
+    return {v: tuple((x, tuple(sum(map(operator.mul, row, x)) for row in gs[0])) for x in sorted(found[v]))
+            for v in sorted(found)}
 
 
 def random_pool(rng, n):
@@ -817,19 +843,45 @@ class TestKeptWalks:
             with pytest.raises(Cut):
                 call()
         kept = lat._walks
-        assert kept.spectrum is None and kept.minimum is None and kept.shells == {}
+        assert kept.spectrum is None and kept.minimal is None and kept.short == (0, {})
         # with the minimum kept, the cut falls on the walk to the norm-4 column
         monkeypatch.undo()
-        _kept_minimum(lat)
+        shortest_vectors(lat)
+        before = kept.short
+        copy = (before[0], dict(before[1]))
+        assert list(copy[1]) == [kept.den]
         monkeypatch.setattr(flat_geometry, "_enumerate_bounded", cut_short)
         with pytest.raises(Cut):
             isometric_mod_rotation(lat, partner)
-        assert set(kept.shells) == {kept.minimum.norm}
+        assert kept.short is before and before == copy
         monkeypatch.undo()
         assert geodesic_spectrum(lat, 4) == geodesic_spectrum(Lattice(lat.basis), 4)
         assert [v.coeffs for v in shortest_vectors(lat)] == [v.coeffs for v in shortest_vectors(Lattice(lat.basis))]
         assert same_search(isometric_mod_rotation(lat, partner), walk_search(lat, partner, False))
         assert isometric_mod_rotation(lat, partner) is not None
+
+    def test_a_shell_under_the_wrong_norm_raises(self, monkeypatch, tmp_path, capsys):
+        # Z^2 keeps 4 vectors of norm 1 and 4 of norm 2; swapped, the columns of norm 1 get the
+        # vectors of norm 2, which pass every inner-product check of the backtrack: the witness
+        # check, not the backtrack, must refuse them
+        lat = standard(2)
+        den = _walks(lat).den
+        shells = _short(lat, 2 * den)
+        assert list(shells) == [den, 2 * den] and len(shells[den]) == len(shells[2 * den]) == 4
+        swapped = {den: shells[2 * den], 2 * den: shells[den]}
+        _walks(lat).short = (2 * den, swapped)
+        for oriented in (False, True):
+            with pytest.raises(RuntimeError, match="isometry witness check failed"):
+                isometric_mod_rotation(lat, standard(2), oriented=oriented)
+        # through the CLI, the same corruption of a fresh lattice's store is an InternalError, exit 1
+        monkeypatch.setattr(flat_geometry, "_short", lambda lattice, top: swapped)
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps({"n": 2, "basis": [["1", "0"], ["0", "1"]]}))
+        code = cli.run(["isometric", "--lattice", str(path), "--lattice", str(path)])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 1 and error["kind"] == "InternalError" and "isometry witness check failed" in error["message"]
+        monkeypatch.undo()
+        assert isometric_mod_rotation(standard(2), standard(2)) is not None
 
     def test_threads_read_whole_entries(self):
         # four threads ask one lattice for spectra in mixed order while the kept
