@@ -5,7 +5,9 @@ This is the bedrock of the package: arbitrary-precision rationals
 integer matrices (``MatZ``), with exact determinants, linear solves and
 inverses, Hermite normal forms, one fraction-free LDL^T that ``ldl``, the
 positive-definiteness test and the integral LLL reduction of Gram forms
-share, and the positive-definite form type.  ``MatQ`` and ``MatZ`` share one
+share, and the positive-definite form type.  A Gram form m^T m is formed in
+integers (``_gram``), the integral Gram matrix that the LLL takes, with no
+Fraction product.  ``MatQ`` and ``MatZ`` share one
 matrix body, and each matrix keeps the fraction-free LU of its first
 elimination: its determinant is that LU's last pivot, and every solve and
 inverse after it is a forward and back substitution, with no Gauss-Jordan
@@ -100,6 +102,31 @@ def _int_lift(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]
     """(A, d): the least common denominator d of the entries and A = d * rows, as integers."""
     d = math.lcm(*[x.denominator for row in rows for x in row])
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _unlift(b: Sequence[Sequence[int]], scale: int) -> MatQ:
+    """The MatQ b / scale, for integers b and scale > 0."""
+    return MatQ._of(tuple(tuple(Fraction(x, scale) for x in row) for row in b))
+
+
+def _gram(m: _Mat) -> tuple[list[list[int]], int]:
+    """(b, scale): the Gram form m^T m as the integers b = scale * m^T m, in lowest terms.
+
+    Formed in integers on the lift A = d * m (``_int_lift``) as b = A^T A over
+    scale = d^2, both divided by g = gcd(d^2, every entry of b).  That makes
+    (b, scale) what ``_int_lift`` gives for the rational m^T m, whose least
+    common denominator is d^2 / g, with no Fraction product; it is unique, so
+    two Gram forms are equal exactly when their pairs are.  b is a fresh list
+    of lists, symmetric, that its caller may consume (``_lll`` does).
+    """
+    a, d = _int_lift(m.rows)
+    cols = list(zip(*a))
+    b = [[0] * m.n for _ in cols]
+    for i, ci in enumerate(cols):
+        for j in range(i, m.n):
+            b[i][j] = b[j][i] = sum(map(mul, ci, cols[j]))
+    g = math.gcd(d * d, *[x for row in b for x in row])
+    return ([[x // g for x in row] for row in b] if g > 1 else b), d * d // g
 
 
 def _int_entries(values: Sequence, message: str) -> tuple[int, ...]:
@@ -414,19 +441,27 @@ def hnf(m: MatZ) -> MatZ:
     return MatZ._of(tuple(map(tuple, a)))
 
 
-def _symmetric_bareiss(s: MatQ) -> tuple[list[list[int]], int, list[int], list[list[int]]]:
-    """Fraction-free LDL^T of a symmetric rational matrix s: (b, scale, d, lam).
-
-    Bareiss elimination without pivoting of the integer lift b = scale * s
-    leaves the leading minors d of b (d[0] = 1) and lam[k][j] = d[j + 1] * L_kj,
-    j < k.  A zero pivot with a zero residual column is skipped: that is Bareiss
-    on b without its row and column.  At any other zero pivot the elimination
-    breaks down and stops, leaving d shorter than n + 1 and ending in that zero.
-    """
-    if s != s.transpose():
-        raise NotSymmetric("matrix is not symmetric")
+def _symmetric_lift(s: MatQ) -> tuple[list[list[int]], int]:
+    """(b, scale): the integer lift b = scale * s of a symmetric rational matrix
+    (``_int_lift``), its symmetry checked on b."""
     b, scale = _int_lift(s.rows)
-    n = s.n
+    if list(zip(*b)) != list(map(tuple, b)):
+        raise NotSymmetric("matrix is not symmetric")
+    return b, scale
+
+
+def _symmetric_bareiss(b: list[list[int]], scale: int) -> tuple[list[list[int]], int, list[int], list[list[int]]]:
+    """Fraction-free LDL^T of the symmetric integer form b = scale * s: (b, scale, d, lam).
+
+    Bareiss elimination without pivoting of b leaves the leading minors d of
+    b (d[0] = 1) and lam[k][j] = d[j + 1] * L_kj, j < k; b itself is not
+    changed.  A zero pivot with a zero residual column is skipped: that is
+    Bareiss on b without its row and column.  At any other zero pivot the
+    elimination breaks down and stops, leaving d shorter than n + 1 and
+    ending in that zero.  A rational s comes in through ``_symmetric_lift``,
+    a Gram form m^T m through ``_gram``.
+    """
+    n = len(b)
     a = [row[:i + 1] for i, row in enumerate(b)]  # lower triangle, eliminated in place
     d = [1]
     prev = 1
@@ -453,7 +488,7 @@ def ldl(s: MatQ) -> tuple[MatQ, tuple[Fraction, ...]]:
     whole residual column vanishes; otherwise no such factorization exists
     without pivoting and PivotBreakdown is raised.
     """
-    return _ldl(_symmetric_bareiss(s))
+    return _ldl(_symmetric_bareiss(*_symmetric_lift(s)))
 
 
 def _ldl(factors: tuple) -> tuple[MatQ, tuple[Fraction, ...]]:
@@ -484,26 +519,31 @@ def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
     condition.  This is de Weger's fraction-free LLL (Cohen, Alg. 2.6.7) run
     on the form scaled to integers: it keeps the Gram determinants d_k of the
     leading k vectors and lambda_kj = d_j * mu_kj, all integers, and every
-    division is exact.  G' and V are read off ``_lll``.
+    division is exact.  G' and V are read off ``_lll``, run on G's integer
+    lift (``_symmetric_lift``).
     """
-    v, _, (b, scale, _, _) = _lll(g)
-    return MatQ([[Fraction(x, scale) for x in row] for row in b]), v
+    v, _, (b, scale, _, _) = _lll(*_symmetric_lift(g))
+    return _unlift(b, scale), v
 
 
-def _lll(g: MatQ) -> tuple[MatZ, MatZ, tuple]:
-    """(V, V^-1, gs): ``lll_gram``'s V, its inverse and the integer Gram-Schmidt data of G' at exit.
+def _lll(b: list[list[int]], scale: int) -> tuple[MatZ, MatZ, tuple]:
+    """(V, V^-1, gs): ``lll_gram``'s V, its inverse and the integer Gram-Schmidt data of G' at exit,
+    for the Gram form G = b / scale given as the symmetric integers b and scale.
 
-    That data is (b, scale, d, lam): the integer form b = scale * G', the
-    Gram determinants d[k] of the leading k reduced vectors (d[0] = 1), and
-    the lower triangle lam[k][j] = d[j + 1] * mu_kj, j < k: the integer
-    LDL^T of b.  It starts as ``_symmetric_bareiss(G)``, and each size
+    b is the integral Gram matrix that de Weger's LLL wants: ``_gram`` forms
+    it from a basis, ``_symmetric_lift`` from a rational G.  The run consumes
+    it, so its caller passes a list it owns.  The data at exit is
+    (b, scale, d, lam): the integer form b = scale * G', the Gram
+    determinants d[k] of the leading k reduced vectors (d[0] = 1), and the
+    lower triangle lam[k][j] = d[j + 1] * mu_kj, j < k: the integer LDL^T of
+    b.  It starts as ``_symmetric_bareiss(b, scale)``, and each size
     reduction and swap updates it in place.  V^-1 takes the inverse of each
     step V does, O(n) each, so no elimination inverts V.
     """
-    b, scale, d, lam = _symmetric_bareiss(g)  # b[i][j] = b_i . b_j
+    _, _, d, lam = _symmetric_bareiss(b, scale)  # b[i][j] = b_i . b_j
     if not all(x > 0 for x in d):
         raise NotPositiveDefinite("Gram matrix must be positive definite")
-    n = g.n
+    n = len(b)
     cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns of V
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # rows of V^-1
 
@@ -555,7 +595,7 @@ def _lll(g: MatQ) -> tuple[MatZ, MatZ, tuple]:
 
 def is_positive_definite(s: MatQ) -> bool:
     """Exact positive-definiteness test: every leading minor of the integer lift is positive."""
-    return all(x > 0 for x in _symmetric_bareiss(s)[2])
+    return all(x > 0 for x in _symmetric_bareiss(*_symmetric_lift(s))[2])
 
 
 class PosDefForm:
@@ -569,7 +609,7 @@ class PosDefForm:
     __slots__ = ("n", "matrix", "_factors")
 
     def __init__(self, matrix: MatQ):
-        factors = _symmetric_bareiss(matrix)
+        factors = _symmetric_bareiss(*_symmetric_lift(matrix))
         if not all(x > 0 for x in factors[2]):
             raise NotPositiveDefinite("form must be positive definite")
         self.n = matrix.n

@@ -44,7 +44,7 @@ from .errors import (
     NonPositiveBound,
     ZeroVector,
 )
-from .exactnum import MatQ, MatZ, PosDefForm, _frac, _int_entries, float_sqrt
+from .exactnum import MatQ, MatZ, PosDefForm, _frac, _gram, _int_entries, float_sqrt
 from .lattice_core import Lattice
 
 _ISOMETRY_MAX_DIM = 4
@@ -229,12 +229,13 @@ class _Walks:
     entries, which costs a later walk, never a wrong answer.
     """
 
-    __slots__ = ("den", "c", "short", "minimal", "spectrum")
+    __slots__ = ("den", "c", "short", "minimal", "radius", "spectrum")
 
     def __init__(self, gs: tuple):
         self.den, self.c = _norm_denominator(gs)
         self.short: tuple[int, dict[int, tuple]] = (0, {})
         self.minimal: tuple[tuple[int, ...], ...] | None = None
+        self.radius: tuple[Fraction, float] | None = None
         self.spectrum: _Spectrum | None = None
 
 
@@ -336,15 +337,20 @@ def signed_cos_squared(v: LatticeVector, w: LatticeVector) -> Fraction:
 def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
     """(r^2 exact, r float) for the largest r with the quotient map injective on r-balls.
 
-    r is half the minimal geodesic length.
+    r is half the minimal geodesic length.  The lattice keeps the pair
+    (``_Walks``); a root that no normal float represents raises
+    FloatRangeError and keeps nothing.
     """
-    r_sq = Fraction(_least(lattice)[0], 4 * _walks(lattice).den)
-    return r_sq, float_sqrt(r_sq)
+    kept = _walks(lattice)
+    if kept.radius is None:
+        r_sq = Fraction(_least(lattice)[0], 4 * kept.den)
+        kept.radius = (r_sq, float_sqrt(r_sq))
+    return kept.radius
 
 
 def is_orthogonal(t: MatQ) -> bool:
-    """True iff t^T t is exactly the identity."""
-    return t.transpose() @ t == MatQ.identity(t.n)
+    """True iff t^T t is exactly the identity: its integer form (``exactnum._gram``) is I over 1."""
+    return _gram(t) == ([[int(i == j) for j in range(t.n)] for i in range(t.n)], 1)
 
 
 def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> MatZ | None:

@@ -21,7 +21,7 @@ from .errors import (
     SingularBasis,
     ZeroScale,
 )
-from .exactnum import MatQ, MatZ, _frac, _int_lift, _lll, hnf
+from .exactnum import MatQ, MatZ, _frac, _gram, _int_lift, _lll, _unlift, hnf
 
 
 class Lattice:
@@ -52,12 +52,14 @@ class Lattice:
         """
         if self._canonical is None:
             lift, d = _int_lift(self.basis.rows)
-            self._canonical = MatQ._of(tuple(tuple(Fraction(h, d) for h in row) for row in hnf(MatZ(lift)).rows))
+            self._canonical = _unlift(hnf(MatZ(lift)).rows, d)
         return self._canonical
 
     def gram_matrix(self) -> MatQ:
+        """The Gram form basis^T * basis, built from its integers (``exactnum._gram``)
+        the first time a caller asks for it, and kept."""
         if self._gram is None:
-            self._gram = self.basis.transpose() @ self.basis
+            self._gram = _unlift(*_gram(self.basis))
         return self._gram
 
     def reduced_gram(self) -> tuple[MatZ, MatZ, tuple]:
@@ -67,11 +69,13 @@ class Lattice:
         b = scale * G', the Gram determinants d and the scaled multipliers lam
         (``exactnum._lll``).
 
-        Computed on first use by one LLL run and kept as that run returns it;
-        the lattice is immutable, so the cache never goes stale.
+        Computed on first use by one LLL run on the integer Gram form of the
+        basis (``exactnum._gram``), with no rational Gram matrix formed, and
+        kept as that run returns it; the lattice is immutable, so the cache
+        never goes stale.
         """
         if self._reduced is None:
-            self._reduced = _lll(self.gram_matrix())
+            self._reduced = _lll(*_gram(self.basis))
         return self._reduced
 
     def coordinates(self, x: MatQ | Sequence) -> MatQ | tuple[Fraction, ...]:

@@ -13,7 +13,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CovolumeMismatch, NotSymmetric, SingularMatrix
-from .exactnum import MatQ, MatZ, PosDefForm, _ldl, _symmetric_bareiss, float_sqrt, to_float
+from .exactnum import (
+    MatQ, MatZ, PosDefForm, _gram, _ldl, _symmetric_bareiss, _symmetric_lift, _unlift, float_sqrt, to_float,
+)
 from .lattice_core import Lattice, covolume
 
 
@@ -21,18 +23,19 @@ def gram_map(t: MatQ) -> PosDefForm:
     """T -> T^T T; lands in the positive-definite symmetric forms."""
     if t.det() == 0:
         raise SingularMatrix("matrix has determinant 0")
-    return PosDefForm(t.transpose() @ t)
+    return PosDefForm(_unlift(*_gram(t)))
 
 
 def same_left_coset(t1: MatQ, t2: MatQ) -> bool:
     """Whether t2 = R t1 for some orthogonal R.
 
     Decided as equality of the Gram images t1^T t1 == t2^T t2, which holds
-    exactly when t2 * t1^-1 is orthogonal.
+    exactly when t2 * t1^-1 is orthogonal, compared as the integer forms in
+    lowest terms that ``exactnum._gram`` gives, with no rational product.
     """
     if t1.det() == 0 or t2.det() == 0:
         raise SingularMatrix("matrices must be invertible")
-    return t1.transpose() @ t1 == t2.transpose() @ t2
+    return _gram(t1) == _gram(t2)
 
 
 def posdef_witness(s: PosDefForm | MatQ) -> list[list[float]]:
@@ -55,7 +58,7 @@ def posdef_witness(s: PosDefForm | MatQ) -> list[list[float]]:
 def in_M(s: MatQ) -> bool:
     """Symmetric, positive definite, determinant exactly 1: one integer LDL^T of scale * s."""
     try:
-        _, scale, d, _ = _symmetric_bareiss(s)
+        _, scale, d, _ = _symmetric_bareiss(*_symmetric_lift(s))
     except NotSymmetric:
         return False
     return all(x > 0 for x in d) and d[-1] == scale**s.n  # d[n] = det(scale * s)

@@ -20,6 +20,7 @@ from latquot.errors import (
 from latquot.exactnum import (
     MatQ,
     MatZ,
+    _gram,
     _int_lift,
     _lll,
     det,
@@ -437,7 +438,7 @@ class TestLllGram:
 
     @given(sheared_grams)
     def test_gram_schmidt_data(self, g):
-        v, _, (b, scale, d, lam) = _lll(g)
+        v, _, (b, scale, d, lam) = _lll(*_int_lift(g.rows))
         reduced = Fraction(1, scale) * MatQ(b)
         assert (reduced, v) == lll_gram(g)
         n = g.n
@@ -462,6 +463,35 @@ class TestLllGram:
             assert 2 * abs(x) <= d[j + 1]
         for k in range(1, g.n):
             assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k, k - 1] ** 2
+
+
+# n <= 6, entries zero or of mixed denominators
+gram_bases = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.just(Fraction(0)) | st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+).map(MatQ)
+
+
+class TestGram:
+    """``_gram``: the integer form of m^T m, against the rational product."""
+
+    @given(gram_bases)
+    def test_integer_form_of_the_rational_product(self, m):
+        b, scale = _gram(m)
+        product = m.transpose() @ m
+        assert [[Fraction(x, scale) for x in row] for row in b] == [list(row) for row in product.rows]
+        assert math.gcd(scale, *[x for row in b for x in row]) == 1
+        # so it is exactly the integer lift of the rational product
+        assert (b, scale) == _int_lift(product.rows)
+
+    def test_hand_example(self):
+        # columns (1/2, 0) and (1/3, 1): m^T m = [[1/4, 1/6], [1/6, 10/9]] = [[9, 6], [6, 40]] / 36
+        assert _gram(MatQ([["1/2", "1/3"], [0, 1]])) == ([[9, 6], [6, 40]], 36)
+        # lift 2 * m = [[1, 1], [1, -1]]: b = [[2, 0], [0, 2]] over 4, both divided by g = 2
+        assert _gram(MatQ([["1/2", "1/2"], ["1/2", "-1/2"]])) == ([[1, 0], [0, 1]], 2)
 
 
 class TestMatrixBasics:
@@ -653,7 +683,7 @@ class TestKeptLu:
 class TestLllInverse:
     @given(sheared_grams)
     def test_inverse_transform_is_carried_along(self, g):
-        v, v_inv, gs = _lll(g)
+        v, v_inv, gs = _lll(*_int_lift(g.rows))
         assert v @ v_inv == MatZ.identity(g.n)
         assert lll_gram(g)[1] == v
 

@@ -18,13 +18,14 @@ from latquot import cli, flat_geometry
 from latquot.errors import (
     DimensionMismatch,
     DimensionTooLarge,
+    FloatRangeError,
     LatticeMismatch,
     NonPositiveBound,
     NotPositiveDefinite,
     NotSymmetric,
     ZeroVector,
 )
-from latquot.exactnum import MatQ, MatZ, PosDefForm
+from latquot.exactnum import MatQ, MatZ, PosDefForm, _int_lift, _lll
 from latquot.flat_geometry import (
     GramForm,
     LatticeVector,
@@ -432,6 +433,33 @@ class TestShearedPresentations:
         lat = from_basis(rand_unimodular(random.Random(3), 4, 20, 4).to_matq())
         assert lat.reduced_gram() is lat.reduced_gram()
 
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32))
+    def test_reduced_gram_is_the_run_on_the_rational_gram(self, n, seed):
+        rng = random.Random(seed)
+        basis = rand_invertible(rng, n) @ rand_unimodular(rng, n, 20, 4).to_matq()
+        lat = from_basis(basis)
+        product = basis.transpose() @ basis
+        # the oracle: the LLL on the integer lift of the rational product basis^T basis
+        assert lat.reduced_gram() == _lll(*_int_lift(product.rows))
+        assert lat.gram_matrix() == product
+
+    @pytest.mark.parametrize("question", [
+        lambda l1, l2: shortest_vectors(l1),
+        lambda l1, l2: geodesic_spectrum(l1, 3),
+        lambda l1, l2: isometric_mod_rotation(l1, l2),
+    ], ids=["shortest", "spectrum", "isometric"])
+    def test_first_question_forms_no_rational_gram(self, monkeypatch, question):
+        rng = random.Random(17)
+        b = rand_invertible(rng, 3)
+        l1 = from_basis(b @ rand_unimodular(rng, 3, 20, 4).to_matq())
+        l2 = from_basis(rand_orthogonal(rng, 3) @ b)
+        products = []
+        real = MatQ.__matmul__
+        monkeypatch.setattr(MatQ, "__matmul__", lambda x, y: products.append((x, y)) or real(x, y))
+        assert question(l1, l2)
+        assert products == []
+        assert l1._gram is None and l2._gram is None
+
 
 def count_calls(monkeypatch, name):
     """Wrap flat_geometry's ``name`` so that each call is recorded; returns the list of their arguments."""
@@ -448,6 +476,20 @@ def count_calls(monkeypatch, name):
 
 class TestKeptMinimum:
     """One walk per lattice serves shortest vectors, the radius and the isometry search."""
+
+    def test_radius_is_kept(self, monkeypatch):
+        roots = count_calls(monkeypatch, "float_sqrt")
+        lat = from_basis(rand_unimodular(random.Random(5), 3, 12, 3).to_matq())
+        first = injectivity_radius(lat)
+        assert first == (Fraction(1, 4), 0.5) and injectivity_radius(lat) is first
+        assert len(roots) == 1
+
+    def test_radius_out_of_range_keeps_nothing(self):
+        lat = from_basis(MatQ([[10**400]]))  # r = 10^400 / 2 has no float
+        with pytest.raises(FloatRangeError):
+            injectivity_radius(lat)
+        assert lat._walks.radius is None
+        assert shortest_vectors(lat)[0].coeffs == (1,)
 
     def test_one_walk_for_repeated_calls(self, monkeypatch):
         walks = count_calls(monkeypatch, "_enumerate_bounded")

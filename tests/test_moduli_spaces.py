@@ -22,7 +22,7 @@ from latquot.moduli_spaces import (
     unit_covolume_form,
 )
 
-from conftest import rand_invertible, rand_matq, rand_orthogonal, rand_unimodular, rand_unimodular_pm
+from conftest import rand_fraction, rand_invertible, rand_matq, rand_orthogonal, rand_unimodular, rand_unimodular_pm
 
 
 def rand_posdef(rng, n, height=4):
@@ -71,7 +71,32 @@ class TestGramMap:
             assert gram_map(r @ t) == gram_map(t)
 
 
+def cayley(rng, n):
+    """(I - A)(I + A)^-1 for a random rational skew-symmetric A: a rational orthogonal matrix."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rand_fraction(rng)
+            rows[j][i] = -rows[i][j]
+    a, one = MatQ(rows), MatQ.identity(n)
+    return (one - a) @ (one + a).inverse()
+
+
 class TestSameLeftCoset:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32),
+        st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(lambda c: c not in (0, 1, -1)),
+    )
+    def test_cayley_rotations_keep_it_and_scalings_break_it(self, n, seed, c):
+        rng = random.Random(seed)
+        t1 = rand_invertible(rng, n)
+        r = cayley(rng, n)
+        assert r.transpose() @ r == MatQ.identity(n) and is_orthogonal(r)
+        assert same_left_coset(t1, r @ t1) and same_left_coset(r @ t1, t1)
+        assert not same_left_coset(t1, c * t1)
+        assert not same_left_coset(t1, c * (r @ t1))
+
     def test_reflexive(self):
         rng = random.Random(102)
         t = rand_invertible(rng, 3)
