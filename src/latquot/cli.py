@@ -45,24 +45,19 @@ def _load_json(path: str) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        err = SchemaError(f"cannot read input file: {exc}")
-        err.input_path = path
-        raise err from exc
+        raise SchemaError(f"cannot read input file: {exc}") from exc
     try:
         return json.loads(text)
     except ValueError as exc:  # malformed JSON, or an integer literal over the int-to-str digit limit
         kind = "invalid JSON" if isinstance(exc, json.JSONDecodeError) else "integer literal too long"
-        err = SchemaError(f"{kind}: {exc}")
-        err.input_path = path
-        raise err from exc
+        raise SchemaError(f"{kind}: {exc}") from exc
 
 
 def _parse_file(path: str, parse):
     try:
         return parse(_load_json(path))
     except InputError as exc:
-        if not getattr(exc, "input_path", None):
-            exc.input_path = path
+        exc.input_path = path
         raise
 
 

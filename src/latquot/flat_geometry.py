@@ -3,7 +3,10 @@
 Everything metric about R^n / L is encoded by the Gram form of the basis:
 squared lengths of closed geodesics (one homotopy class per lattice vector),
 the angles at which they meet, the injectivity radius of the quotient map,
-and isometry of two quotients by an ambient rotation.  Minimality claims are
+and isometry of two quotients by an ambient rotation.  Every one of them is
+read off integers: squared lengths and angles off the integer Gram form
+(b, scale) of the basis (``exactnum._gram``), the rest off the reduced form
+below; no rational Gram matrix is formed.  Minimality claims are
 exact: the enumeration runs in integers over the Gram-Schmidt data (Gram
 determinants and scaled multipliers) that the integral LLL leaves for the
 reduced Gram form, never over floating-point approximations.  Each lattice
@@ -100,13 +103,15 @@ def gram(lattice: Lattice) -> GramForm:
 
 
 def squared_length(v: LatticeVector) -> Fraction:
-    """Exact squared length of the geodesic class: coeffs^T G coeffs."""
-    return _form_value(v.lattice.gram_matrix(), v.coeffs, v.coeffs)
+    """Exact squared length of the geodesic class: x^T G x for its coefficients x, as
+    x^T b x / scale on the integer Gram form (b, scale) of the basis (``exactnum._gram``)."""
+    b, scale = _gram(v.lattice.basis)
+    return Fraction(_form_value(b, v.coeffs, v.coeffs), scale)
 
 
-def _form_value(g: MatQ, a: Sequence, b: Sequence) -> Fraction:
-    gb = g.mul_vec(b)
-    return sum((x * y for x, y in zip(a, gb)), Fraction(0))
+def _form_value(b: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
+    """x^T b y, for integer vectors x, y and an integer matrix b."""
+    return sum(map(mul, x, [sum(map(mul, row, y)) for row in b]))
 
 
 def _norm_denominator(gs: tuple) -> tuple[int, list[int]]:
@@ -327,10 +332,11 @@ def signed_cos_squared(v: LatticeVector, w: LatticeVector) -> Fraction:
         raise LatticeMismatch("vectors belong to different lattices")
     if not any(v.coeffs) or not any(w.coeffs):
         raise ZeroVector("angle is undefined for the zero vector")
-    g = v.lattice.gram_matrix()
+    # on the integers b = scale * G alone: the scale cancels from (x^T G y)^2 / (x^T G x * y^T G y)
+    b = _gram(v.lattice.basis)[0]
     wc = u.mul_vec(w.coeffs)  # w's coefficients over v's basis
-    num = _form_value(g, v.coeffs, wc)
-    value = num * num / (_form_value(g, v.coeffs, v.coeffs) * _form_value(g, wc, wc))
+    num = _form_value(b, v.coeffs, wc)
+    value = Fraction(num * num, _form_value(b, v.coeffs, v.coeffs) * _form_value(b, wc, wc))
     return value if num >= 0 else -value
 
 
@@ -374,84 +380,80 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     is known: a shorter column rejects the pair before any walk, and so do
     minima or numbers of minimal vectors that differ from those the second
     lattice keeps; the search never walks the second lattice for that check,
-    which would cost every isometric pair one more walk.  The backtrack
-    checks c_i^T G1' c_j for i < j; each complete candidate is checked
-    against every column's own norm too, so a kept vector under the wrong
-    norm raises ``RuntimeError``, never a wrong answer.
+    which would cost every isometric pair one more walk.
+
+    Both forms are integers, b1 = scale1 * G1' and b2 = scale2 * G2', and
+    the search matches against one lower-triangular integer matrix t,
+    t_ij = scale1 * b2_ij / scale2 for i <= j: a candidate column c_j needs
+    (b1 c_i) . c_j = t_ij, so an entry that is no integer rejects the pair
+    before any walk, and column j's candidates are the kept shell of
+    den1 * G2'_jj = (den1 / scale1) * t_jj.  The backtrack checks t_ij for
+    i < j.  Each complete candidate is checked where it is formed: every
+    column against its norm t_jj, so a kept vector under the wrong norm
+    raises ``RuntimeError``, never a wrong answer; then the witness
+    W = V1 U' V2^-1 is composed and returned.
 
     With ``oriented`` the witness must additionally have determinant +1 and
-    the implied ambient map must preserve orientation.
+    the implied ambient map must preserve orientation: the signed covolumes
+    must be equal, and a candidate whose W has determinant -1 is passed
+    over for the next.
     """
     if l1.n != l2.n:
         raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
     if l1.n > _ISOMETRY_MAX_DIM:
         raise DimensionTooLarge(f"isometry search is limited to dimension {_ISOMETRY_MAX_DIM}")
-    # det G = det(basis)^2
-    if abs(l1.basis_det) != abs(l2.basis_det):
-        return None
-    if oriented and (l1.basis_det > 0) != (l2.basis_det > 0):
+    # det G = det(basis)^2; a rotation with a witness of det +1 keeps det(basis) itself
+    if l1.basis_det != l2.basis_det and (oriented or l1.basis_det != -l2.basis_det):
         return None
     v1, _, gs1 = l1.reduced_gram()
     v2, v2_inv, gs2 = l2.reduced_gram()
     n = l1.n
-    b1, scale1 = gs1[0], gs1[1]
-    b2, scale2 = gs2[0], gs2[1]
+    scale1, (b2, scale2) = gs1[1], gs2[:2]
     kept1 = _walks(l1)
-    den1 = kept1.den
-    # c_i^T G1' c_j = G2'_ij  <=>  (b1 c_i) . c_j = scale1 * b2_ij / scale2, in integers, and
-    # den1 * c_j^T G1' c_j = den1 * b2_jj / scale2: a pair whose right side is no integer has no witness
-    targets = []
-    norms = []
+    # c_i^T G1' c_j = G2'_ij  <=>  (b1 c_i) . c_j = t_ij = scale1 * b2_ij / scale2, in integers:
+    # a pair with some t_ij no integer has no witness
+    t = []
     for j in range(n):
         row = []
-        for i in range(j):
-            t, rem = divmod(scale1 * b2[j][i], scale2)
+        for i in range(j + 1):
+            x, rem = divmod(scale1 * b2[j][i], scale2)
             if rem:
                 return None
-            row.append(t)
-        targets.append(row)
-        norm, rem = divmod(den1 * b2[j][j], scale2)
-        if rem:
-            return None
-        norms.append(norm)
+            row.append(x)
+        t.append(row)
+    # column j's shell key den1 * G2'_jj; den1 = m * scale1 (``_norm_denominator``)
+    keys = [kept1.den // scale1 * row[j] for j, row in enumerate(t)]
     shells = kept1.short[1]
     if shells:
         least = next(iter(shells))
-        if min(norms) < least:
+        if min(keys) < least:
             return None
         kept2 = l2._walks
         shells2 = kept2.short[1] if kept2 is not None else None
         if shells2:
             least2 = next(iter(shells2))
-            if least * kept2.den != least2 * den1 or len(shells[least]) != len(shells2[least2]):
+            if least * kept2.den != least2 * kept1.den or len(shells[least]) != len(shells2[least2]):
                 return None
-    shells = _short(l1, max(norms))
-    columns = [shells.get(norm) for norm in norms]
+    shells = _short(l1, max(keys))
+    columns = [shells.get(key) for key in keys]
     if None in columns:
         return None
-
-    # det U' = +-1 follows from det G1' = det G2'; det U = det U' * det V1 * det V2
-    sign = v1.det() * v2.det() if oriented else 1
     cols: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def backtrack(j: int) -> MatZ | None:
         if j == n:
-            if any(den1 * sum(map(mul, b1c, c)) != scale1 * norm for (c, b1c), norm in zip(cols, norms)):
+            if any(sum(map(mul, b1c, c)) != row[-1] for (c, b1c), row in zip(cols, t)):
                 raise RuntimeError("isometry witness check failed: a kept candidate does not have its column's norm")
-            u = MatZ._of(tuple(zip(*(col[0] for col in cols))))
-            return None if oriented and u.det() * sign != 1 else u
-        target_row = targets[j]
-        for cand in columns[j]:
-            c = cand[0]
-            if all(sum(map(mul, cols[i][1], c)) == target_row[i] for i in range(j)):
-                cols.append(cand)
+            w = v1 @ MatZ._of(tuple(zip(*(col[0] for col in cols)))) @ v2_inv
+            return None if oriented and w.det() != 1 else w
+        row = t[j]
+        for c, b1c in columns[j]:
+            if all(sum(map(mul, cols[i][1], c)) == row[i] for i in range(j)):
+                cols.append((c, b1c))
                 result = backtrack(j + 1)
                 cols.pop()
                 if result is not None:
                     return result
         return None
 
-    u = backtrack(0)
-    if u is None:
-        return None
-    return v1 @ u @ v2_inv
+    return backtrack(0)

@@ -27,7 +27,7 @@ from .exactnum import MatQ, MatZ, _frac, _gram, _int_lift, _lll, _unlift, hnf
 class Lattice:
     """Lattice basis(Z^n); the columns of ``basis`` are the generators."""
 
-    __slots__ = ("n", "basis", "basis_det", "_canonical", "_gram", "_reduced", "_walks")
+    __slots__ = ("n", "basis", "basis_det", "_canonical", "_reduced", "_walks")
 
     def __init__(self, basis: MatQ):
         det = basis.det()
@@ -38,7 +38,6 @@ class Lattice:
         # signed: its absolute value is the covolume, its sign the orientation
         self.basis_det = det
         self._canonical: MatQ | None = None
-        self._gram: MatQ | None = None
         self._reduced: tuple | None = None
         # flat_geometry's: what the lattice's short-vector walks found (``flat_geometry._walks``)
         self._walks = None
@@ -56,11 +55,10 @@ class Lattice:
         return self._canonical
 
     def gram_matrix(self) -> MatQ:
-        """The Gram form basis^T * basis, built from its integers (``exactnum._gram``)
-        the first time a caller asks for it, and kept."""
-        if self._gram is None:
-            self._gram = _unlift(*_gram(self.basis))
-        return self._gram
+        """The Gram form basis^T * basis as a MatQ, built from its integers
+        (``exactnum._gram``) on each call and not kept: it is an output only,
+        as every question on the lattice works on the integer form."""
+        return _unlift(*_gram(self.basis))
 
     def reduced_gram(self) -> tuple[MatZ, MatZ, tuple]:
         """(V, V^-1, gs): the unimodular transform V of the LLL reduction, its

@@ -149,6 +149,7 @@ def double_coset_equivalent(l1: Lattice, l2: Lattice, oriented: bool = False) ->
     # imported here, so that the rest of this module loads without flat_geometry
     from .flat_geometry import isometric_mod_rotation
 
-    if abs(l1.basis_det) != abs(l2.basis_det):  # the covolumes
+    # the covolumes, once the dimensions agree: the search refuses differing dimensions first
+    if l1.n == l2.n and abs(l1.basis_det) != abs(l2.basis_det):
         raise CovolumeMismatch("lattices have different covolumes")
     return isometric_mod_rotation(l1, l2, oriented=oriented)

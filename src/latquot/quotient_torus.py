@@ -146,14 +146,16 @@ def volume_of_scaled(lattice: Lattice, c) -> float:
 
     The only sanctioned irrational-scaling path; everything rational stays in
     the exact layer via ``lattice_core.scale``.  |c|^n * covolume is formed
-    exactly, from c itself when it is an int or a Fraction and from its float
-    otherwise, and rounded once, so FloatRangeError refuses only a volume
-    outside the normal floats, never an intermediate power or an exact scale.
+    exactly, from c itself when it is an int or a Fraction and from the exact
+    value of its float otherwise, and rounded once, so FloatRangeError refuses
+    only a volume outside the normal floats, never an intermediate power or a
+    finite scale.  A NaN or infinite scale raises NonFiniteInput.
     """
     if c == 0:
         raise ZeroScale("scaling a lattice by 0 is not allowed")
-    exact = c if isinstance(c, (int, Fraction)) else Fraction(to_float(c))
-    return to_float(abs(exact) ** lattice.n * covolume(lattice))
+    if not isinstance(c, (int, Fraction)) and not math.isfinite(c := float(c)):
+        raise NonFiniteInput("scale must be finite")
+    return to_float(abs(Fraction(c)) ** lattice.n * covolume(lattice))
 
 
 def parallelepiped_image_volume(f: InducedMap, edge_coords: MatQ) -> Fraction:

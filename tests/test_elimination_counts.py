@@ -112,5 +112,6 @@ def test_second_oriented_isometry_search_reuses_the_transform_determinants(calls
     first_calls = calls["_bareiss"]
     calls["_bareiss"] = 0
     assert isometric_mod_rotation(l1, l2, oriented=True) == first
-    assert calls["_bareiss"] == first_calls - 2  # det V1 and det V2 are kept with V1 and V2
+    # one det W per complete candidate, W = V1 U' V2^-1 formed at the leaf; det V1 and det V2 are never taken
+    assert calls["_bareiss"] == first_calls == 2
     assert first is not None and first.det() == 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from latquot import cli, flat_geometry
+from latquot import cli, exactnum, flat_geometry, lattice_core, moduli_spaces
 from latquot.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -31,7 +31,6 @@ from latquot.flat_geometry import (
     LatticeVector,
     _canonical_sign,
     _enumerate_bounded,
-    _form_value,
     _norm_denominator,
     _short,
     _walks,
@@ -456,9 +455,13 @@ class TestShearedPresentations:
         products = []
         real = MatQ.__matmul__
         monkeypatch.setattr(MatQ, "__matmul__", lambda x, y: products.append((x, y)) or real(x, y))
+        unlifts = []  # every Fraction matrix built from an integer form, in each module that builds one
+        unlift = exactnum._unlift
+        for module in (exactnum, lattice_core, moduli_spaces):
+            monkeypatch.setattr(module, "_unlift", lambda b, scale: unlifts.append(scale) or unlift(b, scale))
         assert question(l1, l2)
         assert products == []
-        assert l1._gram is None and l2._gram is None
+        assert unlifts == []
 
 
 def count_calls(monkeypatch, name):
@@ -531,6 +534,17 @@ class TestKeptMinimum:
             assert isometric_mod_rotation(l1, l2, oriented=oriented) is None
         assert double_coset_equivalent(l1, l2) is None
         assert walks == [] and products == []
+
+    def test_a_gram_entry_off_the_integer_form_rejects_without_a_walk(self, monkeypatch):
+        # covolume 3 with the same sign on both sides; G1' = [[2, 1], [1, 5]] (scale1 = 1) and
+        # G2' = diag(1/2, 18): the target t_00 = scale1 * b2_00 / scale2 = 1/2 is no integer, so no
+        # vector of the first lattice has norm 1/2, and the search answers before any walk
+        l1 = from_basis(MatQ([[1, 2], [1, -1]]))
+        l2 = from_basis(MatQ([["1/2", 3], ["1/2", -3]]))
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        for oriented in (False, True):
+            assert isometric_mod_rotation(l1, l2, oriented=oriented) is None
+        assert walks == [] and l1._walks.short == (0, {})
 
     def test_minimal_norm_candidates_are_the_walks(self):
         # the kept reduced vectors of the least norm are exactly what a walk to the minimum
@@ -1050,7 +1064,9 @@ class TestFlatWalk:
             seen = 0
             for coeffs, value in walk(gs, bound):
                 assert type(value) is int and 0 < value <= bound * den
-                assert Fraction(value, den) == _form_value(g, v.mul_vec(coeffs), v.mul_vec(coeffs))
+                c = v.mul_vec(coeffs)
+                # the oracle: c^T G c in Fractions, on the rational Gram matrix
+                assert Fraction(value, den) == sum((x * y for x, y in zip(c, g.mul_vec(c))), Fraction(0))
                 seen += 1
             assert seen >= 1
 

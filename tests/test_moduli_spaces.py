@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latquot.errors import CovolumeMismatch, FloatRangeError, NotPositiveDefinite, SingularMatrix
+from latquot.errors import CovolumeMismatch, DimensionMismatch, FloatRangeError, NotPositiveDefinite, SingularMatrix
 from latquot.exactnum import MatQ, is_positive_definite
 from latquot.flat_geometry import is_orthogonal
 from latquot.lattice_core import from_basis, scale, standard
@@ -339,6 +339,12 @@ class TestDoubleCoset:
     def test_covolume_mismatch(self):
         with pytest.raises(CovolumeMismatch):
             double_coset_equivalent(standard(2), scale(standard(2), 2))
+
+    @pytest.mark.parametrize("other", [standard(3), scale(standard(3), 2)], ids=["same-covolume", "other-covolume"])
+    def test_dimension_mismatch_comes_first(self, other):
+        # the dimensions are compared before the covolumes, as in every two-lattice function
+        with pytest.raises(DimensionMismatch, match="^lattice dimensions differ: 2 vs 3$"):
+            double_coset_equivalent(standard(2), other)
 
     def test_reflexive_and_symmetric(self):
         rng = random.Random(109)

@@ -327,6 +327,18 @@ class TestVolumes:
         # scale enters the exact product as it is, and the volume is exactly 1
         assert volume_of_scaled(scale(standard(2), lattice_scale), c) == 1.0
 
+    def test_subnormal_float_scale_is_taken_exactly(self):
+        # 1e-310 is a subnormal float: its exact value enters the product, and the
+        # volume 10^320 * 1e-310, about 1e10, is a normal float
+        value = volume_of_scaled(scale(standard(1), 10**320), 1e-310)
+        assert value == float(10**320 * Fraction(1e-310))
+        assert math.isclose(value, 1e10, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_scale(self, c):
+        with pytest.raises(NonFiniteInput, match="^scale must be finite$"):
+            volume_of_scaled(standard(2), c)
+
     def test_exact_scale_rounds_once(self):
         # (1/5)^2 = 1/25 rounded once; through the float of 1/5 it read 0.04000000000000001
         assert volume_of_scaled(standard(2), Fraction(1, 5)) == 0.04 == float(Fraction(1, 25))
