@@ -5,15 +5,17 @@ This is the bedrock of the package: arbitrary-precision rationals
 integer matrices (``MatZ``), with exact determinants, linear solves and
 inverses, Hermite normal forms, one fraction-free LDL^T that ``ldl``, the
 positive-definiteness test and the integral LLL reduction of Gram forms
-share, and the positive-definite form type.  A Gram form m^T m is formed in
-integers (``_gram``), the integral Gram matrix that the LLL takes, with no
-Fraction product.  ``MatQ`` and ``MatZ`` share one
-matrix body, and each matrix keeps the fraction-free LU of its first
-elimination: its determinant is that LU's last pivot, and every solve and
-inverse after it is a forward and back substitution, with no Gauss-Jordan
-pass.  Nothing rounds but ``to_float``, the one conversion behind the
-explicitly metric float outputs elsewhere (and ``float_sqrt``, its
-square-root form).
+share, and the positive-definite form type.  Products are formed on integer
+lifts, with no Fraction arithmetic: ``MatQ @ MatQ`` is one integer product
+of the two lifts (``_int_lift``) over the product of their denominators,
+the kernel (``_int_product``) that ``MatZ``'s product runs unlifted, and a
+Gram form m^T m is formed in integers (``_gram``), the integral Gram matrix
+that the LLL takes.  ``MatQ`` and ``MatZ`` share one matrix body, and each
+matrix keeps the fraction-free LU of its first elimination: its determinant
+is that LU's last pivot, and every solve and inverse after it is a forward
+and back substitution, with no Gauss-Jordan pass.  Nothing rounds but
+``to_float``, the one conversion behind the explicitly metric float outputs
+elsewhere (and ``float_sqrt``, its square-root form).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -109,6 +111,12 @@ def _unlift(b: Sequence[Sequence[int]], scale: int) -> MatQ:
     return MatQ._of(tuple(tuple(Fraction(x, scale) for x in row) for row in b))
 
 
+def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The product a b of two square integer matrices, by rows: ``MatZ``'s product, and ``MatQ``'s on its lifts."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
 def _gram(m: _Mat) -> tuple[list[list[int]], int]:
     """(b, scale): the Gram form m^T m as the integers b = scale * m^T m, in lowest terms.
 
@@ -187,10 +195,11 @@ class _Mat:
 
     A subclass converts a caller's entries and hands the rows of tuples to
     this constructor.  Matrices the library builds from entries already of
-    the right type (``transpose``, ``@``, solves and inverses, ``hnf``, the
-    LLL transforms) skip that conversion through ``_of``; results of
-    ``transpose`` and ``@`` are built by the operand's own class, so they
-    stay within one type.
+    the right type (``transpose``, ``@``, ``MatQ``'s ``+``, ``-`` and
+    scalar multiples, solves and inverses, ``hnf`` and its input, the LLL
+    transforms, ``ldl``'s L) skip that conversion through ``_of``; results
+    of ``transpose`` and ``@`` are built by the operand's own class, so
+    they stay within one type.
     """
 
     __slots__ = ("n", "rows", "_lu")
@@ -231,8 +240,7 @@ class _Mat:
 
     def __matmul__(self, other):
         self._check_same_size(other)
-        cols = tuple(zip(*other.rows))
-        return self._of(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows))
+        return self._of(_int_product(self.rows, other.rows))
 
     def _check_same_size(self, other) -> None:
         if not isinstance(other, type(self)):
@@ -268,8 +276,12 @@ class MatQ(_Mat):
     def __init__(self, rows: Sequence[Sequence]):
         super().__init__(tuple(tuple(_frac(x) for x in row) for row in rows))
 
-    # also in this class's own namespace, where perfbench's tracer wraps it per class
-    __matmul__ = _Mat.__matmul__
+    def __matmul__(self, other: "MatQ") -> "MatQ":
+        """The product on the integer lifts: (d_a A)(d_b B) over d_a d_b, no Fraction arithmetic."""
+        self._check_same_size(other)
+        a, da = _int_lift(self.rows)
+        b, db = _int_lift(other.rows)
+        return _unlift(_int_product(a, b), da * db)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "MatQ":
@@ -284,18 +296,18 @@ class MatQ(_Mat):
 
     def __add__(self, other: "MatQ") -> "MatQ":
         self._check_same_size(other)
-        return MatQ([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return MatQ._of(tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "MatQ") -> "MatQ":
         self._check_same_size(other)
-        return MatQ([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return MatQ._of(tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "MatQ":
-        return MatQ([[-x for x in row] for row in self.rows])
+        return MatQ._of(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __rmul__(self, c) -> "MatQ":
         c = _frac(c)
-        return MatQ([[c * x for x in row] for row in self.rows])
+        return MatQ._of(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
         return super().mul_vec([_frac(x) for x in v])
@@ -506,9 +518,10 @@ def _ldl(factors: tuple) -> tuple[MatQ, tuple[Fraction, ...]]:
         diag.append(Fraction(pivot, prev * scale))
         prev = pivot or prev
     # a skipped pivot's column of lam is all zero
-    low = [[x and Fraction(x, d[j + 1]) for j, x in enumerate(row)] + [1] + [0] * (n - k - 1)
-           for k, row in enumerate(lam)]
-    return MatQ(low), tuple(diag)
+    zero, one = Fraction(0), Fraction(1)
+    low = tuple(tuple(Fraction(x, d[j + 1]) if x else zero for j, x in enumerate(row))
+                + (one,) + (zero,) * (n - k - 1) for k, row in enumerate(lam))
+    return MatQ._of(low), tuple(diag)
 
 
 def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
@@ -609,7 +622,17 @@ class PosDefForm:
     __slots__ = ("n", "matrix", "_factors")
 
     def __init__(self, matrix: MatQ):
-        factors = _symmetric_bareiss(*_symmetric_lift(matrix))
+        self._set(matrix, _symmetric_bareiss(*_symmetric_lift(matrix)))
+
+    @classmethod
+    def _of(cls, b: list[list[int]], scale: int) -> "PosDefForm":
+        """The form b / scale for b symmetric integers in lowest terms over scale
+        (``_gram``'s pair, what ``_symmetric_lift`` would give back): no re-lift."""
+        form = object.__new__(cls)
+        form._set(_unlift(b, scale), _symmetric_bareiss(b, scale))
+        return form
+
+    def _set(self, matrix: MatQ, factors: tuple) -> None:
         if not all(x > 0 for x in factors[2]):
             raise NotPositiveDefinite("form must be positive definite")
         self.n = matrix.n

@@ -98,8 +98,8 @@ class LatticeVector:
 
 
 def gram(lattice: Lattice) -> GramForm:
-    """The Gram form basis^T * basis of the lattice basis."""
-    return GramForm(lattice.gram_matrix())
+    """The Gram form basis^T * basis of the lattice basis, from its integers (``exactnum._gram``)."""
+    return GramForm._of(*_gram(lattice.basis))
 
 
 def squared_length(v: LatticeVector) -> Fraction:

@@ -51,7 +51,7 @@ class Lattice:
         """
         if self._canonical is None:
             lift, d = _int_lift(self.basis.rows)
-            self._canonical = _unlift(hnf(MatZ(lift)).rows, d)
+            self._canonical = _unlift(hnf(MatZ._of(tuple(map(tuple, lift)))).rows, d)
         return self._canonical
 
     def gram_matrix(self) -> MatQ:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import CovolumeMismatch, NotSymmetric, SingularMatrix
 from .exactnum import (
-    MatQ, MatZ, PosDefForm, _gram, _ldl, _symmetric_bareiss, _symmetric_lift, _unlift, float_sqrt, to_float,
+    MatQ, MatZ, PosDefForm, _gram, _ldl, _symmetric_bareiss, _symmetric_lift, float_sqrt, to_float,
 )
 from .lattice_core import Lattice, covolume
 
@@ -23,7 +23,7 @@ def gram_map(t: MatQ) -> PosDefForm:
     """T -> T^T T; lands in the positive-definite symmetric forms."""
     if t.det() == 0:
         raise SingularMatrix("matrix has determinant 0")
-    return PosDefForm(_unlift(*_gram(t)))
+    return PosDefForm._of(*_gram(t))
 
 
 def same_left_coset(t1: MatQ, t2: MatQ) -> bool:

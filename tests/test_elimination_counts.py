@@ -1,7 +1,8 @@
 """How many eliminations a question costs once its objects exist.
 
-Counted by wrapping the one forward elimination (``exactnum._bareiss``) and
-the one LDL^T (``exactnum._symmetric_bareiss``).  A matrix keeps the
+Counted by wrapping the one forward elimination (``exactnum._bareiss``),
+the one LDL^T (``exactnum._symmetric_bareiss``) and the lift of a symmetric
+rational matrix to its integers (``exactnum._symmetric_lift``).  A matrix keeps the
 fraction-free LU its first ``det``, ``solve`` or ``inverse`` computes, a
 lattice keeps the inverse of its LLL transform, and a positive-definite form
 keeps its LDL^T, so repeated questions run substitutions only.
@@ -14,7 +15,7 @@ import pytest
 
 from latquot import exactnum, moduli_spaces
 from latquot.exactnum import MatQ, MatZ
-from latquot.flat_geometry import isometric_mod_rotation
+from latquot.flat_geometry import gram, isometric_mod_rotation
 from latquot.lattice_core import Lattice, contains, equals, sublattice_index
 from latquot.moduli_spaces import gram_map, posdef_witness
 from latquot.quotient_torus import reduce, torus_add
@@ -24,7 +25,7 @@ from conftest import rand_invertible, rand_orthogonal, rand_unimodular_pm
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = {"_bareiss": 0, "_symmetric_bareiss": 0}
+    counts = {"_bareiss": 0, "_symmetric_bareiss": 0, "_symmetric_lift": 0}
 
     def wrap(name, *modules):
         real = getattr(exactnum, name)
@@ -38,6 +39,7 @@ def calls(monkeypatch):
 
     wrap("_bareiss", exactnum)
     wrap("_symmetric_bareiss", exactnum, moduli_spaces)
+    wrap("_symmetric_lift", exactnum, moduli_spaces)
     return counts
 
 
@@ -92,6 +94,14 @@ def test_posdef_witness_of_a_form_reuses_its_ldl(calls):
     witness = posdef_witness(gram_map(t))
     assert calls["_symmetric_bareiss"] == 1  # the form's construction
     assert witness == posdef_witness(t.transpose() @ t)
+
+
+def test_gram_forms_are_factored_on_their_integers_without_a_re_lift(calls):
+    t = MatQ([[2, 1, 0], [Fraction(1, 3), 1, 1], [0, -1, 4]])
+    assert gram_map(t) == gram(Lattice(t))
+    # one LDL^T each, on the integer form that exactnum._gram gives, not on its Fractions lifted again
+    assert calls["_symmetric_bareiss"] == 2
+    assert calls["_symmetric_lift"] == 0
 
 
 def test_two_determinants_of_an_integer_matrix_eliminate_once(calls):

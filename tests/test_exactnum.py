@@ -2,13 +2,15 @@ import copy
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from latquot.complex_lattices import ComplexMatrix
+from latquot import lattice_core
+from latquot.complex_lattices import ComplexMatrix, is_complex_linear, realify
 from latquot.errors import (
     DimensionMismatch,
     FloatRangeError,
@@ -20,6 +22,7 @@ from latquot.errors import (
 from latquot.exactnum import (
     MatQ,
     MatZ,
+    PosDefForm,
     _gram,
     _int_lift,
     _lll,
@@ -32,9 +35,10 @@ from latquot.exactnum import (
     lll_gram,
     to_float,
 )
-from latquot.flat_geometry import LatticeVector, geodesic_spectrum
-from latquot.lattice_core import contains, scale, standard
-from latquot.quotient_torus import TorusPoint, reduce
+from latquot.flat_geometry import LatticeVector, geodesic_spectrum, gram
+from latquot.lattice_core import Lattice, contains, scale, standard
+from latquot.moduli_spaces import gram_map
+from latquot.quotient_torus import TorusPoint, make_induced_map, reduce
 
 from conftest import rand_invertible, rand_matq, rand_unimodular, rand_unimodular_pm
 
@@ -487,11 +491,106 @@ class TestGram:
         # so it is exactly the integer lift of the rational product
         assert (b, scale) == _int_lift(product.rows)
 
+    @given(gram_bases)
+    def test_form_of_the_integers_is_the_form_of_the_product(self, m):
+        # PosDefForm._of takes _gram's pair as it is, with no re-lift of its Fractions
+        product = fraction_product(m.transpose(), m)
+        if m.det() == 0:
+            for make in (lambda: PosDefForm(product), lambda: PosDefForm._of(*_gram(m))):
+                with pytest.raises(NotPositiveDefinite, match="^form must be positive definite$"):
+                    make()
+            return
+        oracle = PosDefForm(product)
+        for form in (PosDefForm._of(*_gram(m)), gram_map(m), gram(Lattice(m))):
+            assert form.matrix.rows == oracle.matrix.rows
+            assert form._factors == oracle._factors
+
     def test_hand_example(self):
         # columns (1/2, 0) and (1/3, 1): m^T m = [[1/4, 1/6], [1/6, 10/9]] = [[9, 6], [6, 40]] / 36
         assert _gram(MatQ([["1/2", "1/3"], [0, 1]])) == ([[9, 6], [6, 40]], 36)
         # lift 2 * m = [[1, 1], [1, -1]]: b = [[2, 0], [0, 2]] over 4, both divided by g = 2
         assert _gram(MatQ([["1/2", "1/2"], ["1/2", "-1/2"]])) == ([[1, 0], [0, 1]], 2)
+
+
+def fraction_product(a: MatQ, b: MatQ) -> MatQ:
+    """The product oracle: the row-by-column definition, n Fraction products and n - 1 sums per entry."""
+    n = a.n
+    return MatQ([[sum((a.rows[i][k] * b.rows[k][j] for k in range(1, n)), a.rows[i][0] * b.rows[0][j])
+                  for j in range(n)] for i in range(n)])
+
+
+# 72 primes above 50, so no numerator drawn below cancels one
+_BIG_PRIMES = [p for p in range(53, 500) if all(p % q for q in range(2, 23))][:72]
+
+
+@st.composite
+def _product_pairs(draw):
+    """(a, b), n <= 6, of one of three kinds: entries zero, negative or of mixed
+    denominators; integral; or 2n^2 entries with pairwise distinct prime
+    denominators, so each lift's common denominator is a product of n^2 primes."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    size = 2 * n * n
+    kind = draw(st.sampled_from(["mixed", "integral", "primes"]))
+    if kind == "mixed":
+        entries = st.just(Fraction(0)) | st.fractions(min_value=-50, max_value=50, max_denominator=12)
+        flat = draw(st.lists(entries, min_size=size, max_size=size))
+    elif kind == "integral":
+        flat = [Fraction(k) for k in draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))]
+    else:
+        nums = draw(st.lists(st.integers(-50, 50).filter(bool), min_size=size, max_size=size))
+        flat = [Fraction(p, q) for p, q in zip(nums, draw(st.permutations(_BIG_PRIMES)))]
+    rows = [flat[i:i + n] for i in range(0, size, n)]
+    return MatQ(rows[:n]), MatQ(rows[n:])
+
+
+class TestProduct:
+    """``MatQ @ MatQ``: one integer product of the two lifts over the product of their denominators."""
+
+    @given(_product_pairs())
+    @example((MatQ([[0]]), MatQ([["1/2"]])))
+    def test_matches_the_fraction_product(self, pair):
+        a, b = pair
+        p, oracle = a @ b, fraction_product(a, b)
+        assert p.rows == oracle.rows
+        assert hash(p) == hash(oracle)
+        assert all(type(x) is Fraction for row in p.rows for x in row)
+
+    def test_integer_product_stays_integer(self):
+        p = MatZ([[2, -1], [0, 3]]) @ MatZ([[1, 4], [5, -2]])
+        assert p.rows == ((-3, 10), (15, -6))
+        assert all(type(x) is int for row in p.rows for x in row)
+
+    def test_forms_no_fraction_sum_or_product(self, monkeypatch):
+        rng = random.Random(19)
+        a, b = rand_invertible(rng, 4), rand_invertible(rng, 4)
+        z = ComplexMatrix([[("1/2", 3), (0, "-2/7")], [(5, 1), ("1/3", 0)]])
+        m, basis = rand_invertible(rng, 3), rand_invertible(rng, 3)
+        source = Lattice(basis)
+        target = Lattice(m @ basis @ rand_unimodular_pm(rng, 3).to_matq())
+        counts = Counter()
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            real = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda x, y, real=real, name=name: counts.update([name]) or real(x, y))
+        assert Fraction(1, 2) * Fraction(1, 3) + 1 == Fraction(7, 6)
+        assert counts == {"__mul__": 1, "__add__": 1}  # the counters count
+        counts.clear()
+        p, w = a @ b, z @ z
+        f = make_induced_map(m, source, target)
+        linear = is_complex_linear(realify(z), 2)
+        assert not counts
+        # and the answers, checked in Fractions
+        assert p == fraction_product(a, b)
+        assert realify(w) == fraction_product(realify(z), realify(z))
+        assert fraction_product(m, basis) == fraction_product(target.basis, f.witness.to_matq())
+        assert linear
+
+    def test_refuses_before_lifting(self):
+        a = MatQ([["1/2", 3], [0, "-2/5"]])
+        # a MatZ's ints have numerators and denominators too: only the type check refuses one
+        with pytest.raises(TypeError, match="^expected MatQ, got MatZ$"):
+            a @ MatZ([[1, 2], [3, 4]])
+        with pytest.raises(DimensionMismatch, match="^matrix sizes differ: 2 vs 3$"):
+            a @ MatQ.identity(3)
 
 
 class TestMatrixBasics:
@@ -523,6 +622,23 @@ class TestMatrixBasics:
     def test_from_columns(self):
         m = MatQ.from_columns([[1, 0], [2, 3]])
         assert m.col(1) == (2, 3)
+
+    def test_library_built_entries_are_of_the_class_type(self, monkeypatch):
+        m = MatQ([["1/2", 3], [0, "-2/5"]])
+        built = [m + m, m - m, -m, 2 * m, Fraction(1, 3) * m]
+        # zero multipliers (identity), a skipped pivot, a nonzero multiplier
+        for s in ([[1, 0], [0, 1]], [[1, 1, 0], [1, 1, 0], [0, 0, 5]], [[4, 2], [2, 5]]):
+            built.append(ldl(MatQ(s))[0])
+        lifts = []
+        real_hnf = lattice_core.hnf
+        monkeypatch.setattr(lattice_core, "hnf", lambda z: lifts.append(z) or real_hnf(z))
+        built.append(Lattice(m).canonical_basis())
+        for r in built:
+            assert type(r) is MatQ
+            assert all(type(x) is Fraction for row in r.rows for x in row)
+        [z] = lifts
+        assert type(z) is MatZ and z.rows == ((5, 30), (0, -4))
+        assert all(type(x) is int for row in z.rows for x in row)
 
     def test_random_products_stay_exact(self):
         rng = random.Random(41)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from latquot import cli, exactnum, flat_geometry, lattice_core, moduli_spaces
+from latquot import cli, exactnum, flat_geometry, lattice_core
 from latquot.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -457,7 +457,7 @@ class TestShearedPresentations:
         monkeypatch.setattr(MatQ, "__matmul__", lambda x, y: products.append((x, y)) or real(x, y))
         unlifts = []  # every Fraction matrix built from an integer form, in each module that builds one
         unlift = exactnum._unlift
-        for module in (exactnum, lattice_core, moduli_spaces):
+        for module in (exactnum, lattice_core):
             monkeypatch.setattr(module, "_unlift", lambda b, scale: unlifts.append(scale) or unlift(b, scale))
         assert question(l1, l2)
         assert products == []
