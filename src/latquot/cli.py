@@ -51,6 +51,8 @@ def _load_json(path: str) -> Any:
     except ValueError as exc:  # malformed JSON, or an integer literal over the int-to-str digit limit
         kind = "invalid JSON" if isinstance(exc, json.JSONDecodeError) else "integer literal too long"
         raise SchemaError(f"{kind}: {exc}") from exc
+    except RecursionError as exc:  # the scanner recurses once per nested array or object
+        raise SchemaError("invalid JSON: nested too deeply") from exc
 
 
 def _parse_file(path: str, parse):

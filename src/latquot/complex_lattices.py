@@ -139,11 +139,16 @@ def standard_complex_structure(n: int) -> ComplexStructure:
 
 
 def is_complex_linear(t: MatQ, n: int) -> bool:
-    """True iff t commutes with multiplication by i, i.e. comes from a C-linear map."""
+    """True iff t commutes with multiplication by i, i.e. comes from a C-linear map.
+
+    That is, every 2x2 block [[p, q], [r, s]] of t is [[a, -b], [b, a]]: s = p
+    and r = -q, read off t's integer rows, with no product.
+    """
     if t.n != 2 * n:
         raise DimensionMismatch(f"matrix must be {2 * n}x{2 * n} for complex dimension {n}")
-    j = realify(ComplexMatrix.scalar(n, (0, 1)))
-    return t @ j == j @ t
+    r = t.ints
+    return all(r[i + 1][j + 1] == r[i][j] and r[i + 1][j] == -r[i][j + 1]
+               for i in range(0, 2 * n, 2) for j in range(0, 2 * n, 2))
 
 
 def gaussian_lattice(n: int) -> Lattice:

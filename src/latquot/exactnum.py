@@ -5,17 +5,18 @@ This is the bedrock of the package: arbitrary-precision rationals
 integer matrices (``MatZ``), with exact determinants, linear solves and
 inverses, Hermite normal forms, one fraction-free LDL^T that ``ldl``, the
 positive-definiteness test and the integral LLL reduction of Gram forms
-share, and the positive-definite form type.  Products are formed on integer
-lifts, with no Fraction arithmetic: ``MatQ @ MatQ`` is one integer product
-of the two lifts (``_int_lift``) over the product of their denominators,
-the kernel (``_int_product``) that ``MatZ``'s product runs unlifted, and a
-Gram form m^T m is formed in integers (``_gram``), the integral Gram matrix
-that the LLL takes.  ``MatQ`` and ``MatZ`` share one matrix body, and each
-matrix keeps the fraction-free LU of its first elimination: its determinant
-is that LU's last pivot, and every solve and inverse after it is a forward
-and back substitution, with no Gauss-Jordan pass.  Nothing rounds but
-``to_float``, the one conversion behind the explicitly metric float outputs
-elsewhere (and ``float_sqrt``, its square-root form).
+share, and the positive-definite form type.  ``MatQ`` and ``MatZ`` share one
+integer body: a matrix is its integer rows ``ints`` over one denominator
+``den`` > 0 in lowest terms (a ``MatZ`` has den 1).  Every operation works on
+that body with no Fraction arithmetic: ``a @ b`` is one integer product over
+``a.den * b.den``, so a Gram form m^T m is ``m.transpose() @ m``, whose body
+is the integral Gram matrix that the LLL takes, and each matrix keeps the
+fraction-free LU of its first elimination: its determinant is that LU's last
+pivot, and every solve and inverse after it is a forward and back
+substitution, with no Gauss-Jordan pass.  ``MatQ.rows`` builds the entries
+as Fractions on access, for output.  Nothing rounds but ``to_float``, the one
+conversion behind the explicitly metric float outputs elsewhere (and
+``float_sqrt``, its square-root form).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -100,41 +101,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _int_lift(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """(A, d): the least common denominator d of the entries and A = d * rows, as integers."""
-    d = math.lcm(*[x.denominator for row in rows for x in row])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+def _int_lift(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(A, d): the least common denominator d of the entries and A = d * rows, as integer rows.
 
-
-def _unlift(b: Sequence[Sequence[int]], scale: int) -> MatQ:
-    """The MatQ b / scale, for integers b and scale > 0."""
-    return MatQ._of(tuple(tuple(Fraction(x, scale) for x in row) for row in b))
-
-
-def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The product a b of two square integer matrices, by rows: ``MatZ``'s product, and ``MatQ``'s on its lifts."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def _gram(m: _Mat) -> tuple[list[list[int]], int]:
-    """(b, scale): the Gram form m^T m as the integers b = scale * m^T m, in lowest terms.
-
-    Formed in integers on the lift A = d * m (``_int_lift``) as b = A^T A over
-    scale = d^2, both divided by g = gcd(d^2, every entry of b).  That makes
-    (b, scale) what ``_int_lift`` gives for the rational m^T m, whose least
-    common denominator is d^2 / g, with no Fraction product; it is unique, so
-    two Gram forms are equal exactly when their pairs are.  b is a fresh list
-    of lists, symmetric, that its caller may consume (``_lll`` does).
+    gcd(d, every entry of A) = 1, so (A, d) is in lowest terms: a prime
+    power that d holds in full divides some entry's denominator, and that
+    entry's integer is prime to it.
     """
-    a, d = _int_lift(m.rows)
-    cols = list(zip(*a))
-    b = [[0] * m.n for _ in cols]
-    for i, ci in enumerate(cols):
-        for j in range(i, m.n):
-            b[i][j] = b[j][i] = sum(map(mul, ci, cols[j]))
-    g = math.gcd(d * d, *[x for row in b for x in row])
-    return ([[x // g for x in row] for row in b] if g > 1 else b), d * d // g
+    d = math.lcm(*[x.denominator for row in rows for x in row])
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def _int_entries(values: Sequence, message: str) -> tuple[int, ...]:
@@ -190,57 +165,61 @@ def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
 
 
 class _Mat:
-    """What ``MatQ`` and ``MatZ`` share: an immutable square matrix, stored row-major,
-    that keeps the fraction-free LU of its first elimination (``_factor``).
+    """The one matrix body that ``MatQ`` and ``MatZ`` share: an immutable square matrix
+    ``ints / den``, its integer rows ``ints`` (a tuple of tuples) over one denominator
+    ``den`` > 0 in lowest terms, gcd(den, every entry) = 1; a ``MatZ`` has den 1.
 
-    A subclass converts a caller's entries and hands the rows of tuples to
-    this constructor.  Matrices the library builds from entries already of
-    the right type (``transpose``, ``@``, ``MatQ``'s ``+``, ``-`` and
-    scalar multiples, solves and inverses, ``hnf`` and its input, the LLL
-    transforms, ``ldl``'s L) skip that conversion through ``_of``; results
-    of ``transpose`` and ``@`` are built by the operand's own class, so
-    they stay within one type.
+    Each matrix keeps the fraction-free LU of its first elimination
+    (``_factor``).  A subclass converts a caller's entries to the body and
+    hands it to this constructor; every matrix the library builds comes
+    through ``_of``.  ``==`` and ``hash`` compare (ints, den), within one
+    type, and results of ``transpose`` and ``@`` are built by the operand's
+    own class, so they stay within one type.
     """
 
-    __slots__ = ("n", "rows", "_lu")
+    __slots__ = ("n", "ints", "den", "_lu")
 
-    def __init__(self, data: tuple):
-        n = len(data)
-        if n < 1 or any(len(row) != n for row in data):
+    def __init__(self, ints: tuple, den: int = 1):
+        n = len(ints)
+        if n < 1 or any(len(row) != n for row in ints):
             raise ValueError("matrix must be square with n >= 1")
         self.n = n
-        self.rows = data
+        self.ints = ints
+        self.den = den
         self._lu: tuple | None = None
 
     @classmethod
-    def _of(cls, rows: tuple):
-        """The matrix on ``rows``, a square tuple of tuples of the class's own entry type
-        (``Fraction`` or ``int``) that the library built: no conversion, and the shape
-        is checked only under ``__debug__`` (``python -O`` drops the check)."""
-        if __debug__ and not (rows and all(len(row) == len(rows) for row in rows)):
-            raise ValueError("matrix must be square with n >= 1")
+    def _of(cls, ints: tuple, den: int = 1):
+        """The matrix ints / den, for a square tuple of int tuples and den > 0 that the library
+        built, reduced to lowest terms by one gcd, with no conversion of its entries."""
+        if den != 1:
+            g = math.gcd(den, *[x for row in ints for x in row])
+            if g != 1:
+                ints = tuple(tuple(x // g for x in row) for row in ints)
+                den //= g
         m = object.__new__(cls)
-        m.n = len(rows)
-        m.rows = rows
-        m._lu = None
+        _Mat.__init__(m, ints, den)
         return m
 
     @classmethod
     def identity(cls, n: int):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def transpose(self):
-        return self._of(tuple(zip(*self.rows)))
+        return self._of(tuple(zip(*self.ints)), self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, type(self)) and self.rows == other.rows
+        return isinstance(other, type(self)) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.ints, self.den))
 
     def __matmul__(self, other):
+        """One integer product of the bodies, by rows, over the product of the denominators."""
         self._check_same_size(other)
-        return self._of(_int_product(self.rows, other.rows))
+        cols = tuple(zip(*other.ints))
+        ints = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.ints)
+        return self._of(ints, self.den * other.den)
 
     def _check_same_size(self, other) -> None:
         if not isinstance(other, type(self)):
@@ -249,81 +228,92 @@ class _Mat:
             raise DimensionMismatch(f"matrix sizes differ: {self.n} vs {other.n}")
 
     def mul_vec(self, v: Sequence) -> tuple:
+        """ints * v: the product itself for a ``MatZ``."""
         if len(v) != self.n:
             raise DimensionMismatch(f"vector length {len(v)} does not match matrix size {self.n}")
-        return tuple(sum(map(mul, row, v)) for row in self.rows)
+        return tuple(sum(map(mul, row, v)) for row in self.ints)
 
-    def _factor(self) -> tuple[int, list[int], list[list[int]], int]:
-        """(d, perm, lu, det): the common denominator d of the entries and what
-        ``_bareiss`` leaves for the integer lift d * A.  Computed on first use
-        and kept; nothing mutates it afterwards."""
+    def _factor(self) -> tuple[list[int], list[list[int]], int]:
+        """(perm, lu, det): what ``_bareiss`` leaves for the integers ``ints``.
+        Computed on first use and kept; nothing mutates it afterwards."""
         if self._lu is None:
-            lu, d = _int_lift(self.rows)
+            lu = [list(row) for row in self.ints]
             det, perm = _bareiss(lu)
-            self._lu = (d, perm, lu, det)
+            self._lu = (perm, lu, det)
         return self._lu
 
 
 class MatQ(_Mat):
-    """Immutable n-by-n matrix of exact rationals, stored row-major.
+    """Immutable n-by-n matrix of exact rationals: integer rows over one denominator.
 
-    The fraction-free LU of its integer lift is computed the first time
-    ``det``, ``solve`` or ``inverse`` needs it, and kept for every later call.
+    The fraction-free LU of its integers is computed the first time ``det``,
+    ``solve`` or ``inverse`` needs it, and kept for every later call.
     """
 
     __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence]):
-        super().__init__(tuple(tuple(_frac(x) for x in row) for row in rows))
+        super().__init__(*_int_lift([[_frac(x) for x in row] for row in rows]))
 
-    def __matmul__(self, other: "MatQ") -> "MatQ":
-        """The product on the integer lifts: (d_a A)(d_b B) over d_a d_b, no Fraction arithmetic."""
-        self._check_same_size(other)
-        a, da = _int_lift(self.rows)
-        b, db = _int_lift(other.rows)
-        return _unlift(_int_product(a, b), da * db)
+    # also in this class's own namespace, where perfbench's tracer wraps it per class
+    __matmul__ = _Mat.__matmul__
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, built on each access: for output and cold code."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.ints)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "MatQ":
         return cls(cols).transpose()
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
+        return tuple(Fraction(row[j], self.den) for row in self.ints)
 
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
         return f"MatQ([{body}])"
 
-    def __add__(self, other: "MatQ") -> "MatQ":
+    def _combine(self, other: "MatQ", sign: int) -> "MatQ":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_same_size(other)
-        return MatQ._of(tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        den = math.lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        rows = zip(self.ints, other.ints)
+        return MatQ._of(tuple(tuple(p * a + q * b for a, b in zip(ra, rb)) for ra, rb in rows), den)
+
+    def __add__(self, other: "MatQ") -> "MatQ":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MatQ") -> "MatQ":
-        self._check_same_size(other)
-        return MatQ._of(tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "MatQ":
-        return MatQ._of(tuple(tuple(-x for x in row) for row in self.rows))
+        return MatQ._of(tuple(tuple(-x for x in row) for row in self.ints), self.den)
 
     def __rmul__(self, c) -> "MatQ":
         c = _frac(c)
-        return MatQ._of(tuple(tuple(c * x for x in row) for row in self.rows))
+        p = c.numerator
+        return MatQ._of(tuple(tuple(p * x for x in row) for row in self.ints), self.den * c.denominator)
 
     def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
-        return super().mul_vec([_frac(x) for x in v])
+        """The product with v lifted to integers x over d: each entry one Fraction over den * d."""
+        (x,), d = _int_lift([[_frac(c) for c in v]])
+        den = self.den * d
+        return tuple(Fraction(s, den) for s in super().mul_vec(x))
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        return self.den == 1
 
     def to_matz(self) -> "MatZ":
-        if not self.is_integral():
+        if self.den != 1:
             raise ValueError("matrix has non-integer entries")
-        return MatZ([[x.numerator for x in row] for row in self.rows])
+        return MatZ._of(self.ints)
 
     def det(self) -> Fraction:
-        """Exact determinant: the kept LU's signed last pivot over d^n."""
-        d, _, _, det = self._factor()
-        return Fraction(det, d**self.n)
+        """Exact determinant: the kept LU's signed last pivot over den^n."""
+        return Fraction(self._factor()[2], self.den**self.n)
 
     def solve(self, rhs: "MatQ | Sequence") -> "MatQ | tuple[Fraction, ...]":
         """The exact X with A X = rhs, rhs a vector or a MatQ: a forward and a back
@@ -335,31 +325,37 @@ class MatQ(_Mat):
         if isinstance(rhs, MatQ):
             if rhs.n != n:
                 raise DimensionMismatch(f"matrix sizes differ: {n} vs {rhs.n}")
-            return MatQ._of(tuple(zip(*self._substitute(*_int_lift(tuple(zip(*rhs.rows)))))))
+            cols, q = self._substitute(list(zip(*rhs.ints)), rhs.den)
+            return MatQ._of(tuple(zip(*cols)), q)
         if len(rhs) != n:
             raise DimensionMismatch(f"vector length {len(rhs)} does not match dimension {n}")
-        return self._substitute(*_int_lift([[_frac(x) for x in rhs]]))[0]
+        (c,), e = _int_lift([[_frac(x) for x in rhs]])
+        (x,), q = self._substitute([c], e)
+        return tuple(Fraction(v, q) for v in x)
 
     def inverse(self) -> "MatQ":
         """Exact inverse: ``solve``'s identity case, the identity fed as integers."""
         n = self.n
-        return MatQ._of(tuple(zip(*self._substitute([[int(i == j) for i in range(n)] for j in range(n)], 1))))
+        cols, q = self._substitute([[int(i == j) for i in range(n)] for j in range(n)], 1)
+        return MatQ._of(tuple(zip(*cols)), q)
 
-    def _substitute(self, cols: list[list[int]], e: int) -> list[tuple[Fraction, ...]]:
-        """A^-1 c / e for each integer column c: fraction-free forward and back
-        substitution (Nakos, Turner & Williams, 1997) through the kept LU of M = d * A.
+    def _substitute(self, cols: list, e: int) -> tuple[list[tuple[int, ...]], int]:
+        """(xs, q): for each integer column c, the integers x = q A^-1 c / e, over one q > 0:
+        fraction-free forward and back substitution (Nakos, Turner & Williams, 1997)
+        through the kept LU of M = den * A.
 
         Forward, y_i <- (p_k y_i - L_ik y_k) / p_{k-1} on the permuted c is
         Bareiss run on c as one more column.  Back, X_k = (D y_k - sum_{j>k}
         U_kj X_j) / p_k gives X = D M^-1 c, D the last pivot, an integer vector
-        by Cramer's rule.  Every division is exact.
+        by Cramer's rule.  Every division is exact.  A^-1 c / e = den X / (D e),
+        so q = |D| e and x = +-den X.
         """
-        d, perm, lu, det = self._factor()
+        perm, lu, det = self._factor()
         if det == 0:
             raise SingularMatrix("matrix has determinant 0")
         n = self.n
         top = lu[n - 1][n - 1]
-        den = top * e
+        f = self.den if top > 0 else -self.den
         out = []
         for c in cols:
             y = [c[p] for p in perm]
@@ -379,13 +375,13 @@ class MatQ(_Mat):
             for k in range(n - 1, -1, -1):
                 row = lu[k]
                 x.append((top * y[k] - sum(map(mul, row[:k:-1], x))) // row[k])
-            out.append(tuple(Fraction(d * v, den) for v in reversed(x)))
-        return out
+            out.append(tuple([f * v for v in reversed(x)]))
+        return out, abs(top) * e
 
 
 class MatZ(_Mat):
-    """Immutable n-by-n matrix of arbitrary-precision integers; like a ``MatQ``,
-    it keeps the fraction-free LU its first ``det`` computes."""
+    """Immutable n-by-n matrix of arbitrary-precision integers, the body over den 1; like
+    a ``MatQ``, it keeps the fraction-free LU its first ``det`` computes."""
 
     __slots__ = ()
 
@@ -395,15 +391,20 @@ class MatZ(_Mat):
     # also in this class's own namespace, where perfbench's tracer wraps it per class
     __matmul__ = _Mat.__matmul__
 
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The integer entries: the body itself."""
+        return self.ints
+
     def __repr__(self) -> str:
-        return f"MatZ({[list(row) for row in self.rows]})"
+        return f"MatZ({[list(row) for row in self.ints]})"
 
     def det(self) -> int:
         """Exact determinant: the kept LU's signed last pivot."""
-        return self._factor()[3]
+        return self._factor()[2]
 
     def to_matq(self) -> MatQ:
-        return MatQ(self.rows)
+        return MatQ._of(self.ints)
 
 
 def det(m: MatQ) -> Fraction:
@@ -424,7 +425,7 @@ def hnf(m: MatZ) -> MatZ:
     usable as a canonical form.
     """
     n = m.n
-    a = [list(row) for row in m.rows]
+    a = [list(row) for row in m.ints]
     for i in range(n):
         # gcd-fold everything in row i at columns >= i into column i
         for j in range(i + 1, n):
@@ -453,16 +454,14 @@ def hnf(m: MatZ) -> MatZ:
     return MatZ._of(tuple(map(tuple, a)))
 
 
-def _symmetric_lift(s: MatQ) -> tuple[list[list[int]], int]:
-    """(b, scale): the integer lift b = scale * s of a symmetric rational matrix
-    (``_int_lift``), its symmetry checked on b."""
-    b, scale = _int_lift(s.rows)
-    if list(zip(*b)) != list(map(tuple, b)):
+def _symmetric(s: MatQ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(b, scale): the body of a symmetric matrix, b = scale * s, its symmetry checked on b."""
+    if tuple(zip(*s.ints)) != s.ints:
         raise NotSymmetric("matrix is not symmetric")
-    return b, scale
+    return s.ints, s.den
 
 
-def _symmetric_bareiss(b: list[list[int]], scale: int) -> tuple[list[list[int]], int, list[int], list[list[int]]]:
+def _symmetric_bareiss(b: Sequence[Sequence[int]], scale: int) -> tuple[Sequence, int, list[int], list[list[int]]]:
     """Fraction-free LDL^T of the symmetric integer form b = scale * s: (b, scale, d, lam).
 
     Bareiss elimination without pivoting of b leaves the leading minors d of
@@ -470,11 +469,10 @@ def _symmetric_bareiss(b: list[list[int]], scale: int) -> tuple[list[list[int]],
     changed.  A zero pivot with a zero residual column is skipped: that is
     Bareiss on b without its row and column.  At any other zero pivot the
     elimination breaks down and stops, leaving d shorter than n + 1 and
-    ending in that zero.  A rational s comes in through ``_symmetric_lift``,
-    a Gram form m^T m through ``_gram``.
+    ending in that zero.  A matrix comes in through ``_symmetric``, its body.
     """
     n = len(b)
-    a = [row[:i + 1] for i, row in enumerate(b)]  # lower triangle, eliminated in place
+    a = [list(row[:i + 1]) for i, row in enumerate(b)]  # lower triangle, eliminated in place
     d = [1]
     prev = 1
     for k in range(n):
@@ -500,11 +498,15 @@ def ldl(s: MatQ) -> tuple[MatQ, tuple[Fraction, ...]]:
     whole residual column vanishes; otherwise no such factorization exists
     without pivoting and PivotBreakdown is raised.
     """
-    return _ldl(_symmetric_bareiss(*_symmetric_lift(s)))
+    return _ldl(_symmetric_bareiss(*_symmetric(s)))
 
 
 def _ldl(factors: tuple) -> tuple[MatQ, tuple[Fraction, ...]]:
-    """``ldl`` read off a ``_symmetric_bareiss`` result already at hand."""
+    """``ldl`` read off a ``_symmetric_bareiss`` result already at hand.
+
+    L_kj = lam[k][j] / d[j + 1], so L is formed over den, the lcm of the
+    nonzero pivots d[1..n-1]; a skipped pivot's column of lam is all zero.
+    """
     b, scale, d, lam = factors
     n = len(b)
     if len(d) <= n:
@@ -517,11 +519,10 @@ def _ldl(factors: tuple) -> tuple[MatQ, tuple[Fraction, ...]]:
     for pivot in d[1:]:
         diag.append(Fraction(pivot, prev * scale))
         prev = pivot or prev
-    # a skipped pivot's column of lam is all zero
-    zero, one = Fraction(0), Fraction(1)
-    low = tuple(tuple(Fraction(x, d[j + 1]) if x else zero for j, x in enumerate(row))
-                + (one,) + (zero,) * (n - k - 1) for k, row in enumerate(lam))
-    return MatQ._of(low), tuple(diag)
+    den = math.lcm(*[p for p in d[1:n] if p])
+    low = tuple(tuple(x * (den // d[j + 1]) if x else 0 for j, x in enumerate(row))
+                + (den,) + (0,) * (n - k - 1) for k, row in enumerate(lam))
+    return MatQ._of(low, den), tuple(diag)
 
 
 def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
@@ -532,27 +533,27 @@ def lll_gram(g: MatQ) -> tuple[MatQ, MatZ]:
     condition.  This is de Weger's fraction-free LLL (Cohen, Alg. 2.6.7) run
     on the form scaled to integers: it keeps the Gram determinants d_k of the
     leading k vectors and lambda_kj = d_j * mu_kj, all integers, and every
-    division is exact.  G' and V are read off ``_lll``, run on G's integer
-    lift (``_symmetric_lift``).
+    division is exact.  G' and V are read off ``_lll``, run on G's body.
     """
-    v, _, (b, scale, _, _) = _lll(*_symmetric_lift(g))
-    return _unlift(b, scale), v
+    v, _, (b, scale, _, _) = _lll(*_symmetric(g))
+    return MatQ._of(b, scale), v
 
 
-def _lll(b: list[list[int]], scale: int) -> tuple[MatZ, MatZ, tuple]:
+def _lll(b: Sequence[Sequence[int]], scale: int) -> tuple[MatZ, MatZ, tuple]:
     """(V, V^-1, gs): ``lll_gram``'s V, its inverse and the integer Gram-Schmidt data of G' at exit,
     for the Gram form G = b / scale given as the symmetric integers b and scale.
 
-    b is the integral Gram matrix that de Weger's LLL wants: ``_gram`` forms
-    it from a basis, ``_symmetric_lift`` from a rational G.  The run consumes
-    it, so its caller passes a list it owns.  The data at exit is
-    (b, scale, d, lam): the integer form b = scale * G', the Gram
-    determinants d[k] of the leading k reduced vectors (d[0] = 1), and the
-    lower triangle lam[k][j] = d[j + 1] * mu_kj, j < k: the integer LDL^T of
-    b.  It starts as ``_symmetric_bareiss(b, scale)``, and each size
-    reduction and swap updates it in place.  V^-1 takes the inverse of each
-    step V does, O(n) each, so no elimination inverts V.
+    b is the integral Gram matrix that de Weger's LLL wants: the body of a
+    Gram form, such as ``m.transpose() @ m`` for a basis m.  The run works on
+    a copy.  The data at exit is (b, scale, d, lam): the integer form
+    b = scale * G', the Gram determinants d[k] of the leading k reduced
+    vectors (d[0] = 1), and the lower triangle lam[k][j] = d[j + 1] * mu_kj,
+    j < k: the integer LDL^T of b.  It starts as
+    ``_symmetric_bareiss(b, scale)``, and each size reduction and swap
+    updates it in place.  V^-1 takes the inverse of each step V does, O(n)
+    each, so no elimination inverts V.
     """
+    b = [list(row) for row in b]
     _, _, d, lam = _symmetric_bareiss(b, scale)  # b[i][j] = b_i . b_j
     if not all(x > 0 for x in d):
         raise NotPositiveDefinite("Gram matrix must be positive definite")
@@ -607,8 +608,8 @@ def _lll(b: list[list[int]], scale: int) -> tuple[MatZ, MatZ, tuple]:
 
 
 def is_positive_definite(s: MatQ) -> bool:
-    """Exact positive-definiteness test: every leading minor of the integer lift is positive."""
-    return all(x > 0 for x in _symmetric_bareiss(*_symmetric_lift(s))[2])
+    """Exact positive-definiteness test: every leading minor of the body is positive."""
+    return all(x > 0 for x in _symmetric_bareiss(*_symmetric(s))[2])
 
 
 class PosDefForm:
@@ -616,23 +617,14 @@ class PosDefForm:
 
     Gram forms of lattice bases (``flat_geometry.GramForm``) and the images
     T^T T of ``moduli_spaces.gram_map`` are both of this type.  The
-    ``_symmetric_bareiss`` run that checks it is kept for ``_ldl``.
+    ``_symmetric_bareiss`` run on the matrix's body that checks it is kept
+    for ``_ldl``.
     """
 
     __slots__ = ("n", "matrix", "_factors")
 
     def __init__(self, matrix: MatQ):
-        self._set(matrix, _symmetric_bareiss(*_symmetric_lift(matrix)))
-
-    @classmethod
-    def _of(cls, b: list[list[int]], scale: int) -> "PosDefForm":
-        """The form b / scale for b symmetric integers in lowest terms over scale
-        (``_gram``'s pair, what ``_symmetric_lift`` would give back): no re-lift."""
-        form = object.__new__(cls)
-        form._set(_unlift(b, scale), _symmetric_bareiss(b, scale))
-        return form
-
-    def _set(self, matrix: MatQ, factors: tuple) -> None:
+        factors = _symmetric_bareiss(*_symmetric(matrix))
         if not all(x > 0 for x in factors[2]):
             raise NotPositiveDefinite("form must be positive definite")
         self.n = matrix.n

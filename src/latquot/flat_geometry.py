@@ -4,9 +4,9 @@ Everything metric about R^n / L is encoded by the Gram form of the basis:
 squared lengths of closed geodesics (one homotopy class per lattice vector),
 the angles at which they meet, the injectivity radius of the quotient map,
 and isometry of two quotients by an ambient rotation.  Every one of them is
-read off integers: squared lengths and angles off the integer Gram form
-(b, scale) of the basis (``exactnum._gram``), the rest off the reduced form
-below; no rational Gram matrix is formed.  Minimality claims are
+read off integers: squared lengths and angles off the integer body
+b / scale of the Gram form basis^T * basis (``Lattice.gram_matrix``), the
+rest off the reduced form below; no Fraction arithmetic forms either.  Minimality claims are
 exact: the enumeration runs in integers over the Gram-Schmidt data (Gram
 determinants and scaled multipliers) that the integral LLL leaves for the
 reduced Gram form, never over floating-point approximations.  Each lattice
@@ -47,7 +47,7 @@ from .errors import (
     NonPositiveBound,
     ZeroVector,
 )
-from .exactnum import MatQ, MatZ, PosDefForm, _frac, _gram, _int_entries, float_sqrt
+from .exactnum import MatQ, MatZ, PosDefForm, _frac, _int_entries, float_sqrt
 from .lattice_core import Lattice
 
 _ISOMETRY_MAX_DIM = 4
@@ -98,15 +98,15 @@ class LatticeVector:
 
 
 def gram(lattice: Lattice) -> GramForm:
-    """The Gram form basis^T * basis of the lattice basis, from its integers (``exactnum._gram``)."""
-    return GramForm._of(*_gram(lattice.basis))
+    """The Gram form basis^T * basis of the lattice basis (``Lattice.gram_matrix``)."""
+    return GramForm(lattice.gram_matrix())
 
 
 def squared_length(v: LatticeVector) -> Fraction:
     """Exact squared length of the geodesic class: x^T G x for its coefficients x, as
-    x^T b x / scale on the integer Gram form (b, scale) of the basis (``exactnum._gram``)."""
-    b, scale = _gram(v.lattice.basis)
-    return Fraction(_form_value(b, v.coeffs, v.coeffs), scale)
+    x^T b x / scale on the body b / scale of the Gram form (``Lattice.gram_matrix``)."""
+    g = v.lattice.gram_matrix()
+    return Fraction(_form_value(g.ints, v.coeffs, v.coeffs), g.den)
 
 
 def _form_value(b: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
@@ -332,8 +332,8 @@ def signed_cos_squared(v: LatticeVector, w: LatticeVector) -> Fraction:
         raise LatticeMismatch("vectors belong to different lattices")
     if not any(v.coeffs) or not any(w.coeffs):
         raise ZeroVector("angle is undefined for the zero vector")
-    # on the integers b = scale * G alone: the scale cancels from (x^T G y)^2 / (x^T G x * y^T G y)
-    b = _gram(v.lattice.basis)[0]
+    # on the body b = scale * G alone: the scale cancels from (x^T G y)^2 / (x^T G x * y^T G y)
+    b = v.lattice.gram_matrix().ints
     wc = u.mul_vec(w.coeffs)  # w's coefficients over v's basis
     num = _form_value(b, v.coeffs, wc)
     value = Fraction(num * num, _form_value(b, v.coeffs, v.coeffs) * _form_value(b, wc, wc))
@@ -355,8 +355,8 @@ def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
 
 
 def is_orthogonal(t: MatQ) -> bool:
-    """True iff t^T t is exactly the identity: its integer form (``exactnum._gram``) is I over 1."""
-    return _gram(t) == ([[int(i == j) for j in range(t.n)] for i in range(t.n)], 1)
+    """True iff t^T t is exactly the identity: its body is I over 1."""
+    return t.transpose() @ t == type(t).identity(t.n)
 
 
 def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> MatZ | None:

@@ -21,7 +21,7 @@ from .errors import (
     SingularBasis,
     ZeroScale,
 )
-from .exactnum import MatQ, MatZ, _frac, _gram, _int_lift, _lll, _unlift, hnf
+from .exactnum import MatQ, MatZ, _frac, _lll, hnf
 
 
 class Lattice:
@@ -45,20 +45,19 @@ class Lattice:
     def canonical_basis(self) -> MatQ:
         """Presentation-independent basis: the scaled column Hermite form.
 
-        Clearing denominators, taking the Hermite normal form and scaling
-        back yields the same lower-triangular matrix for every basis of the
+        The Hermite normal form of the basis's integer rows, over the basis's
+        denominator, is the same lower-triangular matrix for every basis of the
         same lattice, so this is usable for hashing and deterministic output.
         """
         if self._canonical is None:
-            lift, d = _int_lift(self.basis.rows)
-            self._canonical = _unlift(hnf(MatZ._of(tuple(map(tuple, lift)))).rows, d)
+            self._canonical = MatQ._of(hnf(MatZ._of(self.basis.ints)).ints, self.basis.den)
         return self._canonical
 
     def gram_matrix(self) -> MatQ:
-        """The Gram form basis^T * basis as a MatQ, built from its integers
-        (``exactnum._gram``) on each call and not kept: it is an output only,
-        as every question on the lattice works on the integer form."""
-        return _unlift(*_gram(self.basis))
+        """The Gram form basis^T * basis, one integer product of the basis's body, on each
+        call and not kept: its body is the integral Gram matrix b over scale that
+        ``reduced_gram`` forms the same way."""
+        return self.basis.transpose() @ self.basis
 
     def reduced_gram(self) -> tuple[MatZ, MatZ, tuple]:
         """(V, V^-1, gs): the unimodular transform V of the LLL reduction, its
@@ -67,13 +66,13 @@ class Lattice:
         b = scale * G', the Gram determinants d and the scaled multipliers lam
         (``exactnum._lll``).
 
-        Computed on first use by one LLL run on the integer Gram form of the
-        basis (``exactnum._gram``), with no rational Gram matrix formed, and
-        kept as that run returns it; the lattice is immutable, so the cache
-        never goes stale.
+        Computed on first use by one LLL run on the body of the Gram form
+        basis^T * basis, an integer product, and kept as that run returns it;
+        the lattice is immutable, so the cache never goes stale.
         """
         if self._reduced is None:
-            self._reduced = _lll(*_gram(self.basis))
+            g = self.basis.transpose() @ self.basis
+            self._reduced = _lll(g.ints, g.den)
         return self._reduced
 
     def coordinates(self, x: MatQ | Sequence) -> MatQ | tuple[Fraction, ...]:

@@ -13,9 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CovolumeMismatch, NotSymmetric, SingularMatrix
-from .exactnum import (
-    MatQ, MatZ, PosDefForm, _gram, _ldl, _symmetric_bareiss, _symmetric_lift, float_sqrt, to_float,
-)
+from .exactnum import MatQ, MatZ, PosDefForm, _ldl, _symmetric, _symmetric_bareiss, float_sqrt, to_float
 from .lattice_core import Lattice, covolume
 
 
@@ -23,19 +21,19 @@ def gram_map(t: MatQ) -> PosDefForm:
     """T -> T^T T; lands in the positive-definite symmetric forms."""
     if t.det() == 0:
         raise SingularMatrix("matrix has determinant 0")
-    return PosDefForm._of(*_gram(t))
+    return PosDefForm(t.transpose() @ t)
 
 
 def same_left_coset(t1: MatQ, t2: MatQ) -> bool:
     """Whether t2 = R t1 for some orthogonal R.
 
     Decided as equality of the Gram images t1^T t1 == t2^T t2, which holds
-    exactly when t2 * t1^-1 is orthogonal, compared as the integer forms in
-    lowest terms that ``exactnum._gram`` gives, with no rational product.
+    exactly when t2 * t1^-1 is orthogonal, compared as the two products'
+    bodies: integer rows over one denominator in lowest terms.
     """
     if t1.det() == 0 or t2.det() == 0:
         raise SingularMatrix("matrices must be invertible")
-    return _gram(t1) == _gram(t2)
+    return t1.transpose() @ t1 == t2.transpose() @ t2
 
 
 def posdef_witness(s: PosDefForm | MatQ) -> list[list[float]]:
@@ -50,15 +48,15 @@ def posdef_witness(s: PosDefForm | MatQ) -> list[list[float]]:
     """
     form = s if isinstance(s, PosDefForm) else PosDefForm(s)
     low, diag = _ldl(form._factors)
-    n = len(diag)
     roots = [Fraction(float_sqrt(d)) for d in diag]
-    return [[to_float(roots[i] * low.rows[j][i]) for j in range(n)] for i in range(n)]
+    # row i is sqrt(D_i) times row i of L^T, column i of L
+    return [[to_float(r * x) for x in col] for r, col in zip(roots, low.transpose().rows)]
 
 
 def in_M(s: MatQ) -> bool:
-    """Symmetric, positive definite, determinant exactly 1: one integer LDL^T of scale * s."""
+    """Symmetric, positive definite, determinant exactly 1: one integer LDL^T of s's body, scale * s."""
     try:
-        _, scale, d, _ = _symmetric_bareiss(*_symmetric_lift(s))
+        _, scale, d, _ = _symmetric_bareiss(*_symmetric(s))
     except NotSymmetric:
         return False
     return all(x > 0 for x in d) and d[-1] == scale**s.n  # d[n] = det(scale * s)

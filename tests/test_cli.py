@@ -251,6 +251,16 @@ class TestErrorHandling:
         code, out = invoke(capsys, ["volume", "--lattice", str(path)])
         assert code == 2
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # the JSON scanner recurses once per array: past its limit this is a schema error, not an internal one
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out = invoke(capsys, ["volume", "--lattice", str(path)])
+        assert code == 2
+        assert one_document(out)["error"] == {
+            "kind": "SchemaError", "message": "invalid JSON: nested too deeply", "input": str(path),
+        }
+
     def test_undecodable_file(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"n": 1, "basis": [["\xff"]]}')

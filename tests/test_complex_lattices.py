@@ -3,6 +3,8 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from latquot.complex_lattices import (
     ComplexMatrix,
@@ -201,7 +203,35 @@ class TestComplexStructure:
             ComplexStructure(2, standard_complex_structure(1).j)
 
 
+_parts = st.just(Fraction(0)) | st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def _real_matrices(draw):
+    """(n, t), t a 2n-by-2n MatQ, n <= 3: a realification, one with a single entry changed, or arbitrary."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    size = 2 * n
+    kind = draw(st.sampled_from(["realified", "changed", "arbitrary"]))
+    if kind == "arbitrary":
+        return n, MatQ(draw(st.lists(st.lists(_parts, min_size=size, max_size=size), min_size=size, max_size=size)))
+    entries = draw(st.lists(st.lists(st.tuples(_parts, _parts), min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = [list(row) for row in realify(ComplexMatrix(entries)).rows]
+    if kind == "changed":
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        rows[i][j] += draw(_parts.filter(bool))
+    return n, MatQ(rows)
+
+
 class TestComplexLinear:
+    @given(_real_matrices())
+    @example((1, MatQ([[1, 0], [0, -1]])))
+    @example((2, MatQ.identity(4)))
+    def test_is_commuting_with_i(self, case):
+        # the oracle: t J == J t, J the realified multiplication by i
+        n, t = case
+        j = realify(ComplexMatrix.scalar(n, (0, 1)))
+        assert is_complex_linear(t, n) == (t @ j == j @ t)
+
     def test_realifications_are_complex_linear(self):
         rng = random.Random(93)
         for _ in range(20):

@@ -1,8 +1,8 @@
 """How many eliminations a question costs once its objects exist.
 
 Counted by wrapping the one forward elimination (``exactnum._bareiss``),
-the one LDL^T (``exactnum._symmetric_bareiss``) and the lift of a symmetric
-rational matrix to its integers (``exactnum._symmetric_lift``).  A matrix keeps the
+the one LDL^T (``exactnum._symmetric_bareiss``) and the lift of Fractions
+to integer rows over one denominator (``exactnum._int_lift``).  A matrix keeps the
 fraction-free LU its first ``det``, ``solve`` or ``inverse`` computes, a
 lattice keeps the inverse of its LLL transform, and a positive-definite form
 keeps its LDL^T, so repeated questions run substitutions only.
@@ -25,7 +25,7 @@ from conftest import rand_invertible, rand_orthogonal, rand_unimodular_pm
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = {"_bareiss": 0, "_symmetric_bareiss": 0, "_symmetric_lift": 0}
+    counts = {"_bareiss": 0, "_symmetric_bareiss": 0, "_int_lift": 0}
 
     def wrap(name, *modules):
         real = getattr(exactnum, name)
@@ -39,7 +39,7 @@ def calls(monkeypatch):
 
     wrap("_bareiss", exactnum)
     wrap("_symmetric_bareiss", exactnum, moduli_spaces)
-    wrap("_symmetric_lift", exactnum, moduli_spaces)
+    wrap("_int_lift", exactnum)
     return counts
 
 
@@ -98,10 +98,12 @@ def test_posdef_witness_of_a_form_reuses_its_ldl(calls):
 
 def test_gram_forms_are_factored_on_their_integers_without_a_re_lift(calls):
     t = MatQ([[2, 1, 0], [Fraction(1, 3), 1, 1], [0, -1, 4]])
+    assert calls["_int_lift"] == 1  # t's own construction, from its Fractions
+    calls["_int_lift"] = 0
     assert gram_map(t) == gram(Lattice(t))
-    # one LDL^T each, on the integer form that exactnum._gram gives, not on its Fractions lifted again
+    # one LDL^T each, on the body of the product t^T t, with no Fractions lifted to integers
     assert calls["_symmetric_bareiss"] == 2
-    assert calls["_symmetric_lift"] == 0
+    assert calls["_int_lift"] == 0
 
 
 def test_two_determinants_of_an_integer_matrix_eliminate_once(calls):

@@ -1,5 +1,7 @@
 import copy
+import itertools
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -23,8 +25,6 @@ from latquot.exactnum import (
     MatQ,
     MatZ,
     PosDefForm,
-    _gram,
-    _int_lift,
     _lll,
     det,
     float_sqrt,
@@ -442,7 +442,7 @@ class TestLllGram:
 
     @given(sheared_grams)
     def test_gram_schmidt_data(self, g):
-        v, _, (b, scale, d, lam) = _lll(*_int_lift(g.rows))
+        v, _, (b, scale, d, lam) = _lll(g.ints, g.den)
         reduced = Fraction(1, scale) * MatQ(b)
         assert (reduced, v) == lll_gram(g)
         n = g.n
@@ -479,44 +479,53 @@ gram_bases = st.integers(min_value=1, max_value=6).flatmap(
 ).map(MatQ)
 
 
+def _body(m):
+    return m.ints, m.den
+
+
 class TestGram:
-    """``_gram``: the integer form of m^T m, against the rational product."""
+    """The Gram form m^T m as ``m.transpose() @ m``, against the row-by-column Fraction product."""
 
     @given(gram_bases)
     def test_integer_form_of_the_rational_product(self, m):
-        b, scale = _gram(m)
-        product = m.transpose() @ m
-        assert [[Fraction(x, scale) for x in row] for row in b] == [list(row) for row in product.rows]
-        assert math.gcd(scale, *[x for row in b for x in row]) == 1
-        # so it is exactly the integer lift of the rational product
-        assert (b, scale) == _int_lift(product.rows)
+        g = m.transpose() @ m
+        oracle = fraction_product(m.transpose(), m)
+        assert [[Fraction(x, g.den) for x in row] for row in g.ints] == [list(row) for row in oracle.rows]
+        assert g.den > 0 and math.gcd(g.den, *[x for row in g.ints for x in row]) == 1
+        # so it is exactly the body of the rational product, which the constructor lifts from its Fractions
+        assert _body(g) == _body(oracle)
 
     @given(gram_bases)
     def test_form_of_the_integers_is_the_form_of_the_product(self, m):
-        # PosDefForm._of takes _gram's pair as it is, with no re-lift of its Fractions
+        # a form built on the product's body equals the one built on the Fraction product
         product = fraction_product(m.transpose(), m)
         if m.det() == 0:
-            for make in (lambda: PosDefForm(product), lambda: PosDefForm._of(*_gram(m))):
+            for make in (lambda: PosDefForm(product), lambda: PosDefForm(m.transpose() @ m)):
                 with pytest.raises(NotPositiveDefinite, match="^form must be positive definite$"):
                     make()
             return
         oracle = PosDefForm(product)
-        for form in (PosDefForm._of(*_gram(m)), gram_map(m), gram(Lattice(m))):
+        for form in (PosDefForm(m.transpose() @ m), gram_map(m), gram(Lattice(m))):
             assert form.matrix.rows == oracle.matrix.rows
             assert form._factors == oracle._factors
 
     def test_hand_example(self):
         # columns (1/2, 0) and (1/3, 1): m^T m = [[1/4, 1/6], [1/6, 10/9]] = [[9, 6], [6, 40]] / 36
-        assert _gram(MatQ([["1/2", "1/3"], [0, 1]])) == ([[9, 6], [6, 40]], 36)
-        # lift 2 * m = [[1, 1], [1, -1]]: b = [[2, 0], [0, 2]] over 4, both divided by g = 2
-        assert _gram(MatQ([["1/2", "1/2"], ["1/2", "-1/2"]])) == ([[1, 0], [0, 1]], 2)
+        m = MatQ([["1/2", "1/3"], [0, 1]])
+        assert _body(m.transpose() @ m) == (((9, 6), (6, 40)), 36)
+        # body 2 * m = [[1, 1], [1, -1]]: [[2, 0], [0, 2]] over 4, both divided by g = 2
+        m = MatQ([["1/2", "1/2"], ["1/2", "-1/2"]])
+        assert _body(m.transpose() @ m) == (((1, 0), (0, 1)), 2)
+
+
+def _fraction_product(ra, rb):
+    """The product oracle on square lists of Fraction rows: the row-by-column definition in Fraction arithmetic."""
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*rb)) for row in ra)
 
 
 def fraction_product(a: MatQ, b: MatQ) -> MatQ:
-    """The product oracle: the row-by-column definition, n Fraction products and n - 1 sums per entry."""
-    n = a.n
-    return MatQ([[sum((a.rows[i][k] * b.rows[k][j] for k in range(1, n)), a.rows[i][0] * b.rows[0][j])
-                  for j in range(n)] for i in range(n)])
+    """The product oracle on two MatQs (``_fraction_product`` on their Fraction rows)."""
+    return MatQ(_fraction_product(a.rows, b.rows))
 
 
 # 72 primes above 50, so no numerator drawn below cancels one
@@ -524,10 +533,10 @@ _BIG_PRIMES = [p for p in range(53, 500) if all(p % q for q in range(2, 23))][:7
 
 
 @st.composite
-def _product_pairs(draw):
-    """(a, b), n <= 6, of one of three kinds: entries zero, negative or of mixed
-    denominators; integral; or 2n^2 entries with pairwise distinct prime
-    denominators, so each lift's common denominator is a product of n^2 primes."""
+def _entry_pairs(draw):
+    """Two n-by-n lists of Fraction rows, n <= 6, of one of three kinds: entries zero,
+    negative or of mixed denominators; integral; or 2n^2 entries with pairwise distinct
+    prime denominators, so each body's common denominator is a product of n^2 primes."""
     n = draw(st.integers(min_value=1, max_value=6))
     size = 2 * n * n
     kind = draw(st.sampled_from(["mixed", "integral", "primes"]))
@@ -540,11 +549,16 @@ def _product_pairs(draw):
         nums = draw(st.lists(st.integers(-50, 50).filter(bool), min_size=size, max_size=size))
         flat = [Fraction(p, q) for p, q in zip(nums, draw(st.permutations(_BIG_PRIMES)))]
     rows = [flat[i:i + n] for i in range(0, size, n)]
-    return MatQ(rows[:n]), MatQ(rows[n:])
+    return rows[:n], rows[n:]
+
+
+def _product_pairs():
+    """The ``_entry_pairs`` as two MatQs."""
+    return _entry_pairs().map(lambda rows: (MatQ(rows[0]), MatQ(rows[1])))
 
 
 class TestProduct:
-    """``MatQ @ MatQ``: one integer product of the two lifts over the product of their denominators."""
+    """``MatQ @ MatQ``: one integer product of the two bodies over the product of their denominators."""
 
     @given(_product_pairs())
     @example((MatQ([[0]]), MatQ([["1/2"]])))
@@ -593,6 +607,79 @@ class TestProduct:
             a @ MatQ.identity(3)
 
 
+class TestIntegerBody:
+    """The one body: every matrix is integer rows ``ints`` over one ``den`` > 0 in lowest terms,
+    and its ``rows`` are the Fraction oracle's, for every operation that builds one, n <= 6."""
+
+    @staticmethod
+    def check(m, oracle):
+        assert type(m) is MatQ
+        assert m.den > 0 and math.gcd(m.den, *[x for row in m.ints for x in row]) == 1
+        assert all(type(x) is int for row in m.ints for x in row)
+        assert m.rows == tuple(map(tuple, oracle))
+
+    def test_constructor_keeps_one_denominator(self):
+        q = Fraction(2, 3)
+        m = MatQ([[q, 1], ["-1/6", 0]])
+        assert (m.ints, m.den) == (((4, 6), (-1, 0)), 6)
+        assert m.rows == ((q, 1), (Fraction(-1, 6), 0))
+        assert all(type(x) is Fraction for row in m.rows for x in row)
+        assert ((0 * m).ints, (0 * m).den) == (((0, 0), (0, 0)), 1)
+        z = MatZ([[2, 0], [Fraction(-4, 2), 1]])
+        assert (z.ints, z.den, z.rows) == (((2, 0), (-2, 1)), 1, ((2, 0), (-2, 1)))
+
+    @given(_entry_pairs(), st.fractions(min_value=-20, max_value=20, max_denominator=30))
+    @example(([[0]], [[Fraction(1, 2)]]), Fraction(0))
+    @example(([[Fraction(1, 2), 3], [0, Fraction(-2, 5)]], [[1, 0], [0, 1]]), Fraction(-5, 3))
+    def test_every_result_is_in_lowest_terms_and_matches_fractions(self, rows, c):
+        ra, rb = ([[Fraction(x) for x in row] for row in r] for r in rows)
+        a, b = MatQ(ra), MatQ(rb)
+        n = a.n
+        self.check(a, ra)
+        self.check(b, rb)
+        self.check(a @ b, _fraction_product(ra, rb))
+        self.check(a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+        self.check(a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+        self.check(-a, [[-x for x in row] for row in ra])
+        self.check(c * a, [[c * x for x in row] for row in ra])
+        self.check(a.transpose(), zip(*ra))
+        gram_rows = _fraction_product(list(zip(*ra)), ra)
+        # a positive semidefinite form: its LDL^T never breaks down
+        low, diag = ldl(MatQ(gram_rows))
+        self.check(low, low.rows)
+        assert all(low.rows[i][i] == 1 and not any(low.rows[i][i + 1:]) for i in range(n))
+        scaled = [[x * d for x, d in zip(row, diag)] for row in low.rows]
+        assert _fraction_product(scaled, list(zip(*low.rows))) == gram_rows
+        if a.det() == 0:
+            return
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        x = a.solve(rb[0])
+        assert all(type(v) is Fraction for v in x)
+        assert _fraction_product(ra, [[v] for v in x]) == tuple((v,) for v in rb[0])
+        for m, want in ((a.solve(b), rb), (a.inverse(), identity)):
+            self.check(m, m.rows)
+            assert _fraction_product(ra, m.rows) == tuple(map(tuple, want))
+        reduced, v = lll_gram(MatQ(gram_rows))
+        vq = [[Fraction(x) for x in row] for row in v.rows]
+        self.check(reduced, _fraction_product(_fraction_product(list(zip(*vq)), gram_rows), vq))
+        lattice = Lattice(a)
+        self.check(lattice.gram_matrix(), gram_rows)
+        d = math.lcm(*[x.denominator for row in ra for x in row])
+        h = hnf(MatZ([[x * d for x in row] for row in ra]))
+        self.check(lattice.canonical_basis(), [[Fraction(x, d) for x in row] for row in h.rows])
+
+    @given(_product_pairs())
+    def test_equality_and_hash_are_rows_equality(self, pair):
+        a, b = pair
+        n = a.n
+        candidates = [a, b, a @ b, fraction_product(a, b), a + b - b, -(-a), a.transpose().transpose(),
+                      b @ MatQ.identity(n), MatQ(a.rows), 2 * a - a, a - a, MatQ([[0] * n] * n)]
+        for (x, rx), (y, ry) in itertools.product([(m, m.rows) for m in candidates], repeat=2):
+            assert (x == y) == (rx == ry)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
 class TestMatrixBasics:
     def test_float_entries_rejected(self):
         with pytest.raises(TypeError):
@@ -601,10 +688,6 @@ class TestMatrixBasics:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             MatQ([[1, 2, 3], [4, 5, 6]])
-
-    def test_fractions_are_shared_not_copied(self):
-        q = Fraction(2, 3)
-        assert MatQ([[q]]).rows[0][0] is q
 
     def test_string_entries_parse(self):
         assert MatQ([["1/2", "0"], ["0", "2"]]).rows[0][0] == frac(1, 2)
@@ -799,7 +882,7 @@ class TestKeptLu:
 class TestLllInverse:
     @given(sheared_grams)
     def test_inverse_transform_is_carried_along(self, g):
-        v, v_inv, gs = _lll(*_int_lift(g.rows))
+        v, v_inv, gs = _lll(g.ints, g.den)
         assert v @ v_inv == MatZ.identity(g.n)
         assert lll_gram(g)[1] == v
 
@@ -827,14 +910,12 @@ class TestMatrixBody:
                 with pytest.raises(DimensionMismatch, match="^matrix sizes differ: 2 vs 3$"):
                     op(a, MatQ.identity(3))
 
-    @pytest.mark.skipif(not __debug__, reason="python -O drops the check")
     @pytest.mark.parametrize("cls", [MatQ, MatZ])
     def test_library_built_matrices_are_checked_square(self, cls):
-        one = cls.identity(1).rows[0][0]
-        for rows in ((), ((one,), (one,)), ((one, one),)):
+        for ints in ((), ((1,), (1,)), ((1, 1),)):
             with pytest.raises(ValueError, match="^matrix must be square with n >= 1$"):
-                cls._of(rows)
-        assert cls._of(((one,),)) == cls.identity(1)
+                cls._of(ints)
+        assert cls._of(((1,),)) == cls.identity(1)
 
     def test_no_instance_dict(self):
         for m in (MatQ.identity(2), MatZ.identity(2)):
@@ -844,10 +925,10 @@ class TestMatrixBody:
     @example(MatQ([[0, 1], [1, 0]]))
     def test_integer_det_matches_sympy_and_is_kept(self, m):
         sympy = pytest.importorskip("sympy")
-        z = MatZ(_int_lift(m.rows)[0])
+        z = MatZ(m.ints)
         assert z.det() == _sympy_matrix(sympy, z.rows).det()
         lu = z._factor()
-        assert z.det() == lu[3] and z._factor() is lu
+        assert z.det() == lu[2] and z._factor() is lu
 
 
 # every exact entry point converts a caller's value with exactnum._frac, so a

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from latquot import cli, exactnum, flat_geometry, lattice_core
+from latquot import cli, flat_geometry
 from latquot.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -25,7 +25,7 @@ from latquot.errors import (
     NotSymmetric,
     ZeroVector,
 )
-from latquot.exactnum import MatQ, MatZ, PosDefForm, _int_lift, _lll
+from latquot.exactnum import MatQ, MatZ, PosDefForm, _lll
 from latquot.flat_geometry import (
     GramForm,
     LatticeVector,
@@ -437,9 +437,10 @@ class TestShearedPresentations:
         rng = random.Random(seed)
         basis = rand_invertible(rng, n) @ rand_unimodular(rng, n, 20, 4).to_matq()
         lat = from_basis(basis)
-        product = basis.transpose() @ basis
-        # the oracle: the LLL on the integer lift of the rational product basis^T basis
-        assert lat.reduced_gram() == _lll(*_int_lift(product.rows))
+        cols = basis.transpose().rows
+        # the oracle: the LLL on the body of basis^T basis, its entries summed as Fractions
+        product = MatQ([[sum(map(operator.mul, ci, cj)) for cj in cols] for ci in cols])
+        assert lat.reduced_gram() == _lll(product.ints, product.den)
         assert lat.gram_matrix() == product
 
     @pytest.mark.parametrize("question", [
@@ -455,13 +456,21 @@ class TestShearedPresentations:
         products = []
         real = MatQ.__matmul__
         monkeypatch.setattr(MatQ, "__matmul__", lambda x, y: products.append((x, y)) or real(x, y))
-        unlifts = []  # every Fraction matrix built from an integer form, in each module that builds one
-        unlift = exactnum._unlift
-        for module in (exactnum, lattice_core):
-            monkeypatch.setattr(module, "_unlift", lambda b, scale: unlifts.append(scale) or unlift(b, scale))
+        built = []  # every Gram matrix or form built for output
+        for owner, name in ((Lattice, "gram_matrix"), (PosDefForm, "__init__")):
+            method = getattr(owner, name)
+            counted = lambda *args, method=method, name=name: built.append(name) or method(*args)  # noqa: E731
+            monkeypatch.setattr(owner, name, counted)
+        fraction_ops = []  # every Fraction product or sum
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            op = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda x, y, op=op, name=name: fraction_ops.append(name) or op(x, y))
         assert question(l1, l2)
-        assert products == []
-        assert unlifts == []
+        # the only products are the integer Gram forms basis^T basis of the lattices that ran their LLL
+        reduced = [lat for lat in (l1, l2) if lat._reduced is not None]
+        assert reduced and products == [(lat.basis.transpose(), lat.basis) for lat in reduced]
+        assert built == []
+        assert fraction_ops == []
 
 
 def count_calls(monkeypatch, name):
