@@ -17,19 +17,18 @@ their answers back through V and V^-1, so results never depend on the
 presentation.
 
 Each lattice also keeps what its short-vector walks found (``_Walks``, in
-the lattice's one slot for it): the norm data every walk shares; its short
-vectors, every vector of the reduced form up to the largest norm asked so
-far, grouped by norm, from one walk; and its geodesic spectrum up to the
-largest bound asked so far, which answers every smaller bound.  The least
-norm of the short vectors is the minimum, the squared length of the
-shortest closed geodesics, and its vectors are the minimal ones: they answer
-``shortest_vectors`` and ``injectivity_radius`` (half the minimal length,
-the largest radius on which R^n -> R^n / L is injective).  Every isometry
-search from the lattice reads its candidates off the same vectors.  A first
-call still walks once; the gain is on repeated calls on one lattice object.
-What is kept is bounded by what was asked: one (length, count) pair per
-length a spectrum returned, and every vector up to the largest norm that a
-search or the minimum needed.
+the lattice's one slot for it): the norm data every walk shares; its
+minimum, the squared length of the shortest closed geodesics, with the
+minimal vectors, which answer ``shortest_vectors`` and
+``injectivity_radius`` (half the minimal length, the largest radius on which
+R^n -> R^n / L is injective); the shells that isometry searches from the
+lattice asked for, each the vectors of one norm; and its geodesic spectrum
+up to the largest bound asked so far, which answers every smaller bound.  A
+walk for a search also finds the minimum on its way, once its top reaches
+it.  A first call still walks once; the gain is on repeated calls on one
+lattice object.  What is kept is bounded by what was asked: one (length,
+count) pair per length a spectrum returned, the minimal vectors, and the
+vectors of each norm that a search asked for.
 """
 
 from __future__ import annotations
@@ -219,27 +218,29 @@ class _Walks:
     """What a lattice keeps of its short-vector walks, in its slot ``Lattice._walks``.
 
     ``den`` and ``c`` are the norm data of every walk of its reduced form
-    (``_norm_denominator``).  ``short`` is (top, shells): shells maps every
-    integer v = den * x^T G' x <= top that the reduced form attains, in
-    rising order, to both signs of its vectors x, sorted, each with the
-    integers b x (b = scale * G').  One walk to top builds it, so its first
-    key is den times the minimum, and a v <= top that is no key has no
-    vector; it starts as (0, {}).  ``minimal`` is ``shortest_vectors``'
-    answer over the lattice's basis and ``spectrum`` a ``_Spectrum``, each
-    None until first asked.  The lattice is immutable, so nothing goes
-    stale.  An entry is built whole and then stored, never changed after: a
-    larger top replaces ``short`` whole, a walk that stops half way keeps
-    nothing, and concurrent callers read either the old entry or the new.
-    No lock is taken: two callers that store at once can lose one of their
-    entries, which costs a later walk, never a wrong answer.
+    (``_norm_denominator``).  ``least`` is the integer den * minimum and
+    ``minimal`` is ``shortest_vectors``' answer over the lattice's basis,
+    both stored by the first walk that finds a vector.  ``shells`` holds
+    only the norms an isometry search asked for: it maps each such integer
+    v = den * x^T G' x to both signs of the vectors x of that norm, sorted,
+    each with the integers b x (b = scale * G'), and to () when there is
+    none.  ``radius`` is ``injectivity_radius``' pair and ``spectrum`` a
+    ``_Spectrum``; every entry but den and c is None (``shells`` empty)
+    until first asked.  The lattice is immutable, so nothing goes stale.  An
+    entry is built whole and then stored, never changed after: a walk stores
+    its shells as a new dict that adds them to the kept ones, a walk that
+    stops half way keeps nothing, and concurrent callers read either the old
+    entry or the new.  No lock is taken: two callers that store at once can
+    lose one of their entries, which costs a later walk, never a wrong answer.
     """
 
-    __slots__ = ("den", "c", "short", "minimal", "radius", "spectrum")
+    __slots__ = ("den", "c", "least", "minimal", "shells", "radius", "spectrum")
 
     def __init__(self, gs: tuple):
         self.den, self.c = _norm_denominator(gs)
-        self.short: tuple[int, dict[int, tuple]] = (0, {})
+        self.least: int | None = None
         self.minimal: tuple[tuple[int, ...], ...] | None = None
+        self.shells: dict[int, tuple] = {}
         self.radius: tuple[Fraction, float] | None = None
         self.spectrum: _Spectrum | None = None
 
@@ -252,43 +253,52 @@ def _walks(lattice: Lattice) -> _Walks:
     return kept
 
 
-def _short(lattice: Lattice, top: int) -> dict[int, tuple]:
-    """The shells the lattice keeps (``_Walks.short``), first walked to ``top`` if its kept top is below."""
+def _walk(lattice: Lattice, top: int, keys: Sequence[int] = ()) -> dict[int, tuple]:
+    """One walk of the reduced form to ``top``: the lattice's kept shells, with ``keys`` (each <= top) added.
+
+    A walk to any top at or above the minimum sees every minimal vector, so
+    the walk tracks the least norm as it goes and, if none is kept, stores
+    it with ``minimal``.  It forms b x only for the vectors of the norms in
+    ``keys``.  Everything is stored after the walk, so a walk that stops
+    half way keeps nothing.
+    """
     kept = _walks(lattice)
-    short = kept.short
-    if short[0] < top:
-        gs = lattice.reduced_gram()[2]
-        found: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        for x, v in _enumerate_bounded(gs, kept.c, top):
+    v, _, gs = lattice.reduced_gram()
+    found: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {key: [] for key in keys}
+    least, minimal = top + 1, []
+    for x, norm in _enumerate_bounded(gs, kept.c, top):
+        if norm <= least:
+            if norm < least:
+                least, minimal = norm, []
+            minimal.append(x)
+        shell = found.get(norm)
+        if shell is not None:
             bx = tuple([sum(map(mul, row, x)) for row in gs[0]])
-            found.setdefault(v, []).extend(((x, bx), (tuple([-t for t in x]), tuple([-t for t in bx]))))
-        short = kept.short = (top, {v: tuple(sorted(found[v])) for v in sorted(found)})
-    return short[1]
+            shell.extend(((x, bx), (tuple([-t for t in x]), tuple([-t for t in bx]))))
+    if minimal and kept.least is None:
+        # minimal first: a reader that finds ``least`` finds ``minimal`` too
+        kept.minimal = tuple(sorted(_canonical_sign(v.mul_vec(x)) for x in minimal))
+        kept.least = least
+    shells = kept.shells = {**kept.shells, **{key: tuple(sorted(shell)) for key, shell in found.items()}}
+    return shells
 
 
-def _least(lattice: Lattice) -> tuple[int, tuple]:
-    """(v, shell) of the lattice's minimum: the first key of its kept shells and what it maps to.
+def _least(lattice: Lattice) -> _Walks:
+    """The lattice's kept walks with its minimum known (``least`` and ``minimal``).
 
-    With no vector kept, one walk to the least diagonal entry of the reduced
+    With none kept, one walk to the least diagonal entry of the reduced
     form, which is attained, finds the minimum.
     """
     kept = _walks(lattice)
-    shells = kept.short[1]
-    if not shells:
+    if kept.least is None:
         b, scale = lattice.reduced_gram()[2][:2]
-        shells = _short(lattice, min(b[i][i] for i in range(len(b))) * kept.den // scale)
-    return next(iter(shells.items()))
+        _walk(lattice, min(b[i][i] for i in range(len(b))) * kept.den // scale)
+    return kept
 
 
 def shortest_vectors(lattice: Lattice) -> list[LatticeVector]:
     """All shortest nonzero vector classes, one per +- pair, in coefficient order."""
-    kept = _walks(lattice)
-    if kept.minimal is None:
-        v = lattice.reduced_gram()[0]
-        shell = _least(lattice)[1]
-        # sorted, x comes after -x exactly when its first nonzero entry is positive: the upper half is one per +- pair
-        kept.minimal = tuple(sorted(_canonical_sign(v.mul_vec(x)) for x, _ in shell[len(shell) // 2:]))
-    return [LatticeVector._of(lattice, c) for c in kept.minimal]
+    return [LatticeVector._of(lattice, c) for c in _least(lattice).minimal]
 
 
 def geodesic_spectrum(lattice: Lattice, bound) -> list[tuple[Fraction, int]]:
@@ -349,7 +359,7 @@ def injectivity_radius(lattice: Lattice) -> tuple[Fraction, float]:
     """
     kept = _walks(lattice)
     if kept.radius is None:
-        r_sq = Fraction(_least(lattice)[0], 4 * kept.den)
+        r_sq = Fraction(_least(lattice).least, 4 * kept.den)
         kept.radius = (r_sq, float_sqrt(r_sq))
     return kept.radius
 
@@ -371,16 +381,17 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
 
     What the first lattice keeps of its walks (``_Walks``) serves the search,
     as Plesken & Souvignier (JSC 24, 1997) compute the short vectors once for
-    every column: the search walks G1' once, to the largest column norm, and
-    each column's candidates are the kept vectors of its norm.  They hold no
-    data of the partner, so every later search from the first lattice walks
-    only past the largest norm asked so far.  Every column of G2' is a
+    every column: each column's candidates are the vectors of G1' of its
+    norm, and the search walks G1' once, to the largest column norm that is
+    not kept yet, keeping the vectors of the column norms and no others.
+    They hold no data of the partner, so every later search from the first
+    lattice walks only for the norms it lacks.  Every column of G2' is a
     nonzero vector of L2, so no column of an isometric pair is shorter than
-    the first minimum.  When the first lattice keeps any vector, its minimum
-    is known: a shorter column rejects the pair before any walk, and so do
-    minima or numbers of minimal vectors that differ from those the second
-    lattice keeps; the search never walks the second lattice for that check,
-    which would cost every isometric pair one more walk.
+    the first minimum.  When the first lattice keeps its minimum, a shorter
+    column rejects the pair before any walk, and so do minima or numbers of
+    minimal vectors that differ from those the second lattice keeps; the
+    search never walks the second lattice for that check, which would cost
+    every isometric pair one more walk.
 
     Both forms are integers, b1 = scale1 * G1' and b2 = scale2 * G2', and
     the search matches against one lower-triangular integer matrix t,
@@ -412,31 +423,22 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     kept1 = _walks(l1)
     # c_i^T G1' c_j = G2'_ij  <=>  (b1 c_i) . c_j = t_ij = scale1 * b2_ij / scale2, in integers:
     # a pair with some t_ij no integer has no witness
-    t = []
-    for j in range(n):
-        row = []
-        for i in range(j + 1):
-            x, rem = divmod(scale1 * b2[j][i], scale2)
-            if rem:
-                return None
-            row.append(x)
-        t.append(row)
+    if any(scale1 * x % scale2 for row in b2 for x in row):
+        return None
+    t = [[scale1 * x // scale2 for x in row[:j + 1]] for j, row in enumerate(b2)]
     # column j's shell key den1 * G2'_jj; den1 = m * scale1 (``_norm_denominator``)
     keys = [kept1.den // scale1 * row[j] for j, row in enumerate(t)]
-    shells = kept1.short[1]
-    if shells:
-        least = next(iter(shells))
-        if min(keys) < least:
-            return None
+    if kept1.least is not None:
         kept2 = l2._walks
-        shells2 = kept2.short[1] if kept2 is not None else None
-        if shells2:
-            least2 = next(iter(shells2))
-            if least * kept2.den != least2 * kept1.den or len(shells[least]) != len(shells2[least2]):
-                return None
-    shells = _short(l1, max(keys))
-    columns = [shells.get(key) for key in keys]
-    if None in columns:
+        if min(keys) < kept1.least or kept2 is not None and kept2.least is not None and (
+                kept1.least * kept2.den != kept2.least * kept1.den or len(kept1.minimal) != len(kept2.minimal)):
+            return None
+    shells = kept1.shells
+    lacking = [key for key in keys if key not in shells]
+    if lacking:
+        shells = _walk(l1, max(lacking), lacking)
+    columns = [shells[key] for key in keys]
+    if not all(columns):
         return None
     cols: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 

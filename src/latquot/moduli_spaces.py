@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CovolumeMismatch, NotSymmetric, SingularMatrix
+from .errors import CovolumeMismatch, DimensionMismatch, NotSymmetric, SingularMatrix
 from .exactnum import MatQ, MatZ, PosDefForm, _ldl, _symmetric, _symmetric_bareiss, float_sqrt, to_float
 from .lattice_core import Lattice, covolume
 
@@ -29,8 +29,12 @@ def same_left_coset(t1: MatQ, t2: MatQ) -> bool:
 
     Decided as equality of the Gram images t1^T t1 == t2^T t2, which holds
     exactly when t2 * t1^-1 is orthogonal, compared as the two products'
-    bodies: integer rows over one denominator in lowest terms.
+    bodies: integer rows over one denominator in lowest terms.  Matrices of
+    different sizes raise DimensionMismatch, before either is checked for
+    invertibility.
     """
+    if t1.n != t2.n:
+        raise DimensionMismatch(f"matrix sizes differ: {t1.n} vs {t2.n}")
     if t1.det() == 0 or t2.det() == 0:
         raise SingularMatrix("matrices must be invertible")
     return t1.transpose() @ t1 == t2.transpose() @ t2

@@ -206,6 +206,14 @@ class TestModuliCommands:
         assert code == 0
         assert json.loads(out) == {"same_coset": True}
 
+    def test_coset_eq_sizes_differ(self, capsys, write):
+        a = write("a.json", [["1", "0"], ["0", "1"]])
+        b = write("b.json", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+        code, out = invoke(capsys, ["coset-eq", "--matrix", a, "--matrix", b])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "DimensionMismatch" and error["message"] == "matrix sizes differ: 2 vs 3"
+
     def test_in_m(self, capsys, write):
         code, out = invoke(capsys, ["in-m", "--matrix", write("s.json", [["2", "0"], ["0", "1/2"]])])
         assert code == 0

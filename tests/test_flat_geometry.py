@@ -32,7 +32,8 @@ from latquot.flat_geometry import (
     _canonical_sign,
     _enumerate_bounded,
     _norm_denominator,
-    _short,
+    _least,
+    _walk,
     _walks,
     angle,
     geodesic_spectrum,
@@ -46,6 +47,7 @@ from latquot.flat_geometry import (
 )
 from latquot.lattice_core import Lattice, covolume, equals, from_basis, scale, standard
 from latquot.moduli_spaces import double_coset_equivalent, gram_map
+from latquot.serialize import lattice_to_json
 
 from conftest import rand_invertible, rand_lattice, rand_orthogonal, rand_unimodular, rand_unimodular_pm
 
@@ -553,22 +555,25 @@ class TestKeptMinimum:
         walks = count_calls(monkeypatch, "_enumerate_bounded")
         for oriented in (False, True):
             assert isometric_mod_rotation(l1, l2, oriented=oriented) is None
-        assert walks == [] and l1._walks.short == (0, {})
+        assert walks == [] and l1._walks.least is None and l1._walks.shells == {}
 
     def test_minimal_norm_candidates_are_the_walks(self):
-        # the kept reduced vectors of the least norm are exactly what a walk to the minimum
-        # finds, both signs, so the search's candidate lists, and with them its witnesses, are unchanged
+        # the kept minimum and minimal vectors, and a searched shell of the least norm, are exactly
+        # what a walk to the minimum finds (the shell with both signs), so the search's candidate
+        # lists, and with them its witnesses, are unchanged
         rng = random.Random(92)
         for _ in range(60):
             n = rng.randint(1, 4)
             lat = from_basis(rand_lattice(rng, n, height=3).basis @ rand_unimodular(rng, n, 12, 3).to_matq())
-            gs = lat.reduced_gram()[2]
+            v, _, gs = lat.reduced_gram()
             value = 4 * injectivity_radius(lat)[0]
-            least, shell = next(iter(lat._walks.short[1].items()))
-            reduced = [c for c, _ in shell]
+            kept = lat._walks
             den = _norm_denominator(gs)[0]
-            walked = [c for c, v in walk(gs, value) if Fraction(v, den) == value]
-            assert Fraction(least, den) == value
+            walked = [c for c, q in walk(gs, value) if Fraction(q, den) == value]
+            assert Fraction(kept.least, den) == value
+            assert list(kept.minimal) == sorted(_canonical_sign(v.mul_vec(c)) for c in walked)
+            assert len(set(kept.minimal)) == len(kept.minimal)
+            reduced = [c for c, _ in _walk(lat, kept.least, [kept.least])[kept.least]]
             assert reduced == sorted(walked + [tuple(-x for x in c) for c in walked])
             assert len(set(reduced)) == len(reduced)
 
@@ -601,23 +606,27 @@ class TestKeptMinimum:
         walks = count_calls(monkeypatch, "_enumerate_bounded")
         assert isometric_mod_rotation(l1, l2) is None
         den = l1._walks.den
-        assert len(walks) == 1 and l2._walks is None
-        assert l1._walks.short[0] == 2 * den and list(l1._walks.short[1]) == [den]
+        assert [top for _, _, top in walks] == [2 * den] and l2._walks is None
+        assert l1._walks.least == den and l1._walks.shells == {2 * den: ()}
         assert injectivity_radius(l1) == (Fraction(1, 4), 0.5) and len(walks) == 1
 
     def test_short_columns_reject(self, monkeypatch):
         # every vector of 2 Z^2 has norm >= 4 and the second basis has columns of norm 2 and 8:
-        # on first use the one walk, to 8, finds no vector of norm 2; once only the minimum
-        # of 2 Z^2 is kept, below the column of norm 8, the short column rejects with no walk
+        # on first use the one walk, to 8, finds no vector of norm 2 and keeps the 4 of norm 8;
+        # once only the minimum of 2 Z^2 is kept, the short column rejects with no walk
         l1 = from_basis(MatQ([[2, 0], [0, 2]]))
         l2 = from_basis(MatQ([[1, 2], [-1, 2]]))
         walks = count_calls(monkeypatch, "_enumerate_bounded")
         assert isometric_mod_rotation(l1, l2) is None
-        den = l1._walks.den
-        assert [top for _, _, top in walks] == [8 * den] and list(l1._walks.short[1]) == [4 * den, 8 * den]
+        kept = l1._walks
+        den = kept.den
+        assert [top for _, _, top in walks] == [8 * den] and kept.least == 4 * den
+        assert list(kept.shells) == [2 * den, 8 * den] and kept.shells[2 * den] == () and len(kept.shells[8 * den]) == 4
         fresh = Lattice(l1.basis)
+        walks.clear()
         shortest_vectors(fresh)
-        assert fresh._walks.short[0] == 4 * den
+        assert [top for _, _, top in walks] == [4 * den]
+        assert fresh._walks.least == 4 * den and fresh._walks.shells == {}
         walks.clear()
         assert isometric_mod_rotation(fresh, l2) is None and walks == []
 
@@ -741,13 +750,17 @@ def check_calls(pool, calls):
             assert same_search(isometric_mod_rotation(a, b, oriented=oriented), walk_search(a, b, oriented))
             searched.add((i, j))
     for lat in pool:
-        top, shells = _walks(lat).short
-        assert list(shells.items()) == list(walked_shells(Lattice(lat.basis), top).items())
+        kept = _walks(lat)
+        for key, shell in kept.shells.items():
+            assert shell == walked_shells(Lattice(lat.basis), key).get(key, ())
+        fresh = _least(Lattice(lat.basis))
+        assert kept.least in (None, fresh.least) and kept.minimal in (None, fresh.minimal)
+        assert (kept.least is None) == (kept.minimal is None)
     return {(i, j) for i, j in searched if i != j}
 
 
 def walked_shells(lattice, top):
-    """Oracle for ``_Walks.short``: every norm v <= top attained in one walk of the
+    """Oracle for ``_Walks.shells``: every norm v <= top attained in one walk of the
     reduced form, rising, to both signs of its vectors x, sorted, each with b x."""
     gs = lattice.reduced_gram()[2]
     found = {}
@@ -908,17 +921,17 @@ class TestKeptWalks:
             with pytest.raises(Cut):
                 call()
         kept = lat._walks
-        assert kept.spectrum is None and kept.minimal is None and kept.short == (0, {})
+        assert kept.spectrum is None and kept.minimal is None and kept.least is None and kept.shells == {}
         # with the minimum kept, the cut falls on the walk to the norm-4 column
         monkeypatch.undo()
         shortest_vectors(lat)
-        before = kept.short
-        copy = (before[0], dict(before[1]))
-        assert list(copy[1]) == [kept.den]
+        before, minimal = kept.shells, kept.minimal
+        copy = dict(before)
+        assert kept.least == kept.den and len(minimal) == 2
         monkeypatch.setattr(flat_geometry, "_enumerate_bounded", cut_short)
         with pytest.raises(Cut):
             isometric_mod_rotation(lat, partner)
-        assert kept.short is before and before == copy
+        assert kept.shells is before and before == copy and kept.least == kept.den and kept.minimal is minimal
         monkeypatch.undo()
         assert geodesic_spectrum(lat, 4) == geodesic_spectrum(Lattice(lat.basis), 4)
         assert [v.coeffs for v in shortest_vectors(lat)] == [v.coeffs for v in shortest_vectors(Lattice(lat.basis))]
@@ -931,15 +944,21 @@ class TestKeptWalks:
         # check, not the backtrack, must refuse them
         lat = standard(2)
         den = _walks(lat).den
-        shells = _short(lat, 2 * den)
+        shells = _walk(lat, 2 * den, [den, 2 * den])
         assert list(shells) == [den, 2 * den] and len(shells[den]) == len(shells[2 * den]) == 4
         swapped = {den: shells[2 * den], 2 * den: shells[den]}
-        _walks(lat).short = (2 * den, swapped)
+        _walks(lat).shells = swapped
         for oriented in (False, True):
             with pytest.raises(RuntimeError, match="isometry witness check failed"):
                 isometric_mod_rotation(lat, standard(2), oriented=oriented)
         # through the CLI, the same corruption of a fresh lattice's store is an InternalError, exit 1
-        monkeypatch.setattr(flat_geometry, "_short", lambda lattice, top: swapped)
+        init = flat_geometry._Walks.__init__
+
+        def corrupted(kept, gs):
+            init(kept, gs)
+            kept.shells = swapped
+
+        monkeypatch.setattr(flat_geometry._Walks, "__init__", corrupted)
         path = tmp_path / "z2.json"
         path.write_text(json.dumps({"n": 2, "basis": [["1", "0"], ["0", "1"]]}))
         code = cli.run(["isometric", "--lattice", str(path), "--lattice", str(path)])
@@ -980,6 +999,57 @@ class TestKeptWalks:
         finally:
             sys.setswitchinterval(interval)
         assert wrong == []
+
+
+SKEW = 10**6
+
+
+def skewed_pair():
+    """diag(1, k) and [[1, 1], [0, k]] at k = 10^6: one lattice on two bases, whose reduced
+    forms are both diag(1, k^2)."""
+    return from_basis(MatQ([[1, 0], [0, SKEW]])), from_basis(MatQ([[1, 1], [0, SKEW]]))
+
+
+def kept_vectors(shells):
+    return sum(len(shell) for shell in shells.values())
+
+
+class TestSkewedPair:
+    """The search on the skewed pair: its one walk, to the column norm k^2, passes about
+    k +- pairs, yet the first lattice keeps only the 6 vectors of its two column norms."""
+
+    @pytest.mark.parametrize("oriented", [False, True], ids=["any", "oriented"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["diagonal-first", "sheared-first"])
+    @pytest.mark.parametrize("search", [isometric_mod_rotation, double_coset_equivalent])
+    def test_search(self, search, order, oriented):
+        l1, l2 = skewed_pair()[::order]
+        with time_limit(5):
+            w = search(l1, l2, oriented=oriented)
+        assert w is not None and (not oriented or w.det() == 1)
+        assert w.to_matq().transpose() @ l1.gram_matrix() @ w.to_matq() == l2.gram_matrix()
+        assert kept_vectors(l1._walks.shells) <= 8
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["diagonal-first", "sheared-first"])
+    def test_cli(self, monkeypatch, tmp_path, capsys, order):
+        pair = skewed_pair()[::order]
+        paths = []
+        for k, lat in enumerate(pair):
+            paths += ["--lattice", str(tmp_path / f"{k}.json")]
+            (tmp_path / f"{k}.json").write_text(json.dumps(lattice_to_json(lat)))
+        inner, walked = flat_geometry._walk, []
+
+        def recorded(*args):
+            walked.append(inner(*args))
+            return walked[-1]
+
+        monkeypatch.setattr(flat_geometry, "_walk", recorded)
+        with time_limit(5):
+            code = cli.run(["isometric", *paths])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["isometric"] is True
+        w = MatZ(doc["witness"]).to_matq()
+        assert w.transpose() @ pair[0].gram_matrix() @ w == pair[1].gram_matrix()
+        assert len(walked) == 1 and kept_vectors(walked[0]) <= 8
 
 
 def cauchy_schwarz_box(lattice, bound):

@@ -113,6 +113,14 @@ class TestSameLeftCoset:
             with pytest.raises(SingularMatrix, match="^matrices must be invertible$"):
                 same_left_coset(*pair)
 
+    def test_sizes_differ(self):
+        # the sizes are checked first, before either matrix's determinant
+        for t1, t2 in ((MatQ.identity(2), MatQ.identity(3)), (MatQ([[1, 0], [0, 0]]), MatQ.identity(3))):
+            with pytest.raises(DimensionMismatch, match=f"^matrix sizes differ: {t1.n} vs {t2.n}$"):
+                same_left_coset(t1, t2)
+            with pytest.raises(DimensionMismatch, match=f"^matrix sizes differ: {t2.n} vs {t1.n}$"):
+                same_left_coset(t2, t1)
+
     def test_characterizations_agree(self):
         # oracle: t2 = R t1 with R orthogonal iff t2 * t1^-1 is orthogonal
         rng = random.Random(103)
