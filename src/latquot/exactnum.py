@@ -41,6 +41,7 @@ from .errors import (
 # The scalar of the exact layer.  Fraction already guarantees the invariants
 # we need: positive denominator and gcd(|num|, den) = 1 after construction.
 Rational = Fraction
+_EXACT = frozenset((int, Fraction))  # the entry types used as they are
 
 
 def _frac(x) -> Fraction:
@@ -231,6 +232,8 @@ class _Mat:
         """ints * v: the product itself for a ``MatZ``."""
         if len(v) != self.n:
             raise DimensionMismatch(f"vector length {len(v)} does not match matrix size {self.n}")
+        if not _EXACT.issuperset(map(type, v)):
+            v = [_frac(c) for c in v]  # refuses a float, as every exact entry point does
         return tuple(sum(map(mul, row, v)) for row in self.ints)
 
     def _factor(self) -> tuple[list[int], list[list[int]], int]:

@@ -136,6 +136,8 @@ def parse_point(doc: Any) -> TorusPoint:
         raise SchemaError("torus point must be an object with 'lattice' and 'coords'")
     lattice = parse_lattice(doc["lattice"])
     coords = parse_vector(doc["coords"])
+    if len(coords) != lattice.n:
+        raise SchemaError(f"torus point has {len(coords)} coordinates but its lattice 'n' is {lattice.n}")
     if any(c < 0 or c >= 1 for c in coords):
         raise SchemaError("torus point coordinates must lie in [0, 1)")
     return TorusPoint(lattice, coords)
@@ -156,6 +158,8 @@ def parse_lattice_vector(doc: Any) -> LatticeVector:
         isinstance(c, int) and not isinstance(c, bool) for c in coeffs
     ):
         raise SchemaError("lattice vector 'coeffs' must be an array of integers")
+    if len(coeffs) != lattice.n:
+        raise SchemaError(f"lattice vector has {len(coeffs)} coefficients but its lattice 'n' is {lattice.n}")
     return LatticeVector(lattice, coeffs)
 
 

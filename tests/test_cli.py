@@ -334,23 +334,47 @@ class TestErrorHandling:
         assert json.loads(out) == self.FLOAT_RANGE
         assert out.count("\n") == 1
 
+    # a valid file of each input type, and a value for each required other flag
+    VALID = {
+        "lattice": Z2, "vector": ["1/2", "0"], "point": {"lattice": Z2, "coords": ["1/2", "0"]},
+        "lattice_vector": {"lattice": Z2, "coeffs": [1, 0]}, "matrix": [["1", "0"], ["0", "1"]],
+        "complex_matrix": [[["1", "0"]]],
+    }
+    VALUES = {"--scale": "2", "--bound": "1", "--cdim": "1"}
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_each_missing_input_file_is_named(self, capsys, write, tmp_path, command):
+        # every input file the table declares, both files of a pair: the ones
+        # before it valid, it missing, and the ones after it missing under
+        # another name, which the error must not name (files parse in flag order)
+        _, _, inputs, flags, _ = cli.COMMANDS[command]
+        slots = [(flag, kind) for flag, kind, count in inputs for _ in range(count)]
+        options = [arg for flag, kwargs in flags if kwargs.get("required") for arg in (flag, self.VALUES[flag])]
+        missing, later = str(tmp_path / "missing.json"), str(tmp_path / "later.json")
+        for at in range(len(slots)):
+            argv = [command, *options]
+            for i, (flag, kind) in enumerate(slots):
+                argv += [flag, write(f"{i}.json", self.VALID[kind]) if i < at else missing if i == at else later]
+            code, out = invoke(capsys, argv)
+            assert code == 2
+            err = one_document(out)["error"]
+            assert (err["kind"], err["input"]) == ("SchemaError", missing)
+
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
     def test_interrupt_and_exit_pass_through(self, capsys, write, monkeypatch, exc):
-        def handler(lib, args):
+        def handler(lib, args, *inputs):
             raise exc
 
-        help_text, module, flags, _ = cli.COMMANDS["volume"]
-        monkeypatch.setitem(cli.COMMANDS, "volume", (help_text, module, flags, handler))
+        monkeypatch.setitem(cli.COMMANDS, "volume", (*cli.COMMANDS["volume"][:-1], handler))
         with pytest.raises(exc):
             run(["volume", "--lattice", write("z2.json", Z2)])
         assert capsys.readouterr().out == ""
 
     def test_unexpected_exception_is_an_internal_error(self, capsys, write, monkeypatch):
-        def handler(lib, args):
+        def handler(lib, args, *inputs):
             raise RuntimeError("boom")
 
-        help_text, module, flags, _ = cli.COMMANDS["volume"]
-        monkeypatch.setitem(cli.COMMANDS, "volume", (help_text, module, flags, handler))
+        monkeypatch.setitem(cli.COMMANDS, "volume", (*cli.COMMANDS["volume"][:-1], handler))
         code, out = invoke(capsys, ["volume", "--lattice", write("z2.json", Z2)])
         assert code == 1
         assert out.count("\n") == 1

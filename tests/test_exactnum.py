@@ -941,6 +941,7 @@ class TestFloatRefusal:
     @pytest.mark.parametrize("call, error, message", [
         (lambda: MatQ([[0.5]]), TypeError, NO_FLOATS),
         (lambda: MatQ.identity(2).mul_vec([0.5, 0]), TypeError, NO_FLOATS),
+        (lambda: MatZ([[1, 0], [0, 1]]).mul_vec([0.5, 1]), TypeError, NO_FLOATS),
         (lambda: MatQ.identity(2).solve([0.5, 0]), TypeError, NO_FLOATS),
         (lambda: 0.5 * MatQ.identity(2), TypeError, NO_FLOATS),
         (lambda: MatZ([[1.0]]), ValueError, "^MatZ entries must be integers$"),
@@ -951,7 +952,7 @@ class TestFloatRefusal:
         (lambda: scale(standard(2), 0.5), TypeError, NO_FLOATS),
         (lambda: geodesic_spectrum(standard(2), 2.0), TypeError, NO_FLOATS),
         (lambda: LatticeVector(standard(2), [1.0, 0]), ValueError, "^lattice vector coefficients must be integers$"),
-    ], ids=["MatQ", "MatQ.mul_vec", "MatQ.solve", "c*MatQ", "MatZ", "ComplexMatrix", "TorusPoint", "reduce",
+    ], ids=["MatQ", "MatQ.mul_vec", "MatZ.mul_vec", "MatQ.solve", "c*MatQ", "MatZ", "ComplexMatrix", "TorusPoint", "reduce",
             "contains", "scale", "geodesic_spectrum", "LatticeVector"])
     def test_floats_are_refused(self, call, error, message):
         with pytest.raises(error, match=message):

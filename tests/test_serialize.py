@@ -182,11 +182,16 @@ class TestSchemaErrors:
          "lattice vector 'coeffs' must be an array of integers"),
         (parse_lattice_vector, {"lattice": Z1, "coeffs": [True]}, SchemaError,
          "lattice vector 'coeffs' must be an array of integers"),
+        (parse_point, {"lattice": Z1, "coords": ["0", "1/2"]}, SchemaError,
+         "torus point has 2 coordinates but its lattice 'n' is 1"),
+        (parse_lattice_vector, {"lattice": Z1, "coeffs": [1, 0]}, SchemaError,
+         "lattice vector has 2 coefficients but its lattice 'n' is 1"),
         (parse_complex_matrix, {"0": ["1", "0"]}, SchemaError, "complex matrix must be a non-empty array of rows"),
         (parse_complex_matrix, [[["1", "0"], ["0", "1"]]], SchemaError, "complex matrix must be square"),
     ], ids=["rational-not-a-string", "rational-bool", "matrix-not-a-list", "lattice-not-an-object",
             "lattice-n-string", "lattice-n-bool", "point-not-an-object", "vector-no-coeffs",
-            "vector-coeffs-strings", "vector-coeffs-bools", "complex-not-a-list", "complex-not-square"])
+            "vector-coeffs-strings", "vector-coeffs-bools", "point-coords-length", "vector-coeffs-length",
+            "complex-not-a-list", "complex-not-square"])
     def test_kind_and_message(self, parse, doc, kind, message):
         with pytest.raises(kind) as info:
             parse(doc)
