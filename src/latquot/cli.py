@@ -61,6 +61,15 @@ def _parse_file(path: str, parse):
         raise
 
 
+def _paths(args, flag: str, count: int) -> list[str]:
+    """The paths given to an input flag, which must be given exactly ``count`` times."""
+    paths = getattr(args, flag[2:])
+    if len(paths) != count:
+        noun = f"one {flag} argument" if count == 1 else f"two {flag} arguments"
+        raise SchemaError(f"expected exactly {noun}, got {len(paths)}")
+    return paths
+
+
 def _witness_doc(key: str, witness) -> dict[str, Any]:
     return {key: witness is not None, "witness": matz_to_json(witness) if witness is not None else None}
 
@@ -79,7 +88,7 @@ def _induce(lib, args, matrix, source, target):
     if args.point is None:
         return _induced_doc(f)
     # parsed only now, so that a bad map is reported before a bad point
-    return point_to_json(lib.apply_induced(f, _parse_file(args.point, serialize.parse_point)))
+    return point_to_json(lib.apply_induced(f, _parse_file(*_paths(args, "--point", 1), serialize.parse_point)))
 
 
 def _volume_scaled(lib, args, lattice):
@@ -112,8 +121,9 @@ _MATRIX = ("--matrix", "matrix", 1)
 _ORIENTED = ("--oriented", {"action": "store_true"})
 
 # name -> (help line, library module, input files, other flags, handler).
-# An input file is (flag, type, count): the flag is given count times, once
-# or twice in order, and each file holds what serialize.parse_<type> reads.
+# An input file is (flag, type, count): the flag is given exactly count times
+# (``_paths``), once or twice in order, and each file holds what
+# serialize.parse_<type> reads.
 # ``run`` parses the input files in flag order and calls handler(lib, args,
 # *inputs).  An other flag is (flag, add_argument keywords).  Every
 # subcommand also takes --output.  --help lists them in this order.
@@ -124,7 +134,8 @@ COMMANDS = {
     "add": ("add two torus points (pass --point twice)", "quotient_torus", (("--point", "point", 2),), (),
             lambda lib, args, p, q: point_to_json(lib.torus_add(p, q))),
     "induce": ("validate A(L1) = L2 and report the induced map (optionally apply it)", "quotient_torus",
-               (_MATRIX, ("--source", "lattice", 1), ("--target", "lattice", 1)), (("--point", {}),), _induce),
+               (_MATRIX, ("--source", "lattice", 1), ("--target", "lattice", 1)),
+               (("--point", {"action": "append"}),), _induce),
     "volume": ("covolume of a lattice (volume of its quotient torus)", "lattice_core", (_LATTICE,), (),
                lambda lib, args, lattice: {"covolume": format_rational(lib.covolume(lattice))}),
     "volume-scaled": ("volume of the quotient by c*L for a real scale c", "quotient_torus", (_LATTICE,),
@@ -192,8 +203,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help_text, _, inputs, flags, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output", metavar="PATH", help="write the result document here instead of stdout")
-        for flag, _, count in inputs:
-            p.add_argument(flag, required=True, **({"action": "append"} if count == 2 else {}))
+        for flag, *_ in inputs:
+            p.add_argument(flag, required=True, action="append")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
     return parser
@@ -229,13 +240,8 @@ def run(argv: list[str] | None = None) -> int:
         lib = importlib.import_module(f".{module}", __package__)
         parsed = []
         for flag, kind, count in inputs:
-            paths = getattr(args, flag[2:])
-            if count == 1:
-                paths = [paths]
-            elif len(paths) != 2:
-                raise SchemaError(f"expected exactly two {flag} arguments, got {len(paths)}")
             # looked up per call, so that a wrapper installed on serialize sees each parse
-            parsed += [_parse_file(path, getattr(serialize, f"parse_{kind}")) for path in paths]
+            parsed += [_parse_file(path, getattr(serialize, f"parse_{kind}")) for path in _paths(args, flag, count)]
         _emit(handler(lib, args, *parsed), args.output)
     except LatquotError as exc:
         _error(exc.kind, str(exc), getattr(exc, "input_path", None))

@@ -547,16 +547,15 @@ def _lll(b: Sequence[Sequence[int]], scale: int) -> tuple[MatZ, MatZ, tuple]:
     for the Gram form G = b / scale given as the symmetric integers b and scale.
 
     b is the integral Gram matrix that de Weger's LLL wants: the body of a
-    Gram form, such as ``m.transpose() @ m`` for a basis m.  The run works on
-    a copy.  The data at exit is (b, scale, d, lam): the integer form
-    b = scale * G', the Gram determinants d[k] of the leading k reduced
-    vectors (d[0] = 1), and the lower triangle lam[k][j] = d[j + 1] * mu_kj,
-    j < k: the integer LDL^T of b.  It starts as
-    ``_symmetric_bareiss(b, scale)``, and each size reduction and swap
-    updates it in place.  V^-1 takes the inverse of each step V does, O(n)
-    each, so no elimination inverts V.
+    Gram form, such as ``m.transpose() @ m`` for a basis m.  The data at exit
+    is (b', scale, d, lam): the integer form b' = scale * G', the Gram
+    determinants d[k] of the leading k reduced vectors (d[0] = 1), and the
+    lower triangle lam[k][j] = d[j + 1] * mu_kj, j < k: the integer LDL^T of
+    b'.  d and lam start as ``_symmetric_bareiss(b, scale)``, and each size
+    reduction and swap updates them in place; no step reads the form itself,
+    so b' = V^T b V is formed once, at exit.  V^-1 takes the inverse of each
+    step V does, O(n) each, so no elimination inverts V.
     """
-    b = [list(row) for row in b]
     _, _, d, lam = _symmetric_bareiss(b, scale)  # b[i][j] = b_i . b_j
     if not all(x > 0 for x in d):
         raise NotPositiveDefinite("Gram matrix must be positive definite")
@@ -569,11 +568,6 @@ def _lll(b: Sequence[Sequence[int]], scale: int) -> tuple[MatZ, MatZ, tuple]:
         if 2 * abs(lam[k][j]) <= dj:
             return
         q = (2 * lam[k][j] + dj) // (2 * dj)  # nearest integer to lam / d
-        b[k][k] += q * q * b[j][j] - 2 * q * b[k][j]
-        for r in range(n):
-            if r != k:
-                b[r][k] -= q * b[r][j]
-                b[k][r] = b[r][k]
         cols[k] = [x - q * y for x, y in zip(cols[k], cols[j])]
         inv[j] = [x + q * y for x, y in zip(inv[j], inv[k])]
         lam[k][j] -= q * dj
@@ -583,9 +577,6 @@ def _lll(b: Sequence[Sequence[int]], scale: int) -> tuple[MatZ, MatZ, tuple]:
     def swap(k: int) -> None:
         cols[k], cols[k - 1] = cols[k - 1], cols[k]
         inv[k], inv[k - 1] = inv[k - 1], inv[k]
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for row in b:
-            row[k], row[k - 1] = row[k - 1], row[k]
         for j in range(k - 1):
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         lk = lam[k][k - 1]
@@ -606,7 +597,8 @@ def _lll(b: Sequence[Sequence[int]], scale: int) -> tuple[MatZ, MatZ, tuple]:
             for j in range(k - 2, -1, -1):
                 red(k, j)
             k += 1
-    gs = (tuple(map(tuple, b)), scale, tuple(d), tuple(map(tuple, lam)))
+    bv = [[sum(map(mul, row, col)) for row in b] for col in cols]  # the columns of b V
+    gs = (tuple(tuple(sum(map(mul, c, x)) for x in bv) for c in cols), scale, tuple(d), tuple(map(tuple, lam)))
     return MatZ._of(tuple(zip(*cols))), MatZ._of(tuple(map(tuple, inv))), gs
 
 

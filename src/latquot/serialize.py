@@ -92,13 +92,17 @@ def vector_to_json(v: Sequence[Fraction]) -> list[str]:
     return [format_rational(x) for x in v]
 
 
-def parse_matrix(doc: Any) -> MatQ:
+def _rows(doc: Any, what: str, cell) -> list[list]:
+    """A square matrix given as a non-empty array of rows, each entry read by ``cell``."""
     if not isinstance(doc, list) or not doc or not all(isinstance(row, list) for row in doc):
-        raise SchemaError("matrix must be a non-empty array of rows")
-    n = len(doc)
-    if any(len(row) != n for row in doc):
-        raise SchemaError("matrix must be square")
-    return MatQ([[_rational_from_json(x) for x in row] for row in doc])
+        raise SchemaError(f"{what} must be a non-empty array of rows")
+    if any(len(row) != len(doc) for row in doc):
+        raise SchemaError(f"{what} must be square")
+    return [[cell(x) for x in row] for row in doc]
+
+
+def parse_matrix(doc: Any) -> MatQ:
+    return MatQ(_rows(doc, "matrix", _rational_from_json))
 
 
 def matrix_to_json(m: MatQ) -> list[list[str]]:
@@ -129,15 +133,21 @@ def lattice_to_json(lattice: Lattice) -> dict[str, Any]:
     return {"n": lattice.n, "basis": matrix_to_json(lattice.basis)}
 
 
+def _on_lattice(doc: Any, what: str, key: str, noun: str, parse) -> tuple[Lattice, Any]:
+    """(lattice, parse(doc[key])) of an object with 'lattice' and ``key``: one value per dimension."""
+    if not isinstance(doc, dict) or "lattice" not in doc or key not in doc:
+        raise SchemaError(f"{what} must be an object with 'lattice' and '{key}'")
+    lattice = parse_lattice(doc["lattice"])
+    values = parse(doc[key])
+    if len(values) != lattice.n:
+        raise SchemaError(f"{what} has {len(values)} {noun} but its lattice 'n' is {lattice.n}")
+    return lattice, values
+
+
 def parse_point(doc: Any) -> TorusPoint:
     from .quotient_torus import TorusPoint
 
-    if not isinstance(doc, dict) or "lattice" not in doc or "coords" not in doc:
-        raise SchemaError("torus point must be an object with 'lattice' and 'coords'")
-    lattice = parse_lattice(doc["lattice"])
-    coords = parse_vector(doc["coords"])
-    if len(coords) != lattice.n:
-        raise SchemaError(f"torus point has {len(coords)} coordinates but its lattice 'n' is {lattice.n}")
+    lattice, coords = _on_lattice(doc, "torus point", "coords", "coordinates", parse_vector)
     if any(c < 0 or c >= 1 for c in coords):
         raise SchemaError("torus point coordinates must lie in [0, 1)")
     return TorusPoint(lattice, coords)
@@ -147,39 +157,28 @@ def point_to_json(p: TorusPoint) -> dict[str, Any]:
     return {"lattice": lattice_to_json(p.lattice), "coords": vector_to_json(p.coords)}
 
 
+def _integers(doc: Any) -> list[int]:
+    if not isinstance(doc, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in doc):
+        raise SchemaError("lattice vector 'coeffs' must be an array of integers")
+    return doc
+
+
 def parse_lattice_vector(doc: Any) -> LatticeVector:
     from .flat_geometry import LatticeVector
 
-    if not isinstance(doc, dict) or "lattice" not in doc or "coeffs" not in doc:
-        raise SchemaError("lattice vector must be an object with 'lattice' and 'coeffs'")
-    lattice = parse_lattice(doc["lattice"])
-    coeffs = doc["coeffs"]
-    if not isinstance(coeffs, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in coeffs
-    ):
-        raise SchemaError("lattice vector 'coeffs' must be an array of integers")
-    if len(coeffs) != lattice.n:
-        raise SchemaError(f"lattice vector has {len(coeffs)} coefficients but its lattice 'n' is {lattice.n}")
-    return LatticeVector(lattice, coeffs)
+    return LatticeVector(*_on_lattice(doc, "lattice vector", "coeffs", "coefficients", _integers))
+
+
+def _complex_entry(cell: Any) -> tuple[Fraction, Fraction]:
+    if not isinstance(cell, list) or len(cell) != 2:
+        raise SchemaError("complex entries must be two-element [re, im] arrays")
+    return _rational_from_json(cell[0]), _rational_from_json(cell[1])
 
 
 def parse_complex_matrix(doc: Any) -> ComplexMatrix:
     from .complex_lattices import ComplexMatrix
 
-    if not isinstance(doc, list) or not doc or not all(isinstance(row, list) for row in doc):
-        raise SchemaError("complex matrix must be a non-empty array of rows")
-    n = len(doc)
-    entries = []
-    for row in doc:
-        if len(row) != n:
-            raise SchemaError("complex matrix must be square")
-        out = []
-        for cell in row:
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise SchemaError("complex entries must be two-element [re, im] arrays")
-            out.append((_rational_from_json(cell[0]), _rational_from_json(cell[1])))
-        entries.append(out)
-    return ComplexMatrix(entries)
+    return ComplexMatrix(_rows(doc, "complex matrix", _complex_entry))
 
 
 def complex_matrix_to_json(m: ComplexMatrix) -> list[list[list[str]]]:

@@ -360,6 +360,47 @@ class TestErrorHandling:
             err = one_document(out)["error"]
             assert (err["kind"], err["input"]) == ("SchemaError", missing)
 
+    @staticmethod
+    def count_message(flag, count, got):
+        return {1: f"expected exactly one {flag} argument, got {got}",
+                2: f"expected exactly two {flag} arguments, got {got}"}[count]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_each_input_flag_given_once_too_often_is_refused(self, capsys, write, command):
+        # every input flag the table declares, given its count + 1 times with
+        # valid files: a file that would go unread is a schema error
+        _, _, inputs, flags, _ = cli.COMMANDS[command]
+        options = [arg for flag, kwargs in flags if kwargs.get("required") for arg in (flag, self.VALUES[flag])]
+        valid = []
+        for flag, kind, count in inputs:
+            valid += [flag, write(f"{flag[2:]}.json", self.VALID[kind])] * count
+        for flag, kind, count in inputs:
+            code, out = invoke(capsys, [command, *options, *valid, flag, write("extra.json", self.VALID[kind])])
+            assert code == 2
+            assert one_document(out)["error"] == {
+                "kind": "SchemaError", "message": self.count_message(flag, count, count + 1), "input": None,
+            }
+
+    def test_induce_point_given_twice_is_refused(self, capsys, write):
+        point = write("p.json", {"lattice": Z2, "coords": ["1/2", "0"]})
+        code, out = invoke(capsys, [
+            "induce", "--matrix", write("a.json", [["2", "0"], ["0", "2"]]), "--source", write("z2.json", Z2),
+            "--target", write("l2.json", DOUBLED), "--point", point, "--point", point,
+        ])
+        assert code == 2
+        assert one_document(out)["error"] == {
+            "kind": "SchemaError", "message": self.count_message("--point", 1, 2), "input": None,
+        }
+
+    def test_a_bad_map_is_reported_before_the_point_count(self, capsys, write):
+        point = write("p.json", {"lattice": Z2, "coords": ["1/2", "0"]})
+        code, out = invoke(capsys, [
+            "induce", "--matrix", write("a.json", [["2", "0"], ["0", "2"]]), "--source", write("z2.json", Z2),
+            "--target", write("z2b.json", Z2), "--point", point, "--point", point,
+        ])
+        assert code == 1
+        assert one_document(out)["error"]["kind"] == "NotLatticePreserving"
+
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
     def test_interrupt_and_exit_pass_through(self, capsys, write, monkeypatch, exc):
         def handler(lib, args, *inputs):

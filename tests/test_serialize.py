@@ -161,6 +161,11 @@ class TestComplexMatrix:
         with pytest.raises(SchemaError):
             parse_complex_matrix([[["1", "0", "0"]]])
 
+    def test_shape_is_checked_before_any_entry(self):
+        # a bad entry in the first row and a short second row: the shape is reported
+        with pytest.raises(SchemaError, match="^complex matrix must be square$"):
+            parse_complex_matrix([[["1"], ["0", "0"]], [["1", "0"]]])
+
 
 Z1 = {"n": 1, "basis": [["1"]]}
 
