@@ -12,9 +12,11 @@ determinants and scaled multipliers) that the integral LLL leaves for the
 reduced Gram form, never over floating-point approximations.  Each lattice
 runs the LLL once and keeps what it returns, the triple (V, V^-1, gs) of
 transform, inverse transform and that data (``Lattice.reduced_gram``);
-enumeration and the isometry search work in reduced coordinates and map
-their answers back through V and V^-1, so results never depend on the
-presentation.
+enumeration and the isometry search work in reduced coordinates, so
+results never depend on the presentation.  Each vector a walk keeps is
+mapped back through V as it is stored: the minimal vectors and every
+searched shell are kept over the lattice's own basis, so a witness needs
+only V^-1 of the second lattice.
 
 Each lattice also keeps what its short-vector walks found (``_Walks``, in
 the lattice's one slot for it): the norm data every walk shares; its
@@ -22,13 +24,14 @@ minimum, the squared length of the shortest closed geodesics, with the
 minimal vectors, which answer ``shortest_vectors`` and
 ``injectivity_radius`` (half the minimal length, the largest radius on which
 R^n -> R^n / L is injective); the shells that isometry searches from the
-lattice asked for, each the vectors of one norm; and its geodesic spectrum
-up to the largest bound asked so far, which answers every smaller bound.  A
-walk for a search also finds the minimum on its way, once its top reaches
-it.  A first call still walks once; the gain is on repeated calls on one
-lattice object.  What is kept is bounded by what was asked: one (length,
-count) pair per length a spectrum returned, the minimal vectors, and the
-vectors of each norm that a search asked for.
+lattice asked for, each the vectors p of one norm over the basis, with
+their images G p under the integral Gram body G of the basis; and its
+geodesic spectrum up to the largest bound asked so far, which answers every
+smaller bound.  A walk for a search also finds the minimum on its way, once
+its top reaches it.  A first call still walks once; the gain is on repeated
+calls on one lattice object.  What is kept is bounded by what was asked: one
+(length, count) pair per length a spectrum returned, the minimal vectors,
+and the vectors of each norm that a search asked for.
 """
 
 from __future__ import annotations
@@ -222,15 +225,17 @@ class _Walks:
     ``minimal`` is ``shortest_vectors``' answer over the lattice's basis,
     both stored by the first walk that finds a vector.  ``shells`` holds
     only the norms an isometry search asked for: it maps each such integer
-    v = den * x^T G' x to both signs of the vectors x of that norm, sorted,
-    each with the integers b x (b = scale * G'), and to () when there is
-    none.  ``radius`` is ``injectivity_radius``' pair and ``spectrum`` a
-    ``_Spectrum``; every entry but den and c is None (``shells`` empty)
-    until first asked.  The lattice is immutable, so nothing goes stale.  An
-    entry is built whole and then stored, never changed after: a walk stores
-    its shells as a new dict that adds them to the kept ones, a walk that
-    stops half way keeps nothing, and concurrent callers read either the old
-    entry or the new.  No lock is taken: two callers that store at once can
+    v = den * x^T G' x to the pairs (p, h) of both signs of the vectors x of
+    that norm, sorted by x, where p = V x is the vector over the lattice's
+    basis and h = G p its image under the basis's integral Gram body G
+    (b = scale * G' = V^T G V, so h . p' = (b x) . x'), and to () when
+    there is none.  ``radius`` is ``injectivity_radius``' pair and
+    ``spectrum`` a ``_Spectrum``; every entry but den and c is None
+    (``shells`` empty) until first asked.  The lattice is immutable, so
+    nothing goes stale.  An entry is built whole and then stored, never
+    changed after: a walk stores its shells as a new dict that adds them to
+    the kept ones, a walk that stops half way keeps nothing, and concurrent
+    callers read either the old entry or the new.  No lock is taken: two callers that store at once can
     lose one of their entries, which costs a later walk, never a wrong answer.
     """
 
@@ -258,13 +263,16 @@ def _walk(lattice: Lattice, top: int, keys: Sequence[int] = ()) -> dict[int, tup
 
     A walk to any top at or above the minimum sees every minimal vector, so
     the walk tracks the least norm as it goes and, if none is kept, stores
-    it with ``minimal``.  It forms b x only for the vectors of the norms in
-    ``keys``.  Everything is stored after the walk, so a walk that stops
-    half way keeps nothing.
+    it with ``minimal``.  Only for the vectors x of the norms in ``keys``
+    does it form the pair (p, h) that a shell keeps: p = V x, the vector
+    over the lattice's basis, and h = V^-T (b x) = G p, G the integral Gram
+    body of the basis that the LLL ran on (b = V^T G V).  Everything is
+    stored after the walk, so a walk that stops half way keeps nothing.
     """
     kept = _walks(lattice)
-    v, _, gs = lattice.reduced_gram()
-    found: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {key: [] for key in keys}
+    v, v_inv, gs = lattice.reduced_gram()
+    b, inv_cols = gs[0], tuple(zip(*v_inv.ints))
+    found: dict[int, list[tuple[tuple[int, ...], ...]]] = {key: [] for key in keys}
     least, minimal = top + 1, []
     for x, norm in _enumerate_bounded(gs, kept.c, top):
         if norm <= least:
@@ -273,13 +281,16 @@ def _walk(lattice: Lattice, top: int, keys: Sequence[int] = ()) -> dict[int, tup
             minimal.append(x)
         shell = found.get(norm)
         if shell is not None:
-            bx = tuple([sum(map(mul, row, x)) for row in gs[0]])
-            shell.extend(((x, bx), (tuple([-t for t in x]), tuple([-t for t in bx]))))
+            bx = [sum(map(mul, row, x)) for row in b]
+            p, h = v.mul_vec(x), tuple([sum(map(mul, col, bx)) for col in inv_cols])
+            shell.extend(((x, p, h), tuple(tuple([-t for t in y]) for y in (x, p, h))))
     if minimal and kept.least is None:
         # minimal first: a reader that finds ``least`` finds ``minimal`` too
         kept.minimal = tuple(sorted(_canonical_sign(v.mul_vec(x)) for x in minimal))
         kept.least = least
-    shells = kept.shells = {**kept.shells, **{key: tuple(sorted(shell)) for key, shell in found.items()}}
+    # sorted by the reduced coordinates x: the order in which a search tries its candidates
+    shells = kept.shells = {**kept.shells, **{key: tuple([(p, h) for _, p, h in sorted(shell)])
+                                              for key, shell in found.items()}}
     return shells
 
 
@@ -377,7 +388,10 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     rotation.  The search runs on the LLL-reduced forms G1' = V1^T G1 V1 and
     G2' = V2^T G2 V2: it matches G2' column by column against vectors of G1'
     of the column's norm, and a witness U' with U'^T G1' U' = G2' maps back
-    to U = V1 U' V2^-1, V2^-1 the one ``reduced_gram`` keeps beside V2.
+    to U = V1 U' V2^-1, V2^-1 the one ``reduced_gram`` keeps beside V2.  The
+    first lattice keeps its candidates already mapped through V1, as the
+    columns p = V1 c of V1 U' (``_Walks``), so the map-back is the one
+    integer product P V2^-1 of the chosen columns P.
 
     What the first lattice keeps of its walks (``_Walks``) serves the search,
     as Plesken & Souvignier (JSC 24, 1997) compute the short vectors once for
@@ -395,14 +409,17 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
 
     Both forms are integers, b1 = scale1 * G1' and b2 = scale2 * G2', and
     the search matches against one lower-triangular integer matrix t,
-    t_ij = scale1 * b2_ij / scale2 for i <= j: a candidate column c_j needs
+    t_ij = scale1 * b2_ij / scale2 for i <= j (one pass over b2's lower
+    triangle; b2 is symmetric): a candidate column c_j needs
     (b1 c_i) . c_j = t_ij, so an entry that is no integer rejects the pair
     before any walk, and column j's candidates are the kept shell of
-    den1 * G2'_jj = (den1 / scale1) * t_jj.  The backtrack checks t_ij for
-    i < j.  Each complete candidate is checked where it is formed: every
-    column against its norm t_jj, so a kept vector under the wrong norm
+    den1 * G2'_jj = (den1 / scale1) * t_jj.  A kept pair (p, h) has
+    h_i . p_j = (b1 c_i) . c_j, so the backtrack checks t_ij for i < j on
+    the kept pairs.  Each complete candidate is checked where it is formed:
+    every column's h . p against its norm t_jj, so a kept vector under the
+    wrong norm, or a p that is not the vector its h was formed from,
     raises ``RuntimeError``, never a wrong answer; then the witness
-    W = V1 U' V2^-1 is composed and returned.
+    W = P V2^-1 is formed from those same p and returned.
 
     With ``oriented`` the witness must additionally have determinant +1 and
     the implied ambient map must preserve orientation: the signed covolumes
@@ -416,16 +433,18 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     # det G = det(basis)^2; a rotation with a witness of det +1 keeps det(basis) itself
     if l1.basis_det != l2.basis_det and (oriented or l1.basis_det != -l2.basis_det):
         return None
-    v1, _, gs1 = l1.reduced_gram()
-    v2, v2_inv, gs2 = l2.reduced_gram()
+    gs1, (_, v2_inv, gs2) = l1.reduced_gram()[2], l2.reduced_gram()
     n = l1.n
     scale1, (b2, scale2) = gs1[1], gs2[:2]
     kept1 = _walks(l1)
     # c_i^T G1' c_j = G2'_ij  <=>  (b1 c_i) . c_j = t_ij = scale1 * b2_ij / scale2, in integers:
-    # a pair with some t_ij no integer has no witness
-    if any(scale1 * x % scale2 for row in b2 for x in row):
-        return None
-    t = [[scale1 * x // scale2 for x in row[:j + 1]] for j, row in enumerate(b2)]
+    # a pair with some t_ij no integer has no witness (b2 is symmetric: its lower triangle decides)
+    t = []
+    for j, row in enumerate(b2):
+        q, r = zip(*[divmod(scale1 * x, scale2) for x in row[:j + 1]])
+        if any(r):
+            return None
+        t.append(q)
     # column j's shell key den1 * G2'_jj; den1 = m * scale1 (``_norm_denominator``)
     keys = [kept1.den // scale1 * row[j] for j, row in enumerate(t)]
     if kept1.least is not None:
@@ -444,14 +463,16 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
 
     def backtrack(j: int) -> MatZ | None:
         if j == n:
-            if any(sum(map(mul, b1c, c)) != row[-1] for (c, b1c), row in zip(cols, t)):
+            if any(sum(map(mul, h, p)) != row[-1] for (p, h), row in zip(cols, t)):
                 raise RuntimeError("isometry witness check failed: a kept candidate does not have its column's norm")
-            w = v1 @ MatZ._of(tuple(zip(*(col[0] for col in cols)))) @ v2_inv
+            # W = P V2^-1 in integers, P the matrix of the columns p
+            p_rows, inv_cols = zip(*(p for p, _ in cols)), tuple(zip(*v2_inv.ints))
+            w = MatZ._of(tuple([tuple([sum(map(mul, r, c)) for c in inv_cols]) for r in p_rows]))
             return None if oriented and w.det() != 1 else w
         row = t[j]
-        for c, b1c in columns[j]:
-            if all(sum(map(mul, cols[i][1], c)) == row[i] for i in range(j)):
-                cols.append((c, b1c))
+        for p, h in columns[j]:
+            if all(sum(map(mul, cols[i][1], p)) == row[i] for i in range(j)):
+                cols.append((p, h))
                 result = backtrack(j + 1)
                 cols.pop()
                 if result is not None:

@@ -573,9 +573,13 @@ class TestKeptMinimum:
             assert Fraction(kept.least, den) == value
             assert list(kept.minimal) == sorted(_canonical_sign(v.mul_vec(c)) for c in walked)
             assert len(set(kept.minimal)) == len(kept.minimal)
-            reduced = [c for c, _ in _walk(lat, kept.least, [kept.least])[kept.least]]
-            assert reduced == sorted(walked + [tuple(-x for x in c) for c in walked])
-            assert len(set(reduced)) == len(reduced)
+            # the shell holds (V x, G V x) in the order of sorted x, G the integral Gram body of the basis
+            g = lat.gram_matrix().ints
+            shell = _walk(lat, kept.least, [kept.least])[kept.least]
+            want = [v.mul_vec(c) for c in sorted(walked + [tuple(-x for x in c) for c in walked])]
+            assert [p for p, _ in shell] == want
+            assert [h for _, h in shell] == [tuple(sum(map(operator.mul, row, p)) for row in g) for p in want]
+            assert len(set(shell)) == len(shell)
 
     def test_a_first_search_walks_exactly_once(self, monkeypatch):
         # with nothing kept, the search walks once, to the largest column norm of G2',
@@ -761,13 +765,18 @@ def check_calls(pool, calls):
 
 def walked_shells(lattice, top):
     """Oracle for ``_Walks.shells``: every norm v <= top attained in one walk of the
-    reduced form, rising, to both signs of its vectors x, sorted, each with b x."""
-    gs = lattice.reduced_gram()[2]
+    reduced form, rising, to both signs of its vectors x, in the order of sorted x,
+    each as (V x, G V x) over the basis, G the integral Gram body of the basis."""
+    v, _, gs = lattice.reduced_gram()
+    g = lattice.gram_matrix().ints
     found = {}
-    for x, v in _enumerate_bounded(gs, _norm_denominator(gs)[1], top):
-        found.setdefault(v, []).extend([x, tuple(-t for t in x)])
-    return {v: tuple((x, tuple(sum(map(operator.mul, row, x)) for row in gs[0])) for x in sorted(found[v]))
-            for v in sorted(found)}
+    for x, norm in _enumerate_bounded(gs, _norm_denominator(gs)[1], top):
+        found.setdefault(norm, []).extend([x, tuple(-t for t in x)])
+    pairs = {}
+    for norm in sorted(found):
+        ps = [v.mul_vec(x) for x in sorted(found[norm])]
+        pairs[norm] = tuple((p, tuple(sum(map(operator.mul, row, p)) for row in g)) for p in ps)
+    return pairs
 
 
 def random_pool(rng, n):
@@ -817,6 +826,31 @@ class TestKeptWalksAgainstOracles:
             pairs += len(check_calls(pool, calls))
             other_scale += pool[0].reduced_gram()[2][1] != pool[2].reduced_gram()[2][1]
         assert other_scale > 20, other_scale
+
+
+def corrupted_store_raises(monkeypatch, tmp_path, capsys, shells):
+    """Z^2 searched against itself with ``shells`` as its kept shells: both orientations raise
+    the witness check's ``RuntimeError``, and through the CLI, with the same shells in a fresh
+    lattice's store, the answer is an ``InternalError`` with exit 1; never a witness."""
+    lat = standard(2)
+    _walks(lat).shells = shells
+    for oriented in (False, True):
+        with pytest.raises(RuntimeError, match="isometry witness check failed"):
+            isometric_mod_rotation(lat, standard(2), oriented=oriented)
+    init = flat_geometry._Walks.__init__
+
+    def corrupted(kept, gs):
+        init(kept, gs)
+        kept.shells = shells
+
+    monkeypatch.setattr(flat_geometry._Walks, "__init__", corrupted)
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"n": 2, "basis": [["1", "0"], ["0", "1"]]}))
+    code = cli.run(["isometric", "--lattice", str(path), "--lattice", str(path)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1 and error["kind"] == "InternalError" and "isometry witness check failed" in error["message"]
+    monkeypatch.undo()
+    assert isometric_mod_rotation(standard(2), standard(2)) is not None
 
 
 class TestKeptWalks:
@@ -946,26 +980,42 @@ class TestKeptWalks:
         den = _walks(lat).den
         shells = _walk(lat, 2 * den, [den, 2 * den])
         assert list(shells) == [den, 2 * den] and len(shells[den]) == len(shells[2 * den]) == 4
-        swapped = {den: shells[2 * den], 2 * den: shells[den]}
-        _walks(lat).shells = swapped
-        for oriented in (False, True):
-            with pytest.raises(RuntimeError, match="isometry witness check failed"):
-                isometric_mod_rotation(lat, standard(2), oriented=oriented)
-        # through the CLI, the same corruption of a fresh lattice's store is an InternalError, exit 1
-        init = flat_geometry._Walks.__init__
+        corrupted_store_raises(monkeypatch, tmp_path, capsys, {den: shells[2 * den], 2 * den: shells[den]})
 
-        def corrupted(kept, gs):
-            init(kept, gs)
-            kept.shells = swapped
+    def test_a_corrupted_kept_vector_raises(self, monkeypatch, tmp_path, capsys):
+        # Z^2 against itself: both columns have norm 1 and inner product 0, so with every kept p of
+        # the norm-1 shell doubled (h left as it is) each complete candidate passes the backtrack,
+        # h_0 . 2 p_1 = 0, and reaches the leaf with h . 2 p = 2: the witness, built from the p,
+        # must never be returned
+        lat = standard(2)
+        den = _walks(lat).den
+        shells = _walk(lat, den, [den])
+        assert list(shells) == [den] and len(shells[den]) == 4
+        corrupted_store_raises(monkeypatch, tmp_path, capsys,
+                               {den: tuple((tuple(2 * x for x in p), h) for p, h in shells[den])})
 
-        monkeypatch.setattr(flat_geometry._Walks, "__init__", corrupted)
-        path = tmp_path / "z2.json"
-        path.write_text(json.dumps({"n": 2, "basis": [["1", "0"], ["0", "1"]]}))
-        code = cli.run(["isometric", "--lattice", str(path), "--lattice", str(path)])
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert code == 1 and error["kind"] == "InternalError" and "isometry witness check failed" in error["message"]
-        monkeypatch.undo()
-        assert isometric_mod_rotation(standard(2), standard(2)) is not None
+    def test_a_warm_search_forms_no_matrix_product(self, monkeypatch):
+        # once the first lattice keeps its shells, a search maps its witness back in plain integers
+        rng = random.Random(98)
+        found = oriented_found = 0
+        for _ in range(30):
+            l1, l2, _ = random_pool(rng, rng.randint(2, 4))
+            calls = [lambda: isometric_mod_rotation(l1, l2), lambda: isometric_mod_rotation(l1, l2, oriented=True),
+                     lambda: double_coset_equivalent(l1, l2)]
+            want = [walk_search(l1, l2, False), walk_search(l1, l2, True), walk_search(l1, l2, False)]
+            for call in calls:
+                call()
+            products = []
+            for cls in (MatQ, MatZ):
+                real = cls.__matmul__
+                monkeypatch.setattr(cls, "__matmul__", lambda x, y, real=real: products.append((x, y)) or real(x, y))
+            got = [call() for call in calls]
+            monkeypatch.undo()
+            assert products == []
+            assert all(same_search(g, w) for g, w in zip(got, want))
+            found += got[0] is not None
+            oriented_found += got[1] is not None
+        assert found == 30 and 0 < oriented_found < 30, oriented_found
 
     def test_threads_read_whole_entries(self):
         # four threads ask one lattice for spectra in mixed order while the kept
