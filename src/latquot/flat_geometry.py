@@ -408,45 +408,51 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     every isometric pair one more walk.
 
     Both forms are integers, b1 = scale1 * G1' and b2 = scale2 * G2', and
-    the search matches against one lower-triangular integer matrix t,
-    t_ij = scale1 * b2_ij / scale2 for i <= j (one pass over b2's lower
-    triangle; b2 is symmetric): a candidate column c_j needs
-    (b1 c_i) . c_j = t_ij, so an entry that is no integer rejects the pair
-    before any walk, and column j's candidates are the kept shell of
+    the search matches against one symmetric integer matrix t,
+    t = (scale1 / scale2) * b2: a candidate column c_j needs
+    (b1 c_i) . c_j = t_ij.  ``reduced_gram`` keeps (b2, scale2) in lowest
+    terms, gcd(scale2, every b2_ij) = 1, so every t_ij is an integer exactly
+    when scale2 divides scale1: one divisibility test rejects the other
+    pairs before any walk, and t is b2 times the quotient, b2 itself when
+    it is 1.  Column j's candidates are the kept shell of
     den1 * G2'_jj = (den1 / scale1) * t_jj.  A kept pair (p, h) has
-    h_i . p_j = (b1 c_i) . c_j, so the backtrack checks t_ij for i < j on
-    the kept pairs.  Each complete candidate is checked where it is formed:
-    every column's h . p against its norm t_jj, so a kept vector under the
-    wrong norm, or a p that is not the vector its h was formed from,
-    raises ``RuntimeError``, never a wrong answer; then the witness
-    W = P V2^-1 is formed from those same p and returned.
+    h_i . p_j = (b1 c_i) . c_j, so the backtrack checks row j of t against
+    the columns chosen before it on the kept pairs.  Each complete
+    candidate is checked where it is formed: every column's h . p against
+    its norm t_jj, so a kept vector under the wrong norm, or a p that is
+    not the vector its h was formed from, raises ``RuntimeError``, never a
+    wrong answer; then the witness W = P V2^-1 is formed from those same p
+    and returned.
 
     With ``oriented`` the witness must additionally have determinant +1 and
     the implied ambient map must preserve orientation: the signed covolumes
     must be equal, and a candidate whose W has determinant -1 is passed
-    over for the next.
+    over for the next.  The covolumes are compared as the integers of the
+    determinants (``Lattice.basis_det``), numerator and denominator, with
+    no ``Fraction`` arithmetic.
     """
     if l1.n != l2.n:
         raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
     if l1.n > _ISOMETRY_MAX_DIM:
         raise DimensionTooLarge(f"isometry search is limited to dimension {_ISOMETRY_MAX_DIM}")
-    # det G = det(basis)^2; a rotation with a witness of det +1 keeps det(basis) itself
-    if l1.basis_det != l2.basis_det and (oriented or l1.basis_det != -l2.basis_det):
+    # det G = det(basis)^2; a rotation with a witness of det +1 keeps det(basis) itself.  Both
+    # determinants are in lowest terms over a positive denominator, so their integers decide
+    p1, p2 = l1.basis_det.numerator, l2.basis_det.numerator
+    if l1.basis_det.denominator != l2.basis_det.denominator or p1 != p2 and (oriented or p1 != -p2):
         return None
     gs1, (_, v2_inv, gs2) = l1.reduced_gram()[2], l2.reduced_gram()
     n = l1.n
     scale1, (b2, scale2) = gs1[1], gs2[:2]
     kept1 = _walks(l1)
-    # c_i^T G1' c_j = G2'_ij  <=>  (b1 c_i) . c_j = t_ij = scale1 * b2_ij / scale2, in integers:
-    # a pair with some t_ij no integer has no witness (b2 is symmetric: its lower triangle decides)
-    t = []
-    for j, row in enumerate(b2):
-        q, r = zip(*[divmod(scale1 * x, scale2) for x in row[:j + 1]])
-        if any(r):
-            return None
-        t.append(q)
+    # c_i^T G1' c_j = G2'_ij  <=>  (b1 c_i) . c_j = t_ij = scale1 * b2_ij / scale2, in integers;
+    # gcd(scale2, every b2_ij) = 1, so every t_ij is an integer exactly when scale2 divides scale1
+    q, r = divmod(scale1, scale2)
+    if r:
+        return None
+    t = b2 if q == 1 else [[q * x for x in row] for row in b2]
+    norms = [row[j] for j, row in enumerate(t)]
     # column j's shell key den1 * G2'_jj; den1 = m * scale1 (``_norm_denominator``)
-    keys = [kept1.den // scale1 * row[j] for j, row in enumerate(t)]
+    keys = [kept1.den // scale1 * norm for norm in norms]
     if kept1.least is not None:
         kept2 = l2._walks
         if min(keys) < kept1.least or kept2 is not None and kept2.least is not None and (
@@ -463,7 +469,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
 
     def backtrack(j: int) -> MatZ | None:
         if j == n:
-            if any(sum(map(mul, h, p)) != row[-1] for (p, h), row in zip(cols, t)):
+            if any(sum(map(mul, h, p)) != norm for (p, h), norm in zip(cols, norms)):
                 raise RuntimeError("isometry witness check failed: a kept candidate does not have its column's norm")
             # W = P V2^-1 in integers, P the matrix of the columns p
             p_rows, inv_cols = zip(*(p for p, _ in cols)), tuple(zip(*v2_inv.ints))
@@ -471,7 +477,7 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
             return None if oriented and w.det() != 1 else w
         row = t[j]
         for p, h in columns[j]:
-            if all(sum(map(mul, cols[i][1], p)) == row[i] for i in range(j)):
+            if all(sum(map(mul, hi, p)) == ti for (_, hi), ti in zip(cols, row)):
                 cols.append((p, h))
                 result = backtrack(j + 1)
                 cols.pop()

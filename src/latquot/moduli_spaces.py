@@ -146,12 +146,16 @@ def double_coset_equivalent(l1: Lattice, l2: Lattice, oriented: bool = False) ->
     """Rotation equivalence of two equal-covolume lattices, with witness.
 
     Delegates to the exact isometry search; with ``oriented`` the witness is
-    required to respect orientations on both sides.
+    required to respect orientations on both sides.  The covolumes are
+    compared first, as the integers of the determinants
+    (``Lattice.basis_det``, in lowest terms): differing ones raise
+    CovolumeMismatch, but only once the dimensions agree, so that differing
+    dimensions raise the search's DimensionMismatch first.
     """
     # imported here, so that the rest of this module loads without flat_geometry
     from .flat_geometry import isometric_mod_rotation
 
-    # the covolumes, once the dimensions agree: the search refuses differing dimensions first
-    if l1.n == l2.n and abs(l1.basis_det) != abs(l2.basis_det):
+    det1, det2 = l1.basis_det, l2.basis_det
+    if l1.n == l2.n and (det1.denominator != det2.denominator or abs(det1.numerator) != abs(det2.numerator)):
         raise CovolumeMismatch("lattices have different covolumes")
     return isometric_mod_rotation(l1, l2, oriented=oriented)

@@ -371,6 +371,25 @@ class TestIsometry:
             assert w is not None
             assert w.det() == 1
 
+    @pytest.mark.parametrize("search", [isometric_mod_rotation, double_coset_equivalent])
+    def test_z_against_its_negative_basis(self, search):
+        # Z on the bases [1] and [-1]: one lattice, covolume 1, determinants of opposite signs
+        z, negative = standard(1), from_basis(MatQ([[-1]]))
+        for l1, l2 in ((z, negative), (negative, z)):
+            assert search(l1, l2).rows == ((-1,),)
+            assert search(l1, l2, oriented=True) is None
+
+    @pytest.mark.parametrize("search", [isometric_mod_rotation, double_coset_equivalent])
+    def test_opposite_signs_of_one_covolume(self, search):
+        # the second basis is the first reflected in the x-axis: determinants 3 and -3, one Gram
+        # form; the unoriented witness -I has determinant +1, yet no rotation keeps the orientation
+        l1 = from_basis(MatQ([[1, 2], [0, 3]]))
+        l2 = from_basis(MatQ([[1, 2], [0, -3]]))
+        assert (l1.basis_det, l2.basis_det) == (3, -3)
+        for a, b in ((l1, l2), (l2, l1)):
+            assert search(a, b).rows == ((-1, 0), (0, -1))
+            assert search(a, b, oriented=True) is None
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             isometric_mod_rotation(standard(2), standard(3))
@@ -378,6 +397,30 @@ class TestIsometry:
     def test_dimension_too_large(self):
         with pytest.raises(DimensionTooLarge):
             isometric_mod_rotation(standard(5), standard(5))
+
+
+def entrywise_target_rule(scale1, b2, scale2):
+    """Oracle: the per-entry rule the search once ran, every t_ij = scale1 * b2_ij / scale2
+    over b2's lower triangle an integer."""
+    return all(scale1 * x % scale2 == 0 for j, row in enumerate(b2) for x in row[:j + 1])
+
+
+class TestTargetDivisibility:
+    """The search's one test "scale2 divides scale1" decides what the per-entry rule did,
+    because ``reduced_gram`` keeps each reduced form in lowest terms."""
+
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32),
+           st.fractions(min_value=Fraction(-6), max_value=6, max_denominator=6).filter(bool))
+    def test_agrees_with_the_entrywise_rule(self, n, seed, q):
+        rng = random.Random(seed)
+        lat = rand_lattice(rng, n, height=4)
+        # copies of other scales, another presentation and a lattice drawn apart
+        pool = [lat, scale(lat, q), scale(represented(rng, lat), 1 / q), rand_lattice(rng, n, height=4)]
+        forms = [p.reduced_gram()[2][:2] for p in pool]
+        for b, s in forms:
+            assert math.gcd(s, *itertools.chain.from_iterable(b)) == 1
+        for (_, scale1), (b2, scale2) in itertools.product(forms, repeat=2):
+            assert (scale1 % scale2 == 0) == entrywise_target_rule(scale1, b2, scale2)
 
 
 @contextlib.contextmanager
@@ -853,6 +896,28 @@ def corrupted_store_raises(monkeypatch, tmp_path, capsys, shells):
     assert isometric_mod_rotation(standard(2), standard(2)) is not None
 
 
+def warm_searches(monkeypatch, spy):
+    """The unoriented and oriented search and ``double_coset_equivalent`` on 30 random pairs,
+    each asked twice: the second calls run with ``spy()``'s patches, which are then undone, and
+    every second answer equals ``walk_search``'s row for row.  Both kinds of answer occur."""
+    rng = random.Random(98)
+    found = oriented_found = 0
+    for _ in range(30):
+        l1, l2, _ = random_pool(rng, rng.randint(2, 4))
+        calls = [lambda: isometric_mod_rotation(l1, l2), lambda: isometric_mod_rotation(l1, l2, oriented=True),
+                 lambda: double_coset_equivalent(l1, l2)]
+        want = [walk_search(l1, l2, False), walk_search(l1, l2, True), walk_search(l1, l2, False)]
+        for call in calls:
+            call()
+        spy()
+        got = [call() for call in calls]
+        monkeypatch.undo()
+        assert all(same_search(g, w) for g, w in zip(got, want))
+        found += got[0] is not None
+        oriented_found += got[1] is not None
+    assert found == 30 and 0 < oriented_found < 30, oriented_found
+
+
 class TestKeptWalks:
     """Which calls walk once a lattice keeps its walks, and what a walk cut short keeps."""
 
@@ -996,26 +1061,32 @@ class TestKeptWalks:
 
     def test_a_warm_search_forms_no_matrix_product(self, monkeypatch):
         # once the first lattice keeps its shells, a search maps its witness back in plain integers
-        rng = random.Random(98)
-        found = oriented_found = 0
-        for _ in range(30):
-            l1, l2, _ = random_pool(rng, rng.randint(2, 4))
-            calls = [lambda: isometric_mod_rotation(l1, l2), lambda: isometric_mod_rotation(l1, l2, oriented=True),
-                     lambda: double_coset_equivalent(l1, l2)]
-            want = [walk_search(l1, l2, False), walk_search(l1, l2, True), walk_search(l1, l2, False)]
-            for call in calls:
-                call()
-            products = []
+        products = []
+
+        def spy():
             for cls in (MatQ, MatZ):
                 real = cls.__matmul__
                 monkeypatch.setattr(cls, "__matmul__", lambda x, y, real=real: products.append((x, y)) or real(x, y))
-            got = [call() for call in calls]
-            monkeypatch.undo()
-            assert products == []
-            assert all(same_search(g, w) for g, w in zip(got, want))
-            found += got[0] is not None
-            oriented_found += got[1] is not None
-        assert found == 30 and 0 < oriented_found < 30, oriented_found
+
+        warm_searches(monkeypatch, spy)
+        assert products == []
+
+    def test_a_warm_search_does_no_fraction_arithmetic(self, monkeypatch):
+        # the covolumes are compared as integers and the target is one divisibility test: no
+        # Fraction is compared, negated, made absolute or built
+        fraction_ops = []
+
+        def spy():
+            for name in ("__eq__", "__neg__", "__abs__"):
+                op = getattr(Fraction, name)
+                monkeypatch.setattr(Fraction, name,
+                                    lambda *args, op=op, name=name: fraction_ops.append(name) or op(*args))
+            new = Fraction.__new__
+            monkeypatch.setattr(Fraction, "__new__",
+                                lambda cls, *args, **kwargs: fraction_ops.append("__new__") or new(cls, *args, **kwargs))
+
+        warm_searches(monkeypatch, spy)
+        assert fraction_ops == []
 
     def test_threads_read_whole_entries(self):
         # four threads ask one lattice for spectra in mixed order while the kept

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from latquot.errors import CovolumeMismatch, DimensionMismatch, FloatRangeError, NotPositiveDefinite, SingularMatrix
 from latquot.exactnum import MatQ, is_positive_definite
-from latquot.flat_geometry import is_orthogonal
+from latquot.flat_geometry import is_orthogonal, isometric_mod_rotation
 from latquot.lattice_core import from_basis, scale, standard
 from latquot.moduli_spaces import (
     PosDefForm,
@@ -347,6 +347,41 @@ class TestDoubleCoset:
     def test_covolume_mismatch(self):
         with pytest.raises(CovolumeMismatch):
             double_coset_equivalent(standard(2), scale(standard(2), 2))
+
+    @pytest.mark.parametrize("c1, c2", [("1/2", "1/3"), ("1/3", "2/3"), ("-1/2", "1/3")])
+    def test_covolumes_that_share_a_numerator_or_denominator(self, c1, c2):
+        # equal numerators or equal denominators: each covolume pair still differs
+        l1, l2 = from_basis(MatQ([[c1]])), from_basis(MatQ([[c2]]))
+        with pytest.raises(CovolumeMismatch):
+            double_coset_equivalent(l1, l2)
+        assert double_coset_equivalent(l1, from_basis(MatQ([[-Fraction(c1)]]))) is not None
+
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32), st.booleans())
+    def test_agrees_with_the_search(self, n, seed, oriented):
+        # a rotated re-presentation, a reflection, a rescaled copy (of either sign), a copy with one
+        # basis vector doubled and another halved (same covolume, in general not isometric) or
+        # another lattice
+        rng = random.Random(seed)
+        l1 = from_basis(rand_invertible(rng, n, height=3))
+        kind = rng.randrange(5)
+        if kind == 0:
+            l2 = from_basis(rand_orthogonal(rng, n) @ l1.basis @ rand_unimodular_pm(rng, n, ops=5, kmax=2).to_matq())
+        elif kind == 1:
+            l2 = from_basis(MatQ([[-x for x in row] if i == 0 else row for i, row in enumerate(l1.basis.rows)]))
+        elif kind == 2:
+            l2 = scale(l1, rng.choice([-1, 1]) * Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+        elif kind == 3 and n > 1:
+            d = [2, Fraction(1, 2)] + [1] * (n - 2)
+            l2 = from_basis(l1.basis @ MatQ([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+        else:
+            l2 = from_basis(rand_invertible(rng, n, height=3))
+        if abs(l1.basis_det) != abs(l2.basis_det):
+            with pytest.raises(CovolumeMismatch):
+                double_coset_equivalent(l1, l2, oriented=oriented)
+        else:
+            got = double_coset_equivalent(l1, l2, oriented=oriented)
+            want = isometric_mod_rotation(from_basis(l1.basis), from_basis(l2.basis), oriented=oriented)
+            assert (got is None) == (want is None) and (got is None or got.rows == want.rows)
 
     @pytest.mark.parametrize("other", [standard(3), scale(standard(3), 2)], ids=["same-covolume", "other-covolume"])
     def test_dimension_mismatch_comes_first(self, other):
