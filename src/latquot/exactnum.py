@@ -12,11 +12,13 @@ that body with no Fraction arithmetic: ``a @ b`` is one integer product over
 ``a.den * b.den``, so a Gram form m^T m is ``m.transpose() @ m``, whose body
 is the integral Gram matrix that the LLL takes, and each matrix keeps the
 fraction-free LU of its first elimination: its determinant is that LU's last
-pivot, and every solve and inverse after it is a forward and back
-substitution, with no Gauss-Jordan pass.  ``MatQ.rows`` builds the entries
-as Fractions on access, for output.  Nothing rounds but ``to_float``, the one
-conversion behind the explicitly metric float outputs elsewhere (and
-``float_sqrt``, its square-root form).
+pivot, and every solve and inverse after it is one forward and back
+substitution, with no Gauss-Jordan pass, that carries all the columns of a
+right-hand side at once, each row packed into one integer whose slots are
+wide enough, by Hadamard's bound, for the solution.  ``MatQ.rows`` builds
+the entries as Fractions on access, for output.  Nothing rounds but
+``to_float``, the one conversion behind the explicitly metric float outputs
+elsewhere (and ``float_sqrt``, its square-root form).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -26,7 +28,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from operator import mul
+from itertools import chain
+from operator import lshift, mul
 from typing import Sequence
 
 from .errors import (
@@ -102,15 +105,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _int_lift(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(A, d): the least common denominator d of the entries and A = d * rows, as integer rows.
+def _int_lift(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(A, d) for a caller's rows of exact values: the least common denominator d of the
+    entries and A = d * rows, as integer rows.  Each entry is read once, as the integer
+    ratio of itself (an int or a Fraction) or of its ``_frac``, which refuses a float.
 
     gcd(d, every entry of A) = 1, so (A, d) is in lowest terms: a prime
     power that d holds in full divides some entry's denominator, and that
     entry's integer is prime to it.
     """
-    d = math.lcm(*[x.denominator for row in rows for x in row])
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
+    ratios = [[(x if type(x) in _EXACT else _frac(x)).as_integer_ratio() for x in row] for row in rows]
+    d = math.lcm(*[q for row in ratios for _, q in row])
+    return tuple(tuple(p * (d // q) for p, q in row) for row in ratios), d
 
 
 def _int_entries(values: Sequence, message: str) -> tuple[int, ...]:
@@ -138,7 +144,8 @@ def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
     above the diagonal a holds U, the pivots p_k = a[k][k]; each entry below
     it is the multiplier L_ik its row had when column k was eliminated, which
     the elimination never overwrites.  Every division is exact.  Each matrix
-    keeps this LU (``_Mat._factor``); solves substitute through it (``MatQ._substitute``).
+    keeps this LU (``_Mat._factor``); solves substitute through it, every column
+    of a right-hand side in one packed integer per row (``MatQ._substitute``).
     """
     n = len(a)
     perm = list(range(n))
@@ -236,13 +243,16 @@ class _Mat:
             v = [_frac(c) for c in v]  # refuses a float, as every exact entry point does
         return tuple(sum(map(mul, row, v)) for row in self.ints)
 
-    def _factor(self) -> tuple[list[int], list[list[int]], int]:
-        """(perm, lu, det): what ``_bareiss`` leaves for the integers ``ints``.
+    def _factor(self) -> tuple[list[int], list[list[int]], int, int]:
+        """(perm, lu, det, h): what ``_bareiss`` leaves for the integers ``ints``, and the
+        Hadamard exponent h = sum of ((v . v).bit_length() + 1) // 2 over the columns v of
+        ints, so that the product of their norms is at most 2^h (``MatQ._width``).
         Computed on first use and kept; nothing mutates it afterwards."""
         if self._lu is None:
+            h = sum([(sum(map(mul, col, col)).bit_length() + 1) // 2 for col in zip(*self.ints)])
             lu = [list(row) for row in self.ints]
             det, perm = _bareiss(lu)
-            self._lu = (perm, lu, det)
+            self._lu = (perm, lu, det, h)
         return self._lu
 
 
@@ -256,7 +266,7 @@ class MatQ(_Mat):
     __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence]):
-        super().__init__(*_int_lift([[_frac(x) for x in row] for row in rows]))
+        super().__init__(*_int_lift(rows))
 
     # also in this class's own namespace, where perfbench's tracer wraps it per class
     __matmul__ = _Mat.__matmul__
@@ -302,7 +312,7 @@ class MatQ(_Mat):
 
     def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
         """The product with v lifted to integers x over d: each entry one Fraction over den * d."""
-        (x,), d = _int_lift([[_frac(c) for c in v]])
+        (x,), d = _int_lift([v])
         den = self.den * d
         return tuple(Fraction(s, den) for s in super().mul_vec(x))
 
@@ -319,8 +329,10 @@ class MatQ(_Mat):
         return Fraction(self._factor()[2], self.den**self.n)
 
     def solve(self, rhs: "MatQ | Sequence") -> "MatQ | tuple[Fraction, ...]":
-        """The exact X with A X = rhs, rhs a vector or a MatQ: a forward and a back
-        substitution through the kept LU per column of rhs, O(n^2) each, no new elimination.
+        """The exact X with A X = rhs, rhs a vector or a MatQ: one forward and one back
+        substitution through the kept LU, with no new elimination.  A MatQ's columns ride
+        together, each row of rhs packed into one integer (``_substitute``), so the
+        Python-level steps are O(n^2) for any number of columns.
 
         Raises SingularMatrix if det A = 0, DimensionMismatch if rhs does not have n rows.
         """
@@ -328,58 +340,81 @@ class MatQ(_Mat):
         if isinstance(rhs, MatQ):
             if rhs.n != n:
                 raise DimensionMismatch(f"matrix sizes differ: {n} vs {rhs.n}")
-            cols, q = self._substitute(list(zip(*rhs.ints)), rhs.den)
-            return MatQ._of(tuple(zip(*cols)), q)
+            ints = rhs.ints
+            # each column c of rhs has |c| < sqrt(n) 2^b <= 2^(b + (bits(n) + 1) // 2), b the most bits of an entry
+            w = self._width(max(map(int.bit_length, chain.from_iterable(ints))) + (n.bit_length() + 1) // 2)
+            shifts = range(0, n * w, w)
+            x, q = self._substitute([sum(map(lshift, row, shifts)) for row in ints])
+            return MatQ._of(_unpack(x, w, shifts), q * rhs.den)
         if len(rhs) != n:
             raise DimensionMismatch(f"vector length {len(rhs)} does not match dimension {n}")
-        (c,), e = _int_lift([[_frac(x) for x in rhs]])
-        (x,), q = self._substitute([c], e)
-        return tuple(Fraction(v, q) for v in x)
+        (c,), e = _int_lift([rhs])
+        x, q = self._substitute(c)
+        q *= e
+        return tuple([Fraction(v, q) for v in x])
 
     def inverse(self) -> "MatQ":
-        """Exact inverse: ``solve``'s identity case, the identity fed as integers."""
+        """Exact inverse: ``solve``'s identity case, the identity's row j packed as 2^(w j)."""
         n = self.n
-        cols, q = self._substitute([[int(i == j) for i in range(n)] for j in range(n)], 1)
-        return MatQ._of(tuple(zip(*cols)), q)
+        w = self._width(0)
+        shifts = range(0, n * w, w)
+        x, q = self._substitute([1 << s for s in shifts])
+        return MatQ._of(_unpack(x, w, shifts), q)
 
-    def _substitute(self, cols: list, e: int) -> tuple[list[tuple[int, ...]], int]:
-        """(xs, q): for each integer column c, the integers x = q A^-1 c / e, over one q > 0:
-        fraction-free forward and back substitution (Nakos, Turner & Williams, 1997)
-        through the kept LU of M = den * A.
+    def _width(self, hc: int) -> int:
+        """The slot width w, in bits, that holds every entry of den X = +-q A^-1 C when every
+        column c of the right-hand side C has |c| <= 2^hc.
 
-        Forward, y_i <- (p_k y_i - L_ik y_k) / p_{k-1} on the permuted c is
-        Bareiss run on c as one more column.  Back, X_k = (D y_k - sum_{j>k}
-        U_kj X_j) / p_k gives X = D M^-1 c, D the last pivot, an integer vector
-        by Cramer's rule.  Every division is exact.  A^-1 c / e = den X / (D e),
-        so q = |D| e and x = +-den X.
+        By Cramer's rule X_i = D (M^-1 c)_i = +-det(M with column i replaced by c), so
+        Hadamard's bound gives |X_i| <= |c| prod_l |M_l| <= 2^(hc + h(M)), h(M) kept with
+        the LU (``_factor``).  Then |den X_i| < 2^(w - 1), a signed slot, when
+        w = h(M) + hc + bits(den) + 2.
         """
-        perm, lu, det = self._factor()
-        if det == 0:
+        return self._factor()[3] + hc + self.den.bit_length() + 2
+
+    def _substitute(self, c: Sequence[int]) -> tuple[list[int], int]:
+        """(x, q): the integers x = q A^-1 C over q = |D| > 0 for the right-hand side C
+        given as its n rows, each one integer: fraction-free forward and back substitution
+        (Nakos, Turner & Williams, 1997) through the kept LU of M = den * A.
+
+        A vector's rows are its plain entries.  The rows of an n x m block C are
+        packed, row i as sum_j C_ij 2^(w j) (Kronecker substitution), so each step
+        below is a few big-integer operations on whole rows, whatever m is.  The
+        packing is linear and every division is exact slot by slot, so each packed
+        step is an exact integer identity; only the final slots need the width
+        bound of ``_width`` to be read back (``_unpack``).
+
+        Forward, y_i <- (p_k y_i - L_ik y_k) / p_{k-1} on P C is Bareiss run on
+        C as more columns.  Back, x_k = (den |D| y_k - sum_{j>k} U_kj x_j) / p_k
+        gives x = den |D| M^-1 C = +-den X, D the last pivot and X = D M^-1 C
+        integers by Cramer's rule.  A^-1 C = den M^-1 C, so q = |D|.
+        """
+        perm, lu, top, _ = self._factor()
+        if top == 0:
             raise SingularMatrix("matrix has determinant 0")
         n = self.n
-        top = lu[n - 1][n - 1]
-        f = self.den if top > 0 else -self.den
-        out = []
-        for c in cols:
-            y = [c[p] for p in perm]
-            # the steps before y's first nonzero entry s only scale y[s:] by p_{s-1}
-            s = 0
-            while s < n and not y[s]:
-                s += 1
-            prev = 1
-            if s:
-                prev = lu[s - 1][s - 1]
-                y[s:] = [prev * v for v in y[s:]]
-            for k in range(s, n - 1):
-                pivot, yk = lu[k][k], y[k]
-                y[k + 1:] = [(pivot * yi - row[k] * yk) // prev for yi, row in zip(y[k + 1:], lu[k + 1:])]
-                prev = pivot
-            x = []  # X_{n-1}, X_{n-2}, ..., X_{k+1} while X_k is formed
-            for k in range(n - 1, -1, -1):
-                row = lu[k]
-                x.append((top * y[k] - sum(map(mul, row[:k:-1], x))) // row[k])
-            out.append(tuple([f * v for v in reversed(x)]))
-        return out, abs(top) * e
+        y = [c[p] for p in perm]
+        prev = 1
+        for k in range(n - 1):
+            pivot, yk = lu[k][k], y[k]
+            y[k + 1:] = [(pivot * yi - row[k] * yk) // prev for yi, row in zip(y[k + 1:], lu[k + 1:])]
+            prev = pivot
+        q = abs(top)
+        d = self.den * q
+        x = []  # x_{n-1}, x_{n-2}, ..., x_{k+1} while x_k is formed
+        for k in range(n - 1, -1, -1):
+            row = lu[k]
+            x.append((d * y[k] - sum(map(mul, row[:k:-1], x))) // row[k])
+        return x[::-1], q
+
+
+def _unpack(rows: list[int], w: int, shifts: range) -> tuple[tuple[int, ...], ...]:
+    """The signed w-bit slots at ``shifts`` of each packed row, every slot below 2^(w - 1) in
+    absolute value: 2^(w - 1) is added to each slot, so that no slot borrows from the next,
+    and each is read back with one shift and one mask."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    offset = half * ((1 << shifts.stop) - 1) // mask  # 2^(w - 1) in every slot
+    return tuple([tuple([(v >> s & mask) - half for s in shifts]) for v in map(offset.__add__, rows)])
 
 
 class MatZ(_Mat):

@@ -16,6 +16,10 @@ from .errors import CovolumeMismatch, DimensionMismatch, NotSymmetric, SingularM
 from .exactnum import MatQ, MatZ, PosDefForm, _ldl, _symmetric, _symmetric_bareiss, float_sqrt, to_float
 from .lattice_core import Lattice, covolume
 
+# flat_geometry's isometric_mod_rotation, imported by the first double_coset_equivalent
+# call, so that this module, and the CLI paths that need only it, load without flat_geometry
+_isometric_mod_rotation = None
+
 
 def gram_map(t: MatQ) -> PosDefForm:
     """T -> T^T T; lands in the positive-definite symmetric forms."""
@@ -152,10 +156,11 @@ def double_coset_equivalent(l1: Lattice, l2: Lattice, oriented: bool = False) ->
     CovolumeMismatch, but only once the dimensions agree, so that differing
     dimensions raise the search's DimensionMismatch first.
     """
-    # imported here, so that the rest of this module loads without flat_geometry
-    from .flat_geometry import isometric_mod_rotation
+    global _isometric_mod_rotation
+    if _isometric_mod_rotation is None:
+        from .flat_geometry import isometric_mod_rotation as _isometric_mod_rotation
 
     det1, det2 = l1.basis_det, l2.basis_det
     if l1.n == l2.n and (det1.denominator != det2.denominator or abs(det1.numerator) != abs(det2.numerator)):
         raise CovolumeMismatch("lattices have different covolumes")
-    return isometric_mod_rotation(l1, l2, oriented=oriented)
+    return _isometric_mod_rotation(l1, l2, oriented=oriented)

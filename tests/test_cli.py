@@ -595,26 +595,38 @@ class TestLazyPackage:
         monkeypatch.setattr(lattice_core, "covolume", len)
         assert latquot.covolume is len
 
-    def test_volume_loads_only_its_modules(self, write):
-        path = write("z2.json", Z2)
+    @staticmethod
+    def loaded_by(code: str) -> tuple[list[str], list[str]]:
+        """(output lines, modules loaded) of running ``code`` in a fresh interpreter."""
         script = (
             "import json, sys\n"
             "before = set(sys.modules)\n"
-            "from latquot.cli import run\n"
-            f"code = run(['volume', '--lattice', {path!r}])\n"
-            "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+            f"{code}\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
         )
         src = str(Path(latquot.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-        out, report = proc.stdout.splitlines()
-        code, loaded = json.loads(report)
-        assert (code, out) == (0, '{"covolume":"1"}')
+        *out, report = proc.stdout.splitlines()
+        return out, json.loads(report)
+
+    def test_volume_loads_only_its_modules(self, write):
+        path = write("z2.json", Z2)
+        out, loaded = self.loaded_by(f"from latquot.cli import run\nprint(run(['volume', '--lattice', {path!r}]))")
+        assert out == ['{"covolume":"1"}', "0"]
         assert {m for m in loaded if m.split(".")[0] == "latquot"} == {
             "latquot", "latquot.cli", "latquot.errors", "latquot.exactnum",
             "latquot.lattice_core", "latquot.serialize",
         }
         assert "dataclasses" not in loaded and "inspect" not in loaded
+
+    def test_moduli_spaces_and_orientation_load_no_flat_geometry(self, write):
+        _, loaded = self.loaded_by("import latquot.moduli_spaces")
+        assert "latquot.moduli_spaces" in loaded and "latquot.flat_geometry" not in loaded
+        path = write("perm.json", [["0", "1"], ["1", "0"]])
+        out, loaded = self.loaded_by(f"from latquot.cli import run\nprint(run(['orientation', '--matrix', {path!r}]))")
+        assert out == ['{"orientation":-1}', "0"]
+        assert "latquot.moduli_spaces" in loaded and "latquot.flat_geometry" not in loaded
 
 
 class TestOutputs:

@@ -5,6 +5,7 @@ import operator
 import random
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from latquot.exactnum import (
     MatZ,
     PosDefForm,
     _lll,
+    _unpack,
     det,
     float_sqrt,
     hnf,
@@ -879,6 +881,137 @@ class TestKeptLu:
         assert (fresh.det(), fresh.solve(x), fresh.solve(r), fresh.inverse()) == first
 
 
+def column_substitute(a: MatQ, cols: list, e: int) -> tuple[list[tuple[int, ...]], int]:
+    """The oracle for the packed substitution: the substitution one column at a time
+    that ``MatQ._substitute`` ran before it packed the columns.  (xs, q): for each
+    integer column c, x = q A^-1 c / e over one q > 0, through the LU that ``a`` keeps."""
+    perm, lu, det = a._factor()[:3]
+    if det == 0:
+        raise SingularMatrix("matrix has determinant 0")
+    n = a.n
+    top = lu[n - 1][n - 1]
+    f = a.den if top > 0 else -a.den
+    out = []
+    for c in cols:
+        y = [c[p] for p in perm]
+        # the steps before y's first nonzero entry s only scale y[s:] by p_{s-1}
+        s = 0
+        while s < n and not y[s]:
+            s += 1
+        prev = 1
+        if s:
+            prev = lu[s - 1][s - 1]
+            y[s:] = [prev * v for v in y[s:]]
+        for k in range(s, n - 1):
+            pivot, yk = lu[k][k], y[k]
+            y[k + 1:] = [(pivot * yi - row[k] * yk) // prev for yi, row in zip(y[k + 1:], lu[k + 1:])]
+            prev = pivot
+        x = []
+        for k in range(n - 1, -1, -1):
+            row = lu[k]
+            x.append((top * y[k] - sum(map(operator.mul, row[:k:-1], x))) // row[k])
+        out.append(tuple([f * v for v in reversed(x)]))
+    return out, abs(top) * e
+
+
+def column_solve(a: MatQ, rhs: MatQ) -> MatQ:
+    cols, q = column_substitute(a, list(zip(*rhs.ints)), rhs.den)
+    return MatQ._of(tuple(zip(*cols)), q)
+
+
+def sylvester(n: int) -> list[list[int]]:
+    """The Sylvester-Hadamard matrix of order n, a power of 2: entries +-1, orthogonal
+    columns, so |det| = n^(n/2) is Hadamard's bound met with equality."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@st.composite
+def _big_systems(draw):
+    """(a, rhs, m): an invertible n x n MatQ, n <= 8, and a right-hand side whose first m
+    columns hold entries of 1 to 256 bits, some over denominators, and whose others are 0."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def entry():
+        bits = rng.randint(1, 256)
+        return Fraction(rng.randint(-(2**bits) + 1, 2**bits - 1), rng.choice([1, 1, 2, 3, 5]))
+
+    a = MatQ([[entry() for _ in range(n)] for _ in range(n)])
+    assume(a.det() != 0)
+    rhs = MatQ([[entry() if j < m else 0 for j in range(n)] for _ in range(n)])
+    return a, rhs, m
+
+
+class TestPackedSubstitution:
+    """Every column of a right-hand side rides in one packed integer per row through the
+    kept LU, read back in slots of the width that Hadamard's bound gives: checked row for
+    row against the per-column substitution, and on Sylvester-Hadamard matrices, which
+    meet that bound with equality, against sympy and the exact residual."""
+
+    @given(_big_systems())
+    @example((MatQ([[1]]), MatQ([[2**256 - 1]]), 1))
+    @example((MatQ([[0, 1], [1, 0]]), MatQ([[0, 0], [-(2**255), 0]]), 1))  # a swap and a zero leading entry
+    def test_matches_the_per_column_substitution(self, system):
+        a, rhs, m = system
+        kept = copy.deepcopy(a._factor())
+        want = column_solve(a, rhs)
+        got = a.solve(rhs)
+        assert got == want and all(not any(row[m:]) for row in got.ints)
+        assert a.inverse() == column_solve(a, MatQ.identity(a.n))
+        assert a.solve(rhs.col(0)) == want.col(0)
+        assert a._factor() == kept
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_sylvester_hadamard_matrices(self, n):
+        sympy = pytest.importorskip("sympy")
+        rows = sylvester(n)
+        h = MatQ(rows)
+        theirs = _sympy_matrix(sympy, rows)
+        assert h.det() ** 2 == n**n == theirs.det() ** 2
+        rng = random.Random(n)
+        shear = rand_unimodular(rng, n, ops=3 * n).to_matq()
+        near = [[rng.choice([-1, 1]) * (2**256 - rng.randint(0, 2**16)) for _ in range(n)] for _ in range(n)]
+        big = MatQ(near)
+        over = MatQ([[Fraction(x, rng.randint(1, 2**64)) for x in row] for row in near])
+        for rhs in (h, -h, h @ shear, shear, big, over, MatQ([[0] * n] * n)):
+            x = h.solve(rhs)
+            assert h @ x == rhs
+            assert x == MatQ(_from_sympy(theirs.LUsolve(_sympy_matrix(sympy, rhs.rows)).tolist()))
+            assert x == column_solve(h, rhs)
+        sheared = h @ shear  # the same |det|, longer columns
+        for rhs in (h, big, over):
+            assert sheared @ sheared.solve(rhs) == rhs
+            assert sheared.solve(rhs) == column_solve(sheared, rhs)
+        assert h.solve(h) == MatQ.identity(n) and h.solve(-h) == -MatQ.identity(n)
+        assert h.inverse() == MatQ(_from_sympy(theirs.inv().tolist())) == Fraction(1, n) * h.transpose()
+        # one column: the MatQ solve's column is the vector solve
+        c = big.col(0)
+        one = MatQ([[x] + [0] * (n - 1) for x in c])
+        assert h.solve(one).col(0) == h.solve(c)
+        assert h.solve([0] * n) == (0,) * n
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_a_singular_hadamard_pair_still_raises(self, n):
+        rows = sylvester(n)
+        rows[-1] = rows[0]
+        m = MatQ(rows)
+        for call in (lambda: m.solve([1] * n), lambda: m.solve(MatQ(sylvester(n))), m.inverse):
+            with pytest.raises(SingularMatrix, match="^matrix has determinant 0$"):
+                call()
+
+    @pytest.mark.parametrize("w", [2, 3, 8, 61, 64])
+    def test_slots_read_back_at_the_edge_of_their_width(self, w):
+        edge = 2 ** (w - 1) - 1
+        rows = [[edge, -edge, 0, -1, 1], [-edge, -edge, -1, edge, 0], [0, 0, 0, 0, 0]]
+        shifts = range(0, 5 * w, w)
+        packed = [sum(x << s for x, s in zip(row, shifts)) for row in rows]
+        assert _unpack(packed, w, shifts) == tuple(map(tuple, rows))
+
+
 class TestLllInverse:
     @given(sheared_grams)
     def test_inverse_transform_is_carried_along(self, g):
@@ -943,6 +1076,9 @@ class TestFloatRefusal:
         (lambda: MatQ.identity(2).mul_vec([0.5, 0]), TypeError, NO_FLOATS),
         (lambda: MatZ([[1, 0], [0, 1]]).mul_vec([0.5, 1]), TypeError, NO_FLOATS),
         (lambda: MatQ.identity(2).solve([0.5, 0]), TypeError, NO_FLOATS),
+        (lambda: MatQ([[1, frac(1, 2)], ["3/4", 0.5]]), TypeError, NO_FLOATS),
+        (lambda: MatQ.identity(2).mul_vec([frac(1, 3), 0.5]), TypeError, NO_FLOATS),
+        (lambda: MatQ.identity(2).solve([1, 0.5]), TypeError, NO_FLOATS),
         (lambda: 0.5 * MatQ.identity(2), TypeError, NO_FLOATS),
         (lambda: MatZ([[1.0]]), ValueError, "^MatZ entries must be integers$"),
         (lambda: ComplexMatrix([[0.5]]), TypeError, NO_FLOATS),
@@ -952,11 +1088,23 @@ class TestFloatRefusal:
         (lambda: scale(standard(2), 0.5), TypeError, NO_FLOATS),
         (lambda: geodesic_spectrum(standard(2), 2.0), TypeError, NO_FLOATS),
         (lambda: LatticeVector(standard(2), [1.0, 0]), ValueError, "^lattice vector coefficients must be integers$"),
-    ], ids=["MatQ", "MatQ.mul_vec", "MatZ.mul_vec", "MatQ.solve", "c*MatQ", "MatZ", "ComplexMatrix", "TorusPoint", "reduce",
+    ], ids=["MatQ", "MatQ.mul_vec", "MatZ.mul_vec", "MatQ.solve", "MatQ-after-exact-entries",
+            "MatQ.mul_vec-after-an-exact-entry", "MatQ.solve-after-an-exact-entry", "c*MatQ", "MatZ",
+            "ComplexMatrix", "TorusPoint", "reduce",
             "contains", "scale", "geodesic_spectrum", "LatticeVector"])
     def test_floats_are_refused(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+    def test_the_lift_converts_bools_strings_and_decimals_as_fractions(self):
+        entries = [True, "-3/4", Decimal("0.25"), frac(5, 6), False, 7, "2", Decimal("-1.5"), frac(-1, 9)]
+        rows = [entries[0:3], entries[3:6], entries[6:9]]
+        want = [[Fraction(x) for x in row] for row in rows]
+        m = MatQ(rows)
+        assert m.rows == tuple(map(tuple, want)) and m == MatQ(want)
+        assert (m.ints, m.den) == (((36, -27, 9), (30, 0, 252), (72, -54, -4)), 36)
+        assert MatQ.identity(3).mul_vec(entries[:3]) == tuple(want[0])
+        assert MatQ.identity(3).solve(entries[3:6]) == tuple(want[1])
 
     def test_exact_values_still_convert(self):
         assert reduce(standard(2), ["3/2", 1]).coords == (frac(1, 2), 0)
