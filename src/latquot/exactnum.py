@@ -10,7 +10,10 @@ integer body: a matrix is its integer rows ``ints`` over one denominator
 ``den`` > 0 in lowest terms (a ``MatZ`` has den 1).  Every operation works on
 that body with no Fraction arithmetic: ``a @ b`` is one integer product over
 ``a.den * b.den``, so a Gram form m^T m is ``m.transpose() @ m``, whose body
-is the integral Gram matrix that the LLL takes, and each matrix keeps the
+is the integral Gram matrix that the LLL takes; ``a.mul_vec(v)`` is one
+integer product with v lifted to integers over one d, each entry of the
+result one Fraction over ``a.den * d`` (a ``MatZ`` times ints answers the
+int product itself); and each matrix keeps the
 fraction-free LU of its first elimination: its determinant is that LU's last
 pivot, and every solve and inverse after it is one forward and back
 substitution, with no Gauss-Jordan pass, that carries all the columns of a
@@ -201,7 +204,7 @@ class _Mat:
         """The matrix ints / den, for a square tuple of int tuples and den > 0 that the library
         built, reduced to lowest terms by one gcd, with no conversion of its entries."""
         if den != 1:
-            g = math.gcd(den, *[x for row in ints for x in row])
+            g = math.gcd(den, *chain.from_iterable(ints))
             if g != 1:
                 ints = tuple(tuple(x // g for x in row) for row in ints)
                 den //= g
@@ -236,12 +239,16 @@ class _Mat:
             raise DimensionMismatch(f"matrix sizes differ: {self.n} vs {other.n}")
 
     def mul_vec(self, v: Sequence) -> tuple:
-        """ints * v: the product itself for a ``MatZ``."""
+        """The product (ints / den) v, as ints for a ``MatZ`` and a vector of ints.  Any other
+        v is lifted to integers x over d (``_int_lift``, which refuses a float), and each
+        entry is one Fraction over den * d of the one integer product ints * x."""
         if len(v) != self.n:
             raise DimensionMismatch(f"vector length {len(v)} does not match matrix size {self.n}")
-        if not _EXACT.issuperset(map(type, v)):
-            v = [_frac(c) for c in v]  # refuses a float, as every exact entry point does
-        return tuple(sum(map(mul, row, v)) for row in self.ints)
+        if isinstance(self, MatZ) and {int}.issuperset(map(type, v)):
+            return tuple(sum(map(mul, row, v)) for row in self.ints)
+        (x,), d = _int_lift([v])
+        den = self.den * d
+        return tuple([Fraction(sum(map(mul, row, x)), den) for row in self.ints])
 
     def _factor(self) -> tuple[list[int], list[list[int]], int, int]:
         """(perm, lu, det, h): what ``_bareiss`` leaves for the integers ``ints``, and the
@@ -309,12 +316,6 @@ class MatQ(_Mat):
         c = _frac(c)
         p = c.numerator
         return MatQ._of(tuple(tuple(p * x for x in row) for row in self.ints), self.den * c.denominator)
-
-    def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
-        """The product with v lifted to integers x over d: each entry one Fraction over den * d."""
-        (x,), d = _int_lift([v])
-        den = self.den * d
-        return tuple(Fraction(s, den) for s in super().mul_vec(x))
 
     def is_integral(self) -> bool:
         return self.den == 1

@@ -4,8 +4,11 @@ Points are stored by exact fractional coordinates in the lattice basis, so
 two points are equal iff their representatives differ by a lattice vector,
 with no tolerance anywhere.  Presentations of L and induced maps act on these
 coordinates by integer matrices (``Lattice.unimodular_change``, the witness),
-never through R^n.  The only floating-point operations here are the angle-style
-circle parametrization and irrational volume scalings, both documented as such.
+never through R^n: each change of presentation is ``MatZ.mul_vec``, one
+integer product with the coordinates lifted over their common denominator,
+and only the sums and ``% 1`` after it are Fraction arithmetic.  The only
+floating-point operations here are the angle-style circle parametrization and
+irrational volume scalings, both documented as such.
 """
 
 from __future__ import annotations

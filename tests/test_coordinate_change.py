@@ -87,3 +87,27 @@ def test_other_lattices_and_sizes_stay_apart():
         apply_induced(f, TorusPoint(half, [Fraction(1, 4), 0]))
     with pytest.raises(LatticeMismatch):
         apply_induced(f, TorusPoint(z3, [0, 0, 0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_coordinate_carries_form_no_fraction_product(monkeypatch, n):
+    """``torus_add``, ``==`` and ``apply_induced`` carry coordinates between two presentations
+    of one lattice by one integer product each: no Fraction is multiplied (the coordinates'
+    sums and ``% 1`` are not counted)."""
+    rng = random.Random(n)
+    lat = rand_lattice(rng, n, height=3)
+    alt = from_basis(lat.basis @ rand_unimodular_pm(rng, n).to_matq())
+    p, q = _point(rng, lat), _point(rng, alt)
+    same = reduce(alt, p.ambient())
+    a = rand_invertible(rng, n, height=3)
+    target = from_basis(a @ lat.basis @ rand_unimodular_pm(rng, n).to_matq())
+    f = make_induced_map(a, lat, target)
+    want = (reduce(lat, [x + y for x, y in zip(p.ambient(), q.ambient())]).coords,
+            reduce(target, a.mul_vec(q.ambient())).coords)
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda x, y, op=op, name=name: products.append(name) or op(x, y))
+    total, equal, image = torus_add(p, q), same == p, apply_induced(f, q)
+    assert products == []
+    assert equal and (total.coords, image.coords) == want

@@ -23,9 +23,11 @@ from latquot.errors import (
     SingularMatrix,
 )
 from latquot.exactnum import (
+    _EXACT,
     MatQ,
     MatZ,
     PosDefForm,
+    _frac,
     _lll,
     _unpack,
     det,
@@ -609,6 +611,90 @@ class TestProduct:
             a @ MatQ.identity(3)
 
 
+def fraction_mul_vec(m, v) -> tuple:
+    """The oracle for ``mul_vec``: the Fraction-summing product that ``_Mat.mul_vec`` ran
+    before the lift.  Each entry that is not an int or a Fraction is converted by ``_frac``,
+    each row is summed in Fraction arithmetic, and a MatQ's sums are taken over its den."""
+    if len(v) != m.n:
+        raise DimensionMismatch(f"vector length {len(v)} does not match matrix size {m.n}")
+    if not _EXACT.issuperset(map(type, v)):
+        v = [_frac(c) for c in v]
+    sums = tuple(sum(map(operator.mul, row, v)) for row in m.ints)
+    return sums if isinstance(m, MatZ) else tuple(Fraction(s, m.den) for s in sums)
+
+
+_BIG = st.integers(min_value=-(2**64), max_value=2**64)
+_BIG_FRACTIONS = st.builds(Fraction, _BIG, st.integers(min_value=1, max_value=2**64))
+_VECTOR_ENTRIES = {
+    "ints": _BIG,
+    "fractions": _BIG_FRACTIONS,
+    "integral": _BIG.map(Fraction),
+    "bools": st.booleans(),
+    "strings": _BIG_FRACTIONS.map(str),
+    "decimals": st.builds(lambda p, e: Decimal(f"{p}E-{e}"), _BIG, st.integers(min_value=0, max_value=30)),
+}
+_VECTOR_ENTRIES["mixed"] = st.one_of(*_VECTOR_ENTRIES.values())
+
+
+@st.composite
+def _vector_products(draw):
+    """(m, v): a MatZ or a MatQ, n <= 8, with entries up to 2^64 in size (a MatQ's over
+    denominators up to 2^64), and a length-n vector of one kind of entry, or of all kinds."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    entries = _BIG if draw(st.booleans()) else st.one_of(_BIG, _BIG_FRACTIONS)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    m = MatZ(rows) if all(type(x) is int for row in rows for x in row) and draw(st.booleans()) else MatQ(rows)
+    kind = draw(st.sampled_from(sorted(_VECTOR_ENTRIES)))
+    return m, draw(st.lists(_VECTOR_ENTRIES[kind], min_size=n, max_size=n))
+
+
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestVectorProduct:
+    """``mul_vec``: a MatZ times ints is the int product itself, and any other product is
+    one integer product with the vector's lift, checked entry for entry, value and type,
+    against the Fraction sums of ``fraction_mul_vec``."""
+
+    @given(_vector_products())
+    @example((MatZ([[2**64, -1], [0, 3]]), [Fraction(1, 2**64), True]))
+    @example((MatZ([[1, 2], [3, 4]]), [Fraction(2), Fraction(-4, 2)]))
+    @example((MatQ([["1/3", 0], [2, "-5/7"]]), [1, -1]))
+    @example((MatQ([[1, 2], [3, 4]]), [5, -6]))  # den 1, yet Fractions
+    def test_matches_the_fraction_sums(self, pair):
+        m, v = pair
+        got, want = m.mul_vec(v), fraction_mul_vec(m, v)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+        ints = isinstance(m, MatZ) and all(type(x) is int for x in v)
+        assert all(type(x) is (int if ints else Fraction) for x in got)
+
+    @given(_vector_products(), st.data())
+    def test_floats_and_wrong_lengths_raise_as_the_oracle_does(self, pair, data):
+        m, v = pair
+        at = data.draw(st.integers(min_value=0, max_value=m.n - 1))
+        floated = v[:at] + [data.draw(st.floats())] + v[at + 1:]  # exact entries before it
+        for w, error in ((floated, TypeError), (v[:-1], DimensionMismatch), (v + v[:1], DimensionMismatch),
+                         (floated + [0], DimensionMismatch)):
+            raised = _raised(lambda: m.mul_vec(w))
+            assert raised[0] is error and raised == _raised(lambda: fraction_mul_vec(m, w))
+
+    def test_forms_no_fraction_sum_or_product(self, monkeypatch):
+        z, q = MatZ([[2, -1, 0], [1, 1, 5], [0, 3, -2]]), MatQ([["1/2", 0, 3], [1, "-2/3", 0], [0, 0, "5/4"]])
+        v = [Fraction(1, 6), Fraction(-3, 4), Fraction(2, 9)]
+        want = [fraction_mul_vec(m, v) for m in (z, q)]
+        counts = Counter()
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            real = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda x, y, real=real, name=name: counts.update([name]) or real(x, y))
+        got = [m.mul_vec(v) for m in (z, q)]
+        assert not counts
+        assert got == want
+
+
 class TestIntegerBody:
     """The one body: every matrix is integer rows ``ints`` over one ``den`` > 0 in lowest terms,
     and its ``rows`` are the Fraction oracle's, for every operation that builds one, n <= 6."""
@@ -1075,6 +1161,7 @@ class TestFloatRefusal:
         (lambda: MatQ([[0.5]]), TypeError, NO_FLOATS),
         (lambda: MatQ.identity(2).mul_vec([0.5, 0]), TypeError, NO_FLOATS),
         (lambda: MatZ([[1, 0], [0, 1]]).mul_vec([0.5, 1]), TypeError, NO_FLOATS),
+        (lambda: MatZ([[1, 0], [0, 1]]).mul_vec([1, 0.5]), TypeError, NO_FLOATS),
         (lambda: MatQ.identity(2).solve([0.5, 0]), TypeError, NO_FLOATS),
         (lambda: MatQ([[1, frac(1, 2)], ["3/4", 0.5]]), TypeError, NO_FLOATS),
         (lambda: MatQ.identity(2).mul_vec([frac(1, 3), 0.5]), TypeError, NO_FLOATS),
@@ -1088,7 +1175,8 @@ class TestFloatRefusal:
         (lambda: scale(standard(2), 0.5), TypeError, NO_FLOATS),
         (lambda: geodesic_spectrum(standard(2), 2.0), TypeError, NO_FLOATS),
         (lambda: LatticeVector(standard(2), [1.0, 0]), ValueError, "^lattice vector coefficients must be integers$"),
-    ], ids=["MatQ", "MatQ.mul_vec", "MatZ.mul_vec", "MatQ.solve", "MatQ-after-exact-entries",
+    ], ids=["MatQ", "MatQ.mul_vec", "MatZ.mul_vec", "MatZ.mul_vec-after-an-exact-entry", "MatQ.solve",
+            "MatQ-after-exact-entries",
             "MatQ.mul_vec-after-an-exact-entry", "MatQ.solve-after-an-exact-entry", "c*MatQ", "MatZ",
             "ComplexMatrix", "TorusPoint", "reduce",
             "contains", "scale", "geodesic_spectrum", "LatticeVector"])
