@@ -38,15 +38,12 @@ class ComplexMatrix:
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = [[_cx(z) for z in row] for row in entries]
-        n = len(rows)
-        if n < 1 or any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square with n >= 1")
         real = []
         for row in rows:
             real.append([x for a, b in row for x in (a, -b)])
             real.append([x for a, b in row for x in (b, a)])
-        self.n = n
-        self._real = MatQ(real)
+        self._real = MatQ(real)  # raises for a matrix that is not square with n >= 1
+        self.n = len(rows)
 
     @classmethod
     def _of(cls, real: MatQ) -> "ComplexMatrix":

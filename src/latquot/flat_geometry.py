@@ -88,8 +88,8 @@ class LatticeVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeVector):
             return NotImplemented
-        u = self.lattice.unimodular_change(other.lattice.basis)
-        return u is not None and u.mul_vec(other.coeffs) == self.coeffs
+        # None, for a vector of another lattice, equals no tuple
+        return self.lattice._carry(other.lattice, other.coeffs) == self.coeffs
 
     def __hash__(self) -> int:
         # equal vectors lie in equal lattices and have the same ambient point
@@ -348,14 +348,13 @@ def angle(v: LatticeVector, w: LatticeVector) -> float:
 
 def signed_cos_squared(v: LatticeVector, w: LatticeVector) -> Fraction:
     """Exact sign(cos) * cos^2 of the angle between two geodesic classes."""
-    u = v.lattice.unimodular_change(w.lattice.basis)
-    if u is None:
+    wc = v.lattice._carry(w.lattice, w.coeffs)  # w's coefficients over v's basis
+    if wc is None:
         raise LatticeMismatch("vectors belong to different lattices")
     if not any(v.coeffs) or not any(w.coeffs):
         raise ZeroVector("angle is undefined for the zero vector")
     # on the body b = scale * G alone: the scale cancels from (x^T G y)^2 / (x^T G x * y^T G y)
     b = v.lattice.gram_matrix().ints
-    wc = u.mul_vec(w.coeffs)  # w's coefficients over v's basis
     num = _form_value(b, v.coeffs, wc)
     value = Fraction(num * num, _form_value(b, v.coeffs, v.coeffs) * _form_value(b, wc, wc))
     return value if num >= 0 else -value

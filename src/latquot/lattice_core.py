@@ -81,13 +81,21 @@ class Lattice:
 
     def unimodular_change(self, m: MatQ) -> MatZ | None:
         """The U in GL_n(Z) with basis * U = m, or None if the columns of m (of any size)
-        are not a basis: the integer change from coordinates over m to coordinates over basis."""
-        if m is self.basis:
-            return MatZ.identity(self.n)
+        are not a basis: the integer change from coordinates over m to coordinates over basis,
+        found by one solve through the basis's kept LU, also for m the basis itself."""
         if m.n != self.n or abs(m.det()) != abs(self.basis_det):
             return None  # |det U| = |det m| / |det basis| is not 1
         u = self.coordinates(m)
         return u.to_matz() if u.is_integral() else None  # |det U| = 1: unimodular iff integral
+
+    def _carry(self, other: Lattice, x: Sequence) -> Sequence | None:
+        """x, coordinates over ``other``'s basis, as coordinates over this lattice's basis:
+        x itself when both lattices hold one basis object, else one integer product by
+        ``unimodular_change``; None when ``other`` is a different lattice."""
+        if other.basis is self.basis:
+            return x
+        u = self.unimodular_change(other.basis)
+        return None if u is None else u.mul_vec(x)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice):

@@ -3,12 +3,16 @@
 Points are stored by exact fractional coordinates in the lattice basis, so
 two points are equal iff their representatives differ by a lattice vector,
 with no tolerance anywhere.  Presentations of L and induced maps act on these
-coordinates by integer matrices (``Lattice.unimodular_change``, the witness),
-never through R^n: each change of presentation is ``MatZ.mul_vec``, one
-integer product with the coordinates lifted over their common denominator,
-and only the sums and ``% 1`` after it are Fraction arithmetic.  The only
-floating-point operations here are the angle-style circle parametrization and
-irrational volume scalings, both documented as such.
+coordinates by integer matrices, never through R^n.  The one carry between
+presentations is ``Lattice._carry``: the coordinates themselves when both
+lattices hold one basis object, else one ``MatZ.mul_vec`` by
+``Lattice.unimodular_change``, an integer product with the coordinates lifted
+over their common denominator; an induced map's witness acts the same way.
+Only the sums and ``% 1`` after it are Fraction arithmetic.  An induced map
+is decided on kept determinants: |det A| off A's kept LU against the
+covolume ratio, before A * basis1 is formed and solved for the witness.  The
+only floating-point operations here are the angle-style circle
+parametrization and irrational volume scalings, both documented as such.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ class TorusPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        u = self.lattice.unimodular_change(other.lattice.basis)
-        return u is not None and tuple(c % 1 for c in u.mul_vec(other.coords)) == self.coords
+        x = self.lattice._carry(other.lattice, other.coords)
+        return x is not None and tuple(c % 1 for c in x) == self.coords
 
     def __hash__(self) -> int:
         # the point's coordinates over the lattice's canonical basis, which
@@ -74,30 +78,39 @@ def reduce(lattice: Lattice, x: Sequence) -> TorusPoint:
 
 def torus_add(p: TorusPoint, q: TorusPoint) -> TorusPoint:
     """Group addition on the quotient torus."""
-    u = p.lattice.unimodular_change(q.lattice.basis)
-    if u is None:
+    x = p.lattice._carry(q.lattice, q.coords)
+    if x is None:
         raise LatticeMismatch("points live on quotients by different lattices")
-    return TorusPoint(p.lattice, tuple((a + b) % 1 for a, b in zip(p.coords, u.mul_vec(q.coords))))
+    return TorusPoint(p.lattice, tuple((a + b) % 1 for a, b in zip(p.coords, x)))
 
 
 class InducedMap:
-    """The map R^n/L1 -> R^n/L2 induced by an ambient A with A(L1) = L2."""
+    """The map R^n/L1 -> R^n/L2 induced by an ambient A with A(L1) = L2.
+
+    Decided in this order, with no elimination of the product A * basis1:
+    SingularMatrix when det A, read off A's kept LU, is 0;
+    NotLatticePreserving when |det A| is not covolume(L2) / covolume(L1);
+    otherwise W = basis2^-1 A basis1, solved through the target basis's kept
+    LU, which is unimodular iff it is integral (NotLatticePreserving if not).
+    """
 
     __slots__ = ("matrix", "source", "target", "witness")
 
     def __init__(self, matrix: MatQ, source: Lattice, target: Lattice):
         if matrix.n != source.n or source.n != target.n:
             raise DimensionMismatch("matrix and lattice dimensions must all agree")
-        u = target.unimodular_change(matrix @ source.basis)
-        if u is None:
-            if matrix.det() == 0:
-                raise SingularMatrix("ambient matrix has determinant 0")
+        d = matrix.det()  # off A's kept LU
+        if d == 0:
+            raise SingularMatrix("ambient matrix has determinant 0")
+        # |det W| = |det A| * covolume(L1) / covolume(L2): W is unimodular iff that is 1 and W is integral
+        w = target.coordinates(matrix @ source.basis) if abs(d) == covolume(target) / covolume(source) else None
+        if w is None or not w.is_integral():
             raise NotLatticePreserving("ambient matrix does not take the source lattice onto the target")
         self.matrix = matrix
         self.source = source
         self.target = target
         # the unimodular W with A * basis1 = basis2 * W: the map on coordinates
-        self.witness: MatZ = u
+        self.witness: MatZ = w.to_matz()
 
     def __repr__(self) -> str:
         return f"InducedMap({self.matrix!r}, {self.source!r}, {self.target!r})"
@@ -109,12 +122,13 @@ def make_induced_map(matrix: MatQ, source: Lattice, target: Lattice) -> InducedM
 
 
 def apply_induced(f: InducedMap, p: TorusPoint) -> TorusPoint:
-    """Image of a torus point: witness * coords mod 1, once ``unimodular_change``
-    has carried the coordinates to the source basis (no elimination on the source itself)."""
-    u = f.source.unimodular_change(p.lattice.basis)
-    if u is None:
+    """Image of a torus point: witness * coords mod 1, once ``Lattice._carry`` has
+    carried the coordinates to the source basis (no elimination on the source itself,
+    and no product at all for a point over the source's own basis object)."""
+    x = f.source._carry(p.lattice, p.coords)
+    if x is None:
         raise LatticeMismatch("point does not live on the map's source torus")
-    return TorusPoint(f.target, tuple(c % 1 for c in f.witness.mul_vec(u.mul_vec(p.coords))))
+    return TorusPoint(f.target, tuple(c % 1 for c in f.witness.mul_vec(x)))
 
 
 def compose(f: InducedMap, g: InducedMap) -> InducedMap:

@@ -117,6 +117,10 @@ class TestRealify:
     def test_block_formula(self):
         assert realify(ComplexMatrix([[(3, 4)]])) == MatQ([[3, -4], [4, 3]])
 
+    def test_repr(self):
+        m = ComplexMatrix([[("1/2", 3), (0, -1)], [(5, 0), (0, "2/3")]])
+        assert repr(m) == "ComplexMatrix([[('1/2', '3'), ('0', '-1')], [('5', '0'), ('0', '2/3')]])"
+
     def test_ring_homomorphism(self):
         rng = random.Random(91)
         for _ in range(40):
@@ -201,6 +205,9 @@ class TestComplexStructure:
     def test_rejects_wrong_size(self):
         with pytest.raises(DimensionMismatch, match=r"^complex structure on C\^2 must act on R\^4$"):
             ComplexStructure(2, standard_complex_structure(1).j)
+
+    def test_repr(self):
+        assert repr(standard_complex_structure(2)) == "ComplexStructure(n=2)"
 
 
 _parts = st.just(Fraction(0)) | st.fractions(min_value=-9, max_value=9, max_denominator=7)

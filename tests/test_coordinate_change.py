@@ -69,6 +69,17 @@ def test_operations_across_presentations_match_the_ambient_formulas(n, seed):
     if any(v.coeffs) and any(w.coeffs):
         assert signed_cos_squared(v, w) == _ambient_signed_cos_squared(v.ambient(), w.ambient())
 
+    # the same-basis path: lat itself, and a second Lattice on lat's own MatQ
+    for twin in (lat, from_basis(lat.basis)):
+        r = _point(rng, twin)
+        assert torus_add(p, r).coords == reduce(lat, [s + t for s, t in zip(p.ambient(), r.ambient())]).coords
+        assert TorusPoint(twin, p.coords) == p and (r == p) == (r.coords == p.coords)
+        assert apply_induced(f, r).coords == reduce(target, a.mul_vec(r.ambient())).coords
+        x = LatticeVector(twin, [rng.randint(-3, 3) for _ in range(n)])
+        assert LatticeVector(twin, v.coeffs) == v and (x == v) == (x.coeffs == v.coeffs)
+        if any(v.coeffs) and any(x.coeffs):
+            assert signed_cos_squared(v, x) == _ambient_signed_cos_squared(v.ambient(), x.ambient())
+
 
 def test_other_lattices_and_sizes_stay_apart():
     z2, z3 = standard(2), standard(3)
@@ -87,6 +98,8 @@ def test_other_lattices_and_sizes_stay_apart():
         apply_induced(f, TorusPoint(half, [Fraction(1, 4), 0]))
     with pytest.raises(LatticeMismatch):
         apply_induced(f, TorusPoint(z3, [0, 0, 0]))
+    for x in (z2, p, LatticeVector(z2, [1, 0])):
+        assert x.__eq__("Z^2") is NotImplemented and x != "Z^2"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -14,11 +14,12 @@ from fractions import Fraction
 import pytest
 
 from latquot import exactnum, moduli_spaces
+from latquot.complex_lattices import ComplexMatrix, complex_map_check, realify
 from latquot.exactnum import MatQ, MatZ
 from latquot.flat_geometry import gram, isometric_mod_rotation
 from latquot.lattice_core import Lattice, contains, equals, sublattice_index
 from latquot.moduli_spaces import gram_map, posdef_witness
-from latquot.quotient_torus import reduce, torus_add
+from latquot.quotient_torus import apply_induced, make_induced_map, reduce, torus_add
 
 from conftest import rand_invertible, rand_orthogonal, rand_unimodular_pm
 
@@ -127,3 +128,37 @@ def test_second_oriented_isometry_search_reuses_the_transform_determinants(calls
     # one det W per complete candidate, W = V1 U' V2^-1 formed at the leaf; det V1 and det V2 are never taken
     assert calls["_bareiss"] == first_calls == 2
     assert first is not None and first.det() == 1
+
+
+def test_a_second_induced_map_on_the_same_operands_eliminates_nothing(calls):
+    # det A is read off A's kept LU and the witness solved through the target's: A * basis1 is never eliminated
+    l1, l2, _ = _presentations(13)
+    rng = random.Random(13)
+    a = rand_invertible(rng, 3)
+    target = Lattice(a @ l2.basis)
+    z = ComplexMatrix([[("1/2", 3), (0, "-2/7")], [(5, 1), ("1/3", 0)]])
+    source4 = Lattice(rand_invertible(rng, 4))
+    target4 = Lattice(realify(z) @ source4.basis @ rand_unimodular_pm(rng, 4).to_matq())
+    first = make_induced_map(a, l1, target), complex_map_check(z, source4, target4)
+    calls["_bareiss"] = 0
+    second = make_induced_map(a, l1, target)
+    assert calls["_bareiss"] == 0
+    second_complex = complex_map_check(z, source4, target4)
+    assert calls["_bareiss"] == 0
+    assert (second.witness, second_complex.witness) == (first[0].witness, first[1].witness)
+    assert a @ l1.basis == target.basis @ second.witness.to_matq()
+
+
+def test_a_point_over_the_source_basis_is_carried_by_no_product(calls, monkeypatch):
+    l1, _, _ = _presentations(17)
+    a = rand_invertible(random.Random(17), 3)
+    f = make_induced_map(a, l1, Lattice(a @ l1.basis))
+    p = reduce(l1, [Fraction(1, 3), Fraction(-2), Fraction(5, 7)])
+    identities = []
+    real = MatZ.identity.__func__
+    monkeypatch.setattr(MatZ, "identity", classmethod(lambda cls, n: identities.append(n) or real(cls, n)))
+    calls["_int_lift"] = 0
+    image = apply_induced(f, p)
+    # p's coordinates are over f.source's own basis: only the witness's product lifts them
+    assert identities == [] and calls["_int_lift"] == 1
+    assert image == reduce(f.target, a.mul_vec(p.ambient()))

@@ -110,6 +110,8 @@ class TestGram:
     def test_one_form_type(self):
         assert GramForm is PosDefForm
         assert gram(standard(2)) == gram_map(MatQ.identity(2))
+        form = gram(from_basis(MatQ([[1, Fraction(1, 2)], [0, 2]])))
+        assert repr(form) == "PosDefForm(MatQ([[1, 1/2], [1/2, 17/4]]))"
 
     def test_validation(self):
         with pytest.raises(NotSymmetric):
@@ -135,6 +137,9 @@ class TestLatticeVector:
     def test_length_must_match_the_dimension(self):
         with pytest.raises(DimensionMismatch, match="^coefficient length 1 does not match dimension 2$"):
             LatticeVector(standard(2), [1])
+
+    def test_repr(self):
+        assert repr(LatticeVector(standard(2), [1, -2])) == "LatticeVector(Lattice(MatQ([[1, 0], [0, 1]])), [1, -2])"
 
 
 class TestSquaredLength:

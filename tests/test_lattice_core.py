@@ -57,6 +57,9 @@ class TestConstruction:
         with pytest.raises(ZeroScale):
             scale(standard(2), 0)
 
+    def test_repr(self):
+        assert repr(from_basis(MatQ([[1, Fraction(1, 2)], [0, 2]]))) == "Lattice(MatQ([[1, 1/2], [0, 2]]))"
+
 
 class TestContains:
     def test_integer_point(self):

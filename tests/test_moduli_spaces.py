@@ -274,6 +274,7 @@ class TestUnitCovolumeForm:
         # covolume 2 in dimension 2 is not a rational square
         u = unit_covolume_form(from_basis(MatQ([[2, 0], [0, 1]])))
         assert u.scale_exact is None
+        assert u.normalized_exact() is None
         assert abs(u.scale - 0.5) < 1e-12
         norm = u.normalized_float()
         assert abs(norm[0][0] * norm[1][1] - 1.0) < 1e-9

@@ -4,20 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from latquot.errors import (
     DegenerateParallelepiped,
     DimensionMismatch,
     FloatRangeError,
+    LatquotError,
     LatticeMismatch,
     NonFiniteInput,
     NotLatticePreserving,
     SingularMatrix,
     ZeroScale,
 )
-from latquot.exactnum import MatQ
+from latquot.exactnum import MatQ, MatZ
 from latquot.lattice_core import covolume, from_basis, scale, standard
 from latquot.quotient_torus import (
     InducedMap,
@@ -33,7 +34,7 @@ from latquot.quotient_torus import (
     volume_scale,
 )
 
-from conftest import rand_fraction, rand_lattice, rand_unimodular, rand_unimodular_pm
+from conftest import rand_fraction, rand_invertible, rand_lattice, rand_unimodular, rand_unimodular_pm
 
 
 def half(*cs):
@@ -104,6 +105,10 @@ class TestTorusPoint:
         p = TorusPoint(from_basis(MatQ([[2, 0], [0, 2]])), half(1, 1))
         assert p.ambient() == (1, 1)
 
+    def test_repr(self):
+        p = TorusPoint(from_basis(MatQ([[2, 0], [0, 2]])), [Fraction(1, 3), 0])
+        assert repr(p) == "TorusPoint(Lattice(MatQ([[2, 0], [0, 2]])), ['1/3', '0'])"
+
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
     def test_hash_agrees_with_equality_across_presentations(self, n, seed):
         rng = random.Random(seed)
@@ -147,19 +152,41 @@ class TestInducedMap:
         f = make_induced_map(MatQ.identity(2), standard(2), standard(2))
         assert volume_scale(f) == 1
 
-    def test_not_preserving(self):
-        with pytest.raises(NotLatticePreserving):
-            make_induced_map(2 * MatQ.identity(2), standard(2), standard(2))
+    def test_repr(self):
+        f = make_induced_map(2 * MatQ.identity(2), standard(2), scale(standard(2), 2))
+        assert repr(f) == (
+            "InducedMap(MatQ([[2, 0], [0, 2]]), Lattice(MatQ([[1, 0], [0, 1]])), Lattice(MatQ([[2, 0], [0, 2]])))"
+        )
+
+    NOT_PRESERVING = "^ambient matrix does not take the source lattice onto the target$"
+
+    def test_not_preserving(self, monkeypatch):
+        a = 2 * MatQ.identity(2)
+        assert standard(2).coordinates(a @ standard(2).basis).is_integral()  # W = 2I: only |det A| = 4 tells
+        products = []
+        real = MatQ.__matmul__
+        monkeypatch.setattr(MatQ, "__matmul__", lambda x, y: products.append(1) or real(x, y))
+        with pytest.raises(NotLatticePreserving, match=self.NOT_PRESERVING):
+            make_induced_map(a, standard(2), standard(2))
+        assert products == []  # decided on the determinants, before A * basis1 is formed
+
+    def test_the_right_determinant_with_a_witness_that_is_not_integral(self):
+        a = MatQ([[2, 0], [0, Fraction(1, 2)]])
+        lat = from_basis(MatQ([[1, 1], [0, 1]]))
+        assert a.det() == covolume(lat) / covolume(lat)
+        with pytest.raises(NotLatticePreserving, match=self.NOT_PRESERVING):
+            make_induced_map(a, lat, lat)
 
     def test_singular(self):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix, match="^ambient matrix has determinant 0$"):
             make_induced_map(MatQ([[1, 0], [0, 0]]), standard(2), standard(2))
 
-    @pytest.mark.parametrize("sizes", [(3, 2, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("sizes", [(3, 2, 2), (2, 2, 3), (3, 3, 2)])
     def test_sizes_must_agree(self, sizes):
         a, source, target = sizes
+        zero = MatQ([[0] * a] * a)  # singular too: the sizes are checked first
         with pytest.raises(DimensionMismatch, match="^matrix and lattice dimensions must all agree$"):
-            InducedMap(MatQ.identity(a), standard(source), standard(target))
+            InducedMap(zero, standard(source), standard(target))
 
     def test_compose_needs_matching_lattices(self):
         g = make_induced_map(2 * MatQ.identity(2), standard(2), scale(standard(2), 2))
@@ -244,6 +271,72 @@ class TestInducedMap:
         for _ in range(30):
             f = make_valid_map(rng, rng.randint(1, 4))
             assert covolume(f.target) == volume_scale(f) * covolume(f.source)
+
+
+def eliminated_product_rule(a, source, target):
+    """The witness of A(L1) = L2 as it was once decided: a unimodular change from basis2 to
+    the product A * basis1, that product's determinant telling a singular A apart."""
+    if a.n != source.n or source.n != target.n:
+        raise DimensionMismatch("matrix and lattice dimensions must all agree")
+    product = a @ source.basis
+    u = target.unimodular_change(product)
+    if u is None:
+        if product.det() == 0:
+            raise SingularMatrix("ambient matrix has determinant 0")
+        raise NotLatticePreserving("ambient matrix does not take the source lattice onto the target")
+    return u
+
+
+def _outcome(rule, *args):
+    """The witness a rule returns, or the type and text of the error it raises."""
+    try:
+        return rule(*args)
+    except LatquotError as e:
+        return type(e), str(e)
+
+
+class TestInducedMapRule:
+    """A(L1) = L2 is decided in order: the sizes; det A, read off A's kept LU (SingularMatrix);
+    |det A| against covolume(L2) / covolume(L1), before A * basis1 is formed; and last an
+    integral witness W = basis2^-1 A basis1 (NotLatticePreserving for either).  Checked
+    against the rule on the eliminated product A * basis1."""
+
+    KINDS = {
+        "re-presentation": MatZ,
+        "sublattice": NotLatticePreserving,
+        "superlattice": NotLatticePreserving,
+        "equal covolume": NotLatticePreserving,
+        "singular": SingularMatrix,
+    }
+
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32),
+           st.sampled_from(list(KINDS)))
+    def test_matches_the_eliminated_product_rule(self, n, seed, kind):
+        rng = random.Random(seed)
+        source = rand_lattice(rng, n, height=3)
+        a = rand_invertible(rng, n, height=3)
+        # the target basis A basis1 U D U', for unimodular U, U' and a diagonal D of |det D| = 1, 2 or 1/2
+        d = [Fraction(1)] * n
+        if kind == "sublattice":
+            d[0] = Fraction(2)
+        elif kind == "superlattice":
+            d[0] = Fraction(1, 2)
+        elif kind == "equal covolume":
+            assume(n > 1)  # at n = 1 every lattice of one covolume is the same
+            d[0], d[1] = Fraction(2), Fraction(1, 2)
+        diagonal = MatQ([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        u, u2 = (rand_unimodular_pm(rng, n).to_matq() for _ in range(2))
+        target = from_basis(a @ source.basis @ u @ diagonal @ u2)
+        if kind == "singular":
+            # the last row a multiple of the first, or 0
+            rows = [list(row) for row in a.rows]
+            k = rng.randint(-2, 2)
+            rows[-1] = [k * x for x in rows[0]] if n > 1 else [0]
+            a = MatQ(rows)
+        want = _outcome(eliminated_product_rule, a, source, target)
+        got = _outcome(lambda *args: make_induced_map(*args).witness, a, source, target)
+        assert got == want
+        assert (type(got) if kind == "re-presentation" else got[0]) is self.KINDS[kind]
 
 
 class TestCircleMap:
