@@ -28,10 +28,11 @@ lattice asked for, each the vectors p of one norm over the basis, with
 their images G p under the integral Gram body G of the basis; and its
 geodesic spectrum up to the largest bound asked so far, which answers every
 smaller bound.  A walk for a search also finds the minimum on its way, once
-its top reaches it.  A first call still walks once; the gain is on repeated
-calls on one lattice object.  What is kept is bounded by what was asked: one
-(length, count) pair per length a spectrum returned, the minimal vectors,
-and the vectors of each norm that a search asked for.
+its top reaches it.  A first call still walks (a first search at most
+twice, to its least column norm and then to its largest); the gain is on
+repeated calls on one lattice object.  What is kept is bounded by what was
+asked: one (length, count) pair per length a spectrum returned, the minimal
+vectors, and the vectors of each norm that a search asked for.
 """
 
 from __future__ import annotations
@@ -223,8 +224,9 @@ class _Walks:
     ``den`` and ``c`` are the norm data of every walk of its reduced form
     (``_norm_denominator``).  ``least`` is the integer den * minimum and
     ``minimal`` is ``shortest_vectors``' answer over the lattice's basis,
-    both stored by the first walk that finds a vector.  ``shells`` holds
-    only the norms an isometry search asked for: it maps each such integer
+    both stored by the first walk that finds a vector.  ``shells``, all
+    that an isometry search reads, holds only the norms that searches from
+    the lattice asked for: it maps each such integer
     v = den * x^T G' x to the pairs (p, h) of both signs of the vectors x of
     that norm, sorted by x, where p = V x is the vector over the lattice's
     basis and h = G p its image under the basis's integral Gram body G
@@ -392,19 +394,18 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     columns p = V1 c of V1 U' (``_Walks``), so the map-back is the one
     integer product P V2^-1 of the chosen columns P.
 
-    What the first lattice keeps of its walks (``_Walks``) serves the search,
-    as Plesken & Souvignier (JSC 24, 1997) compute the short vectors once for
+    The shells the first lattice keeps (``_Walks``) serve the search, as
+    Plesken & Souvignier (JSC 24, 1997) compute the short vectors once for
     every column: each column's candidates are the vectors of G1' of its
-    norm, and the search walks G1' once, to the largest column norm that is
-    not kept yet, keeping the vectors of the column norms and no others.
-    They hold no data of the partner, so every later search from the first
-    lattice walks only for the norms it lacks.  Every column of G2' is a
-    nonzero vector of L2, so no column of an isometric pair is shorter than
-    the first minimum.  When the first lattice keeps its minimum, a shorter
-    column rejects the pair before any walk, and so do minima or numbers of
-    minimal vectors that differ from those the second lattice keeps; the
-    search never walks the second lattice for that check, which would cost
-    every isometric pair one more walk.
+    norm.  For the column norms not kept yet the search walks G1' at most
+    twice, keeping the vectors of those norms and no others: to the least
+    column norm, then to the largest.  A column norm with no vector rejects
+    the pair, so a short column that G1' does not attain costs one walk to
+    its own norm, however long the other columns are.  The shells hold no
+    data of the partner, so every later search from the first lattice walks
+    only for the norms it lacks.  The search reads nothing else that is
+    kept, neither the first lattice's minimum nor any store of the second
+    lattice, so its answer never depends on what was asked before.
 
     Both forms are integers, b1 = scale1 * G1' and b2 = scale2 * G2', and
     the search matches against one symmetric integer matrix t,
@@ -452,17 +453,15 @@ def isometric_mod_rotation(l1: Lattice, l2: Lattice, oriented: bool = False) -> 
     norms = [row[j] for j, row in enumerate(t)]
     # column j's shell key den1 * G2'_jj; den1 = m * scale1 (``_norm_denominator``)
     keys = [kept1.den // scale1 * norm for norm in norms]
-    if kept1.least is not None:
-        kept2 = l2._walks
-        if min(keys) < kept1.least or kept2 is not None and kept2.least is not None and (
-                kept1.least * kept2.den != kept2.least * kept1.den or len(kept1.minimal) != len(kept2.minimal)):
-            return None
     shells = kept1.shells
-    lacking = [key for key in keys if key not in shells]
-    if lacking:
-        shells = _walk(l1, max(lacking), lacking)
-    columns = [shells[key] for key in keys]
-    if not all(columns):
+    columns = [shells.get(key) for key in keys]
+    # lacking norms are walked least first: a norm with no vector rejects before the walk to the largest
+    for top in (min(keys), max(keys)) if None in columns else ():
+        lacking = [key for key in keys if key <= top and key not in shells]
+        if lacking and () not in columns:
+            shells = _walk(l1, top, lacking)
+            columns = [shells.get(key) for key in keys]
+    if () in columns:
         return None
     cols: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 

@@ -536,6 +536,12 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def store_entries(lattice):
+    """The lattice's walk store with the list of its entries, or None when it has no store."""
+    kept = lattice._walks
+    return kept and (kept, [getattr(kept, name) for name in flat_geometry._Walks.__slots__])
+
+
 class TestKeptMinimum:
     """One walk per lattice serves shortest vectors, the radius and the isometry search."""
 
@@ -574,25 +580,30 @@ class TestKeptMinimum:
         ]
         assert walks == [] and all(lat._walks is None for lat in lattices)
 
-    @pytest.mark.parametrize("l1, l2", [
+    @pytest.mark.parametrize("l1, l2, least", [
         # covolume 2: minimum 1 against minimum 2; Z^2 has no vector of
-        # norm 2 * 1 either way round, which the walk used to find out
-        (from_basis(MatQ([[1, 0], [0, 2]])), from_basis(MatQ([[1, 1], [1, -1]]))),
-        (from_basis(MatQ([[1, 1], [1, -1]])), from_basis(MatQ([[1, 0], [0, 2]]))),
+        # norm 2 * 1 either way round, and the walk to that least column norm finds out
+        (from_basis(MatQ([[1, 0], [0, 2]])), from_basis(MatQ([[1, 1], [1, -1]])), 2),
+        (from_basis(MatQ([[1, 1], [1, -1]])), from_basis(MatQ([[1, 0], [0, 2]])), 1),
         # covolume 1, minimum 1 on both sides: one minimal pair against Z^2's two,
-        # which the backtrack used to try
-        (from_basis(MatQ([[1, "1/2"], [0, 1]])), standard(2)),
-        (standard(2), from_basis(MatQ([[1, "1/2"], [0, 1]]))),
+        # which the backtrack tries
+        (from_basis(MatQ([[1, "1/2"], [0, 1]])), standard(2), 1),
+        # G2' has scale 4, which does not divide scale1 = 1: no walk at all
+        (standard(2), from_basis(MatQ([[1, "1/2"], [0, 1]])), None),
     ], ids=["min-1-vs-2", "min-2-vs-1", "one-pair-vs-two", "two-pairs-vs-one"])
-    def test_differing_minima_reject_without_a_search(self, monkeypatch, l1, l2):
+    def test_differing_minima_reject_without_a_search(self, monkeypatch, l1, l2, least):
+        # the search reads only the first lattice's store: what l2 keeps is neither read nor
+        # changed, and l1 walks once, to its least column norm, whatever its kept minimum says
         for lat in (l1, l2):
             shortest_vectors(lat)  # the two walks, before the counting starts; the search never walks l2
+        before = store_entries(l2)
         walks = count_calls(monkeypatch, "_enumerate_bounded")
-        products = count_calls(monkeypatch, "mul")  # every candidate and backtrack check multiplies
-        for oriented in (False, True):
-            assert isometric_mod_rotation(l1, l2, oriented=oriented) is None
-        assert double_coset_equivalent(l1, l2) is None
-        assert walks == [] and products == []
+        for _ in range(2):  # the repeat walks nothing
+            for oriented in (False, True):
+                assert isometric_mod_rotation(l1, l2, oriented=oriented) is None
+            assert double_coset_equivalent(l1, l2) is None
+        assert [top for _, _, top in walks] == ([] if least is None else [least * l1._walks.den])
+        assert store_entries(l2) == before
 
     def test_a_gram_entry_off_the_integer_form_rejects_without_a_walk(self, monkeypatch):
         # covolume 3 with the same sign on both sides; G1' = [[2, 1], [1, 5]] (scale1 = 1) and
@@ -630,8 +641,9 @@ class TestKeptMinimum:
             assert len(set(shell)) == len(shell)
 
     def test_a_first_search_walks_exactly_once(self, monkeypatch):
-        # with nothing kept, the search walks once, to the largest column norm of G2',
-        # and l1's minimum and minimal vectors are then read off that walk, with no other
+        # with nothing kept, the search walks at most twice: to the least column norm of G2', then
+        # to the largest (once when they are equal), and l1's minimum and minimal vectors are
+        # then read off those walks, with no other
         rng = random.Random(93)
         for _ in range(40):
             n = rng.randint(2, 4)
@@ -642,10 +654,12 @@ class TestKeptMinimum:
             walks = count_calls(monkeypatch, "_enumerate_bounded")
             assert isometric_mod_rotation(l1, l2) is not None
             den1 = l1._walks.den
-            assert [top for _, _, top in walks] == [max(den1 * b2[j][j] // scale2 for j in range(n))]
+            keys = [den1 * b2[j][j] // scale2 for j in range(n)]
+            assert [top for _, _, top in walks] == sorted({min(keys), max(keys)})
             assert l2._walks is None
+            searched = len(walks)
             got = [v.coeffs for v in shortest_vectors(l1)], injectivity_radius(l1)
-            assert len(walks) == 1
+            assert len(walks) == searched
             monkeypatch.undo()
             own = Lattice(l1.basis)
             assert got == ([v.coeffs for v in shortest_vectors(own)], injectivity_radius(own))
@@ -664,21 +678,24 @@ class TestKeptMinimum:
 
     def test_short_columns_reject(self, monkeypatch):
         # every vector of 2 Z^2 has norm >= 4 and the second basis has columns of norm 2 and 8:
-        # on first use the one walk, to 8, finds no vector of norm 2 and keeps the 4 of norm 8;
-        # once only the minimum of 2 Z^2 is kept, the short column rejects with no walk
+        # on first use the one walk, to the least column norm 2, finds no vector and keeps that,
+        # with no walk to 8; with only the minimum of 2 Z^2 kept, the search walks to 2 alike
         l1 = from_basis(MatQ([[2, 0], [0, 2]]))
         l2 = from_basis(MatQ([[1, 2], [-1, 2]]))
         walks = count_calls(monkeypatch, "_enumerate_bounded")
         assert isometric_mod_rotation(l1, l2) is None
         kept = l1._walks
         den = kept.den
-        assert [top for _, _, top in walks] == [8 * den] and kept.least == 4 * den
-        assert list(kept.shells) == [2 * den, 8 * den] and kept.shells[2 * den] == () and len(kept.shells[8 * den]) == 4
+        assert [top for _, _, top in walks] == [2 * den] and kept.least is None and kept.minimal is None
+        assert kept.shells == {2 * den: ()}
         fresh = Lattice(l1.basis)
         walks.clear()
         shortest_vectors(fresh)
         assert [top for _, _, top in walks] == [4 * den]
         assert fresh._walks.least == 4 * den and fresh._walks.shells == {}
+        walks.clear()
+        assert isometric_mod_rotation(fresh, l2) is None and [top for _, _, top in walks] == [2 * den]
+        assert fresh._walks.least == 4 * den and fresh._walks.shells == {2 * den: ()}
         walks.clear()
         assert isometric_mod_rotation(fresh, l2) is None and walks == []
 
@@ -1026,7 +1043,7 @@ class TestKeptWalks:
                 call()
         kept = lat._walks
         assert kept.spectrum is None and kept.minimal is None and kept.least is None and kept.shells == {}
-        # with the minimum kept, the cut falls on the walk to the norm-4 column
+        # with the minimum kept, the cut falls on the walk to the norm-1 columns
         monkeypatch.undo()
         shortest_vectors(lat)
         before, minimal = kept.shells, kept.minimal
@@ -1141,8 +1158,9 @@ def kept_vectors(shells):
 
 
 class TestSkewedPair:
-    """The search on the skewed pair: its one walk, to the column norm k^2, passes about
-    k +- pairs, yet the first lattice keeps only the 6 vectors of its two column norms."""
+    """The search on the skewed pair: its walk to the least column norm 1 is short, and its
+    walk to the largest, k^2, passes about k +- pairs, yet the first lattice keeps only the
+    6 vectors of its two column norms."""
 
     @pytest.mark.parametrize("oriented", [False, True], ids=["any", "oriented"])
     @pytest.mark.parametrize("order", [1, -1], ids=["diagonal-first", "sheared-first"])
@@ -1175,7 +1193,71 @@ class TestSkewedPair:
         assert code == 0 and doc["isometric"] is True
         w = MatZ(doc["witness"]).to_matq()
         assert w.transpose() @ pair[0].gram_matrix() @ w == pair[1].gram_matrix()
-        assert len(walked) == 1 and kept_vectors(walked[0]) <= 8
+        assert len(walked) == 2 and kept_vectors(walked[-1]) <= 8
+
+
+def unattained_pair(k):
+    """Z + 2kZ, diag(1, 2k), and the lattice on the columns (1, 1) and (-k, k): equal signed
+    covolume 2k, and neither has a vector of the other's least column norm (2 and 1)."""
+    return from_basis(MatQ([[1, 0], [0, 2 * k]])), from_basis(MatQ([[1, -k], [1, k]]))
+
+
+class TestUnattainedShortColumn:
+    """A column norm with no vector rejects after one walk, to the least column norm, in
+    either order and orientation, however long the other column is: the largest column
+    norm is 4k^2 or 2k^2, and a walk to it would pass about k +- pairs."""
+
+    @pytest.mark.parametrize("k", [10**6, 10**30], ids=["k=1e6", "k=1e30"])
+    @pytest.mark.parametrize("oriented", [False, True], ids=["any", "oriented"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["diagonal-first", "columns-first"])
+    @pytest.mark.parametrize("search", [isometric_mod_rotation, double_coset_equivalent])
+    def test_search(self, monkeypatch, search, order, oriented, k):
+        l1, l2 = unattained_pair(k)[::order]
+        b2, scale2 = l2.reduced_gram()[2][:2]
+        walks = count_calls(monkeypatch, "_enumerate_bounded")
+        with time_limit(5):
+            assert search(l1, l2, oriented=oriented) is None
+        least = _walks(l1).den * min(b2[j][j] for j in range(2)) // scale2
+        assert [top for _, _, top in walks] == [least] and _walks(l1).shells == {least: ()}
+        assert l2._walks is None
+
+    @pytest.mark.parametrize("k", [10**6, 10**30], ids=["k=1e6", "k=1e30"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["diagonal-first", "columns-first"])
+    def test_cli(self, tmp_path, capsys, order, k):
+        paths = []
+        for i, lat in enumerate(unattained_pair(k)[::order]):
+            paths += ["--lattice", str(tmp_path / f"{i}.json")]
+            (tmp_path / f"{i}.json").write_text(json.dumps(lattice_to_json(lat)))
+        with time_limit(5):
+            code = cli.run(["isometric", *paths])
+        assert code == 0 and capsys.readouterr().out == '{"isometric":false,"witness":null}\n'
+
+
+HISTORIES = ("nothing", "shortest-first", "shortest-both", "search-other")
+
+
+class TestCallHistory:
+    """The search reads only the first lattice's store, so what was asked before never
+    changes its answer: with nothing asked, with shortest vectors asked of the first lattice
+    or of both, or after a search from the first lattice against another partner, both
+    orientations equal ``walk_search`` row for row, on isometric re-presentations and on
+    equal-covolume partners, and the second lattice's store is never made or changed."""
+
+    @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(HISTORIES), st.booleans())
+    def test_answer_ignores_call_history(self, seed, history, isometric):
+        rng = random.Random(seed)
+        l1, iso, rescaled = random_pool(rng, rng.randint(1, 4))
+        l2, other = (iso, rescaled) if isometric else (rescaled, iso)
+        if history in ("shortest-first", "shortest-both"):
+            shortest_vectors(l1)
+        if history == "shortest-both":
+            shortest_vectors(l2)
+        if history == "search-other":
+            isometric_mod_rotation(l1, other)
+        before = store_entries(l2)
+        for oriented in (False, True):
+            assert same_search(isometric_mod_rotation(l1, l2, oriented=oriented), walk_search(l1, l2, oriented))
+        assert store_entries(l2) == before
 
 
 def cauchy_schwarz_box(lattice, bound):
