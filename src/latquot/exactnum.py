@@ -5,11 +5,12 @@ This is the bedrock of the package: arbitrary-precision rationals
 integer matrices (``MatZ``), with exact determinants, linear solves and
 inverses, Hermite normal forms, one fraction-free LDL^T that ``ldl``, the
 positive-definiteness test and the integral LLL reduction of Gram forms
-share, and the positive-definite form type.  ``MatQ`` and ``MatZ`` share one
-integer body: a matrix is its integer rows ``ints`` over one denominator
-``den`` > 0 in lowest terms (a ``MatZ`` has den 1).  Every operation works on
-that body with no Fraction arithmetic: ``a @ b`` is one integer product over
-``a.den * b.den``, so a Gram form m^T m is ``m.transpose() @ m``, whose body
+share, and the positive-definite form type.  A matrix is its integer rows
+``ints`` over one denominator ``den`` > 0 in lowest terms, and a ``MatZ`` is
+a ``MatQ`` of den 1: it is equal to, and multiplies with, any ``MatQ`` of the
+same body, and only a product of two ``MatZ`` is a ``MatZ``.  Every operation
+works on that body with no Fraction arithmetic: ``a @ b`` is one integer
+product over ``a.den * b.den``, so a Gram form m^T m is ``m.transpose() @ m``, whose body
 is the integral Gram matrix that the LLL takes; ``a.mul_vec(v)`` is one
 integer product with v lifted to integers over one d, each entry of the
 result one Fraction over ``a.den * d`` (a ``MatZ`` times ints answers the
@@ -147,7 +148,7 @@ def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
     above the diagonal a holds U, the pivots p_k = a[k][k]; each entry below
     it is the multiplier L_ik its row had when column k was eliminated, which
     the elimination never overwrites.  Every division is exact.  Each matrix
-    keeps this LU (``_Mat._factor``); solves substitute through it, every column
+    keeps this LU (``MatQ._factor``); solves substitute through it, every column
     of a right-hand side in one packed integer per row (``MatQ._substitute``).
     """
     n = len(a)
@@ -175,22 +176,26 @@ def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
     return sign * prev, perm
 
 
-class _Mat:
-    """The one matrix body that ``MatQ`` and ``MatZ`` share: an immutable square matrix
-    ``ints / den``, its integer rows ``ints`` (a tuple of tuples) over one denominator
-    ``den`` > 0 in lowest terms, gcd(den, every entry) = 1; a ``MatZ`` has den 1.
+class MatQ:
+    """Immutable n-by-n matrix of exact rationals ``ints / den``: its integer rows ``ints``
+    (a tuple of tuples) over one denominator ``den`` > 0 in lowest terms,
+    gcd(den, every entry) = 1.
 
-    Each matrix keeps the fraction-free LU of its first elimination
-    (``_factor``).  A subclass converts a caller's entries to the body and
-    hands it to this constructor; every matrix the library builds comes
-    through ``_of``.  ``==`` and ``hash`` compare (ints, den), within one
-    type, and results of ``transpose`` and ``@`` are built by the operand's
-    own class, so they stay within one type.
+    A ``MatZ`` is a ``MatQ`` of den 1.  ``==`` and ``hash`` compare (ints, den),
+    so equal bodies are equal matrices whatever their types.  Every matrix the
+    library builds comes through ``_of``; ``transpose`` keeps the type of its
+    operand, ``@`` answers a ``MatZ`` when both operands are one, and every
+    other result is a ``MatQ``.  The fraction-free LU of its integers
+    (``_factor``) is computed the first time ``det``, ``solve`` or ``inverse``
+    needs it, and kept for every later call.
     """
 
     __slots__ = ("n", "ints", "den", "_lu")
 
-    def __init__(self, ints: tuple, den: int = 1):
+    def __init__(self, rows: Sequence[Sequence]):
+        self._set(*_int_lift(rows))
+
+    def _set(self, ints: tuple, den: int = 1) -> None:
         n = len(ints)
         if n < 1 or any(len(row) != n for row in ints):
             raise ValueError("matrix must be square with n >= 1")
@@ -209,7 +214,7 @@ class _Mat:
                 ints = tuple(tuple(x // g for x in row) for row in ints)
                 den //= g
         m = object.__new__(cls)
-        _Mat.__init__(m, ints, den)
+        m._set(ints, den)
         return m
 
     @classmethod
@@ -220,21 +225,22 @@ class _Mat:
         return self._of(tuple(zip(*self.ints)), self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, type(self)) and self.den == other.den and self.ints == other.ints
+        return isinstance(other, MatQ) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self) -> int:
         return hash((self.ints, self.den))
 
-    def __matmul__(self, other):
-        """One integer product of the bodies, by rows, over the product of the denominators."""
+    def __matmul__(self, other: "MatQ") -> "MatQ":
+        """One integer product of the bodies, by rows, over the product of the denominators:
+        a ``MatZ`` when both operands are one, else a ``MatQ``."""
         self._check_same_size(other)
         cols = tuple(zip(*other.ints))
         ints = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.ints)
-        return self._of(ints, self.den * other.den)
+        return (type(self) if type(other) is type(self) else MatQ)._of(ints, self.den * other.den)
 
     def _check_same_size(self, other) -> None:
-        if not isinstance(other, type(self)):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if not isinstance(other, MatQ):
+            raise TypeError(f"expected MatQ, got {type(other).__name__}")
         if self.n != other.n:
             raise DimensionMismatch(f"matrix sizes differ: {self.n} vs {other.n}")
 
@@ -253,7 +259,7 @@ class _Mat:
     def _factor(self) -> tuple[list[int], list[list[int]], int, int]:
         """(perm, lu, det, h): what ``_bareiss`` leaves for the integers ``ints``, and the
         Hadamard exponent h = sum of ((v . v).bit_length() + 1) // 2 over the columns v of
-        ints, so that the product of their norms is at most 2^h (``MatQ._width``).
+        ints, so that the product of their norms is at most 2^h (``_width``).
         Computed on first use and kept; nothing mutates it afterwards."""
         if self._lu is None:
             h = sum([(sum(map(mul, col, col)).bit_length() + 1) // 2 for col in zip(*self.ints)])
@@ -261,22 +267,6 @@ class _Mat:
             det, perm = _bareiss(lu)
             self._lu = (perm, lu, det, h)
         return self._lu
-
-
-class MatQ(_Mat):
-    """Immutable n-by-n matrix of exact rationals: integer rows over one denominator.
-
-    The fraction-free LU of its integers is computed the first time ``det``,
-    ``solve`` or ``inverse`` needs it, and kept for every later call.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, rows: Sequence[Sequence]):
-        super().__init__(*_int_lift(rows))
-
-    # also in this class's own namespace, where perfbench's tracer wraps it per class
-    __matmul__ = _Mat.__matmul__
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -418,17 +408,17 @@ def _unpack(rows: list[int], w: int, shifts: range) -> tuple[tuple[int, ...], ..
     return tuple([tuple([(v >> s & mask) - half for s in shifts]) for v in map(offset.__add__, rows)])
 
 
-class MatZ(_Mat):
-    """Immutable n-by-n matrix of arbitrary-precision integers, the body over den 1; like
-    a ``MatQ``, it keeps the fraction-free LU its first ``det`` computes."""
+class MatZ(MatQ):
+    """Immutable n-by-n matrix of arbitrary-precision integers: a ``MatQ`` of den 1, whose
+    ``rows`` are its ints and whose ``det`` is an int."""
 
     __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        super().__init__(tuple(_int_entries(row, "MatZ entries must be integers") for row in rows))
+        self._set(tuple(_int_entries(row, "MatZ entries must be integers") for row in rows))
 
     # also in this class's own namespace, where perfbench's tracer wraps it per class
-    __matmul__ = _Mat.__matmul__
+    __matmul__ = MatQ.__matmul__
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:

@@ -6,7 +6,10 @@ comparisons go through exact unimodular change-of-basis tests rather than
 normalizing the user's presentation away: every coordinate, membership and
 basis-change question is one exact solve of basis * X = Y (``MatQ.solve``),
 a substitution through the LU the basis keeps from the determinant taken at
-construction.
+construction.  A basis may be any ``MatQ``, a ``MatZ`` among them: a lattice
+keeps its determinant ``basis_det`` as a Fraction either way, so covolumes,
+indices and scales stay exact, and the two presentations of one body give one
+lattice, equal and of one hash.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ class Lattice:
     __slots__ = ("n", "basis", "basis_det", "_canonical", "_reduced", "_walks")
 
     def __init__(self, basis: MatQ):
-        det = basis.det()
+        det = MatQ.det(basis)  # a Fraction, for a MatZ basis too: covolumes and indices stay exact
         if det == 0:
             raise SingularBasis("basis columns are linearly dependent")
         self.n = basis.n

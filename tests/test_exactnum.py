@@ -604,15 +604,15 @@ class TestProduct:
 
     def test_refuses_before_lifting(self):
         a = MatQ([["1/2", 3], [0, "-2/5"]])
-        # a MatZ's ints have numerators and denominators too: only the type check refuses one
-        with pytest.raises(TypeError, match="^expected MatQ, got MatZ$"):
-            a @ MatZ([[1, 2], [3, 4]])
+        # a list of rows has entries too: only the type check refuses it
+        with pytest.raises(TypeError, match="^expected MatQ, got list$"):
+            a @ [[1, 2], [3, 4]]
         with pytest.raises(DimensionMismatch, match="^matrix sizes differ: 2 vs 3$"):
             a @ MatQ.identity(3)
 
 
 def fraction_mul_vec(m, v) -> tuple:
-    """The oracle for ``mul_vec``: the Fraction-summing product that ``_Mat.mul_vec`` ran
+    """The oracle for ``mul_vec``: the Fraction-summing product that ``MatQ.mul_vec`` ran
     before the lift.  Each entry that is not an int or a Fraction is converted by ``_frac``,
     each row is summed in Fraction arithmetic, and a MatQ's sums are taken over its den."""
     if len(v) != m.n:
@@ -1107,15 +1107,50 @@ class TestLllInverse:
 
 
 class TestMatrixBody:
-    def test_equal_only_within_one_type(self):
-        assert MatQ.identity(2) != MatZ.identity(2)
-        assert MatZ.identity(2) != MatQ.identity(2)
+    """A MatZ is a MatQ of den 1: equal to, hashed as and multipliable with any MatQ of the
+    same body, and only a product of two MatZ is a MatZ."""
 
-    def test_mixed_products_are_refused(self):
-        with pytest.raises(TypeError, match="^expected MatZ, got MatQ$"):
-            MatZ.identity(2) @ MatQ.identity(2)
-        with pytest.raises(TypeError, match="^expected MatQ, got MatZ$"):
-            MatQ.identity(2) @ MatZ.identity(2)
+    @given(_product_pairs())
+    @example((MatQ([[1, 2], [3, 4]]), MatQ([[1, 0], [0, 1]])))
+    def test_equal_bodies_are_equal_across_types(self, pair):
+        for q in pair:
+            z = MatZ(q.ints)
+            assert isinstance(z, MatQ)
+            assert (z == q) is (q == z) is q.is_integral()
+            assert (z != q) is (q != z) is not q.is_integral()
+            if q.is_integral():
+                assert hash(z) == hash(q)
+
+    @given(_product_pairs())
+    def test_mixed_products_are_the_fraction_product(self, pair):
+        a, b = pair
+        z = MatZ(a.ints)
+        for x, y in ((z, b), (b, z)):
+            p = x @ y
+            assert type(p) is MatQ and p == fraction_product(x, y)
+        assert type(z @ MatZ(b.ints)) is MatZ
+        assert type(z.transpose()) is MatZ and type(b.transpose()) is MatQ
+
+    def test_other_results_are_matqs(self):
+        z = MatZ([[2, 1], [1, 1]])
+        for m in (z + z, z - z, -z, 3 * z, z.inverse(), z.solve(z)):
+            assert type(m) is MatQ
+        assert z.inverse() == MatQ([[1, -1], [-1, 2]]) and z.solve(z) == MatZ.identity(2)
+        assert z.det() == 1 and type(z.det()) is int and type(MatQ.det(z)) is Fraction
+
+    @pytest.mark.parametrize("cls", [MatQ, MatZ])
+    def test_non_matrix_operands_are_refused(self, cls):
+        a = cls.identity(2)
+        for other in ([[1, 0], [0, 1]], ComplexMatrix.identity(1)):
+            for op in (operator.matmul, operator.add, operator.sub):
+                with pytest.raises(TypeError, match=f"^expected MatQ, got {type(other).__name__}$"):
+                    op(a, other)
+
+    def test_traced_methods_are_in_each_class_namespace(self):
+        """perfbench's tracer wraps ``vars(cls)[name]`` of each class it traces, so each such
+        method is defined in the class itself, not only inherited."""
+        assert {"det", "inverse", "__matmul__"} <= vars(MatQ).keys()
+        assert {"det", "__matmul__"} <= vars(MatZ).keys()
 
     @pytest.mark.parametrize("cls", [MatQ, MatZ])
     def test_sizes_must_agree(self, cls):

@@ -640,7 +640,7 @@ class TestKeptMinimum:
             assert [h for _, h in shell] == [tuple(sum(map(operator.mul, row, p)) for row in g) for p in want]
             assert len(set(shell)) == len(shell)
 
-    def test_a_first_search_walks_exactly_once(self, monkeypatch):
+    def test_a_first_search_walks_at_most_twice(self, monkeypatch):
         # with nothing kept, the search walks at most twice: to the least column norm of G2', then
         # to the largest (once when they are equal), and l1's minimum and minimal vectors are
         # then read off those walks, with no other
