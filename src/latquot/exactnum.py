@@ -15,7 +15,9 @@ is the integral Gram matrix that the LLL takes; ``a.mul_vec(v)`` is one
 integer product with v lifted to integers over one d, each entry of the
 result one Fraction over ``a.den * d`` (a ``MatZ`` times ints answers the
 int product itself); and each matrix keeps the
-fraction-free LU of its first elimination: its determinant is that LU's last
+fraction-free LU of its first elimination, two columns per pass by Bareiss's
+two-step method (Bareiss 1968), each entry one exact division of a
+three-term integer sum: its determinant is that LU's last
 pivot, and every solve and inverse after it is one forward and back
 substitution, with no Gauss-Jordan pass, that carries all the columns of a
 right-hand side at once, each row packed into one integer whose slots are
@@ -140,6 +142,19 @@ def _int_entries(values: Sequence, message: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _pivot(a: list[list[int]], perm: list[int], k: int) -> int:
+    """Brings a nonzero entry of column k to a[k][k] by swapping in the first row below
+    that has one: 1 when a[k][k] was nonzero, -1 after a swap, 0 when no row from k on has one."""
+    if a[k][k]:
+        return 1
+    for r in range(k + 1, len(a)):
+        if a[r][k]:
+            a[k], a[r] = a[r], a[k]
+            perm[k], perm[r] = perm[r], perm[k]
+            return -1
+    return 0
+
+
 def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
     """Fraction-free (Bareiss) elimination of n integer rows: their fraction-free LU.
 
@@ -147,32 +162,56 @@ def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
     column has no pivot.  Row i of the result is input row perm[i].  On and
     above the diagonal a holds U, the pivots p_k = a[k][k]; each entry below
     it is the multiplier L_ik its row had when column k was eliminated, which
-    the elimination never overwrites.  Every division is exact.  Each matrix
-    keeps this LU (``MatQ._factor``); solves substitute through it, every column
-    of a right-hand side in one packed integer per row (``MatQ._substitute``).
+    the elimination never overwrites.  Each matrix keeps this LU
+    (``MatQ._factor``); solves substitute through it, every column of a
+    right-hand side in one packed integer per row (``MatQ._substitute``).
+
+    Each pass eliminates two columns, k and k + 1 (Bareiss's two-step method,
+    Bareiss 1968, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination").  Column k + 1 below row k, and row k + 1, are
+    first brought past column k, which gives the multipliers L_i(k+1) and
+    U's row k + 1; the pivot of column k + 1 is found among them.  Then, with
+    q = p_(k-1), for a row i > k + 1 with multipliers l = L_ik, m = L_i(k+1)
+    and a column c > k + 1 where row i holds x and U's rows k and k + 1 hold
+    y and z,
+        p_(k+1) p_k x - p_(k+1) l y - q m z = q p_k x',
+    x' the entry that one column at a time leaves after column k + 1.  So
+    the division is exact, and the LU is the same entry by entry: Bareiss
+    entries are minors of the input.  For odd n the last column ends alone.
     """
     n = len(a)
     perm = list(range(n))
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    perm[k], perm[r] = perm[r], perm[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, perm
+    sign = prev = 1
+    for k in range(0, n, 2):
+        s = _pivot(a, perm, k)
+        if not s:
+            return 0, perm
+        sign *= s
         row_k = a[k]
-        pivot = row_k[k]
-        tail_k = row_k[k + 1:]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            factor = row_i[k]
-            row_i[k + 1:] = [(x * pivot - factor * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
-        prev = pivot
+        pk = row_k[k]
+        j = k + 1
+        if j == n:
+            return sign * pk, perm
+        yj = row_k[j]
+        for row in a[j:]:
+            row[j] = (pk * row[j] - row[k] * yj) // prev
+        tail_k = row_k[j + 1:]
+        s = _pivot(a, perm, j)
+        # row k + 1 past column k; with no pivot in column k + 1, every row below, as one
+        # column at a time leaves them
+        for row in a[j:j + 1] if s else a[j:]:
+            l = row[k]
+            row[j + 1:] = [(pk * x - l * y) // prev for x, y in zip(row[j + 1:], tail_k)]
+        if not s:
+            return 0, perm
+        sign *= s
+        row_j = a[j]
+        pj, z = row_j[j], row_j[j + 1:]
+        c, d = pj * pk, prev * pk
+        for row in a[j + 1:]:
+            cl, cm = pj * row[k], prev * row[j]
+            row[j + 1:] = [(c * x - cl * y - cm * w) // d for x, y, w in zip(row[j + 1:], tail_k, z)]
+        prev = pj
     return sign * prev, perm
 
 
@@ -451,10 +490,11 @@ def hnf(m: MatZ) -> MatZ:
     generate the same column lattice), is lower triangular with positive
     diagonal, and has every entry left of a diagonal pivot reduced into
     [0, pivot).  These conditions pin H down uniquely, which is what makes it
-    usable as a canonical form.
+    usable as a canonical form.  Raises ValueError for a matrix with a
+    non-integer entry (``MatQ.to_matz``).
     """
     n = m.n
-    a = [list(row) for row in m.ints]
+    a = [list(row) for row in m.to_matz().ints]
     for i in range(n):
         # gcd-fold everything in row i at columns >= i into column i
         for j in range(i + 1, n):

@@ -140,12 +140,13 @@ def contains(lattice: Lattice, x: Sequence) -> bool:
 def equals(l1: Lattice, l2: Lattice) -> bool:
     """True iff the two lattices are the same subgroup of R^n.
 
-    The one equality test (``==`` and ``!=`` on lattices use it): a U in
-    GL_n(Z) with basis1 * U = basis2 exists (``Lattice.unimodular_change``).
+    The one equality test (``==`` and ``!=`` on lattices use it): the two
+    bases are one body (U = I, with no solve), or a U in GL_n(Z) with
+    basis1 * U = basis2 exists (``Lattice.unimodular_change``).
     """
     if l1.n != l2.n:
         raise DimensionMismatch(f"lattice dimensions differ: {l1.n} vs {l2.n}")
-    return l1.unimodular_change(l2.basis) is not None
+    return l1.basis == l2.basis or l1.unimodular_change(l2.basis) is not None
 
 
 def sublattice_index(sub: Lattice, lattice: Lattice) -> int:

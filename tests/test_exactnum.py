@@ -27,6 +27,7 @@ from latquot.exactnum import (
     MatQ,
     MatZ,
     PosDefForm,
+    _bareiss,
     _frac,
     _lll,
     _unpack,
@@ -199,6 +200,87 @@ class TestEliminationKernel:
             hnf(m)
 
 
+def one_column_bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
+    """The oracle: fraction-free elimination one column per pass, which ``_bareiss``
+    replaced.  Mutates a into the LU and returns (det, perm), as ``_bareiss`` does."""
+    n = len(a)
+    perm = list(range(n))
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    perm[k], perm[r] = perm[r], perm[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, perm
+        row_k = a[k]
+        pivot = row_k[k]
+        tail_k = row_k[k + 1:]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            factor = row_i[k]
+            row_i[k + 1:] = [(x * pivot - factor * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+        prev = pivot
+    return sign * prev, perm
+
+
+@st.composite
+def _sparse_int_rows(draw):
+    """Square integer rows, 1 <= n <= 8, about half their entries zero: pivots that
+    vanish, and rank deficiency, at either column of a two-column pass."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    entries = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4))
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _hermite_times_shears(seed: int, n: int) -> tuple[list[list[int]], int]:
+    """(rows, det): an integer lower-triangular matrix in column Hermite form (diagonal from
+    1, 2, 3, 5, each entry left of it in [0, 6 d)) times 2n column shears of size at most 2."""
+    rng = random.Random(seed)
+    diag = [rng.choice((1, 2, 3, 5)) for _ in range(n)]
+    low = MatZ([[rng.randrange(6 * diag[i]) if j < i else diag[i] * (j == i) for j in range(n)]
+                for i in range(n)])
+    return [list(row) for row in (low @ rand_unimodular(rng, n, ops=2 * n, kmax=2)).ints], math.prod(diag)
+
+
+class TestTwoStepElimination:
+    """``_bareiss`` eliminates two columns per pass; its (det, perm, LU) are those of the
+    one-column kernel entry by entry, singular inputs included, and so is every
+    matrix's kept ``_factor()``."""
+
+    @given(_sparse_int_rows())
+    @example([[1, 1, 2, 0], [1, 1, 3, 1], [0, 1, 0, 1], [1, 2, 3, 1]])  # column 1 needs a swap after step 2
+    @example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # the same, n odd
+    @example([[1, 0, 1, 5], [0, 1, 1, 2], [2, 3, 5, 1], [1, 1, 2, 0]])  # singular at column 2 (= col 0 + col 1)
+    @example([[0, 1], [0, 2]])  # singular at column 0
+    @example([[1, 2, 3], [2, 4, 1], [3, 6, 5]])  # singular at column 1 (= 2 col 0)
+    @example([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0], [1, 1, 0, 2]])  # singular at column 3
+    @example([[-3]])
+    @example([[0]])
+    @example([[2, 1, 0, 1, 3], [1, 3, 2, 0, 1], [0, 2, 4, 1, 1], [1, 0, 1, 5, 2], [3, 1, 1, 2, 6]])  # the last column, n odd
+    @example([[1, 2, 3], [4, 5, 6], [7, 8, 9]])  # singular at the last column, n odd
+    def test_matches_the_one_column_kernel(self, rows):
+        expected_lu = [list(row) for row in rows]
+        expected = one_column_bareiss(expected_lu)
+        lu = [list(row) for row in rows]
+        assert (_bareiss(lu), lu) == (expected, expected_lu)
+        perm, kept, det_, _ = MatZ(rows)._factor()
+        assert (det_, perm, kept) == (*expected, expected_lu)
+
+    @pytest.mark.parametrize("seed, n", [(20, 20), (30, 30)])
+    def test_hermite_times_shears(self, seed, n):
+        rows, det_ = _hermite_times_shears(seed, n)
+        expected_lu = [list(row) for row in rows]
+        expected = one_column_bareiss(expected_lu)
+        lu = [list(row) for row in rows]
+        assert (_bareiss(lu), lu) == (expected, expected_lu)
+        assert expected[0] == det_
+
+
 class TestSolve:
     """A X = R by one elimination with R as its right-hand side, checked by
     its residual: ``inverse`` shares the solve's code, so it is no oracle."""
@@ -264,6 +346,14 @@ class TestHnf:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             hnf(MatZ([[1, 2], [2, 4]]))
+
+    @pytest.mark.parametrize("rows", [
+        [[frac(1, 3), frac(1, 2)], [0, 1]],  # once answered the form of 6 m
+        [[frac(1, 2), 0], [0, 1]],  # once answered the form of 2 m
+    ])
+    def test_non_integer_entries_raise(self, rows):
+        with pytest.raises(ValueError, match="^matrix has non-integer entries$"):
+            hnf(MatQ(rows))
 
     def _assert_hnf_shape(self, h: MatZ):
         for i in range(h.n):

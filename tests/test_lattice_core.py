@@ -113,6 +113,20 @@ class TestEquals:
             with pytest.raises(DimensionMismatch, match="^lattice dimensions differ: 2 vs 3$"):
                 compare(standard(2), standard(3))
 
+    def test_one_body_is_equal_with_no_solve(self, monkeypatch):
+        rows = [[2, 1, 0], [0, 3, 1], [1, 0, 1]]
+        lat, z, q = from_basis(MatQ(rows)), from_basis(MatZ(rows)), from_basis(MatQ(rows))
+        other = from_basis(MatQ([[2, 3, 0], [0, 3, 1], [1, 1, 1]]))  # rows @ a column shear
+
+        def no_solve(self, rhs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(MatQ, "solve", no_solve)
+        for l1, l2 in [(lat, lat), (lat, z), (z, lat), (z, z), (lat, q)]:
+            assert equals(l1, l2) and l1 == l2 and not l1 != l2
+        with pytest.raises(AssertionError, match="^solve ran$"):
+            equals(lat, other)  # a second body still takes the solve
+
     def test_dunder_eq_and_hash_use_canonical_form(self):
         l1 = standard(2)
         l2 = from_basis(MatQ([[1, 1], [0, 1]]))
