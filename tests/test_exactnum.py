@@ -252,8 +252,17 @@ class TestTwoStepElimination:
     one-column kernel entry by entry, singular inputs included, and so is every
     matrix's kept ``_factor()``."""
 
+    @staticmethod
+    def _matches_oracle(rows) -> tuple[int, list[int], list[list[int]]]:
+        """Asserts that ``_bareiss`` leaves the oracle's (det, perm) and LU; returns all three."""
+        expected_lu = [list(row) for row in rows]
+        expected = one_column_bareiss(expected_lu)
+        lu = [list(row) for row in rows]
+        assert (_bareiss(lu), lu) == (expected, expected_lu)
+        return (*expected, expected_lu)
+
     @given(_sparse_int_rows())
-    @example([[1, 1, 2, 0], [1, 1, 3, 1], [0, 1, 0, 1], [1, 2, 3, 1]])  # column 1 needs a swap after step 2
+    @example([[1, 1, 2, 0], [1, 1, 3, 1], [0, 1, 0, 1], [1, 2, 3, 1]])  # column 1's pivot needs a swap mid-pass
     @example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # the same, n odd
     @example([[1, 0, 1, 5], [0, 1, 1, 2], [2, 3, 5, 1], [1, 1, 2, 0]])  # singular at column 2 (= col 0 + col 1)
     @example([[0, 1], [0, 2]])  # singular at column 0
@@ -264,21 +273,13 @@ class TestTwoStepElimination:
     @example([[2, 1, 0, 1, 3], [1, 3, 2, 0, 1], [0, 2, 4, 1, 1], [1, 0, 1, 5, 2], [3, 1, 1, 2, 6]])  # the last column, n odd
     @example([[1, 2, 3], [4, 5, 6], [7, 8, 9]])  # singular at the last column, n odd
     def test_matches_the_one_column_kernel(self, rows):
-        expected_lu = [list(row) for row in rows]
-        expected = one_column_bareiss(expected_lu)
-        lu = [list(row) for row in rows]
-        assert (_bareiss(lu), lu) == (expected, expected_lu)
-        perm, kept, det_, _ = MatZ(rows)._factor()
-        assert (det_, perm, kept) == (*expected, expected_lu)
+        det_, perm, lu = self._matches_oracle(rows)
+        assert MatZ(rows)._factor()[:3] == (perm, lu, det_)
 
     @pytest.mark.parametrize("seed, n", [(20, 20), (30, 30)])
     def test_hermite_times_shears(self, seed, n):
         rows, det_ = _hermite_times_shears(seed, n)
-        expected_lu = [list(row) for row in rows]
-        expected = one_column_bareiss(expected_lu)
-        lu = [list(row) for row in rows]
-        assert (_bareiss(lu), lu) == (expected, expected_lu)
-        assert expected[0] == det_
+        assert self._matches_oracle(rows)[0] == det_
 
 
 class TestSolve:
