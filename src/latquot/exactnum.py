@@ -3,7 +3,8 @@
 This is the bedrock of the package: arbitrary-precision rationals
 (``fractions.Fraction``), dense square rational matrices (``MatQ``) and
 integer matrices (``MatZ``), with exact determinants, linear solves and
-inverses, Hermite normal forms, one fraction-free LDL^T that ``ldl``, the
+inverses, Hermite normal forms (one Euclidean step per row, by least
+remainders), one fraction-free LDL^T that ``ldl``, the
 positive-definiteness test and the integral LLL reduction of Gram forms
 share, and the positive-definite form type.  A matrix is its integer rows
 ``ints`` over one denominator ``den`` > 0 in lowest terms, and a ``MatZ`` is
@@ -94,21 +95,6 @@ def float_sqrt(x: Fraction) -> float:
     except OverflowError:
         root = math.inf
     return to_float(root)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with x*a + y*b = g = gcd(a, b), g >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
 
 
 def _int_lift(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -483,43 +469,58 @@ def inverse(m: MatQ) -> MatQ:
     return m.inverse()
 
 
-def hnf(m: MatZ) -> MatZ:
-    """Column-style Hermite normal form of a nonsingular integer matrix.
+def hnf(m: MatQ) -> MatZ:
+    """Column-style Hermite normal form of a nonsingular integral matrix.
 
     The result H is reachable from m by unimodular column operations (so both
     generate the same column lattice), is lower triangular with positive
     diagonal, and has every entry left of a diagonal pivot reduced into
     [0, pivot).  These conditions pin H down uniquely, which is what makes it
-    usable as a canonical form.  Raises ValueError for a matrix with a
-    non-integer entry (``MatQ.to_matz``).
+    usable as a canonical form.  m is any ``MatQ`` with integer entries, a
+    ``MatZ`` among them; a matrix with a non-integer entry raises ValueError
+    (``MatQ.to_matz``), and a singular one SingularMatrix.
+
+    One Euclidean step per row i: while two or more columns j >= i are
+    nonzero in row i, the one whose entry x is least in absolute value is
+    subtracted from each other one the nearest-integer number of times,
+    (2 a + x) // (2 x), which leaves |a| <= |x| / 2.  The column left is
+    swapped into column i with its pivot made positive, and the entries left
+    of the pivot are reduced into [0, pivot) with floor quotients.  Rows above
+    i are zero in every column j >= i, so the step touches rows i and below
+    only.  Least remainders are the usual practical cure for entry growth in
+    Hermite elimination (Havas, Majewski & Matthews, Experimental Math. 7,
+    1998), but they prove no bound on the entries.
     """
     n = m.n
     a = [list(row) for row in m.to_matz().ints]
     for i in range(n):
-        # gcd-fold everything in row i at columns >= i into column i
-        for j in range(i + 1, n):
-            if a[i][j] == 0:
-                continue
-            p, q = a[i][i], a[i][j]
-            g, u, v = _xgcd(p, q)
-            ps, qs = p // g, q // g
-            for r in range(n):
-                ci, cj = a[r][i], a[r][j]
-                a[r][i] = u * ci + v * cj
-                a[r][j] = ps * cj - qs * ci
-        if a[i][i] == 0:
-            # rows 0..i are now zero right of column i - 1: m is singular
+        ri, low = a[i], a[i:]
+        live = [j for j in range(i, n) if ri[j]]
+        if not live:
+            # rows 0..i are zero right of column i - 1: m is singular
             raise SingularMatrix("matrix has determinant 0")
-        if a[i][i] < 0:
-            for r in range(n):
-                a[r][i] = -a[r][i]
-        # reduce the entries left of the pivot into [0, pivot)
-        piv = a[i][i]
-        for j in range(i):
-            f = a[i][j] // piv
-            if f:
-                for r in range(n):
-                    a[r][j] -= f * a[r][i]
+        while len(live) > 1:
+            p = min(live, key=lambda j: abs(ri[j]))
+            x = ri[p]
+            qs = [(j, (2 * ri[j] + x) // (2 * x)) for j in live if j != p]  # each nonzero: |ri[j]| >= |x|
+            for row in low:
+                if y := row[p]:
+                    for j, q in qs:
+                        row[j] -= q * y
+            live = [j for j in live if ri[j]]
+        p = live[0]
+        if p != i:
+            for row in low:
+                row[i], row[p] = row[p], row[i]
+        if ri[i] < 0:
+            for row in low:
+                row[i] = -row[i]
+        piv = ri[i]
+        if fs := [(j, f) for j in range(i) if (f := ri[j] // piv)]:
+            for row in low:
+                if y := row[i]:
+                    for j, f in fs:
+                        row[j] -= f * y
     return MatZ._of(tuple(map(tuple, a)))
 
 

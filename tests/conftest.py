@@ -4,7 +4,9 @@ Everything is driven by seeded ``random.Random`` instances so failures are
 reproducible; hypothesis-based tests configure their own profile below.
 """
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 from hypothesis import settings
@@ -16,6 +18,23 @@ settings.register_profile("exact", derandomize=True, max_examples=60, deadline=N
 settings.load_profile("exact")
 # a wider random search, for a CI rerun of chosen files: pytest --hypothesis-profile=fuzz
 settings.register_profile("fuzz", derandomize=False, max_examples=400, deadline=None)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test with TimeoutError instead of hanging past ``seconds``."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # rational rotation blocks: (a, b, c) with a^2 + b^2 = c^2
 PYTHAGOREAN_TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]

@@ -41,11 +41,11 @@ from latquot.exactnum import (
     to_float,
 )
 from latquot.flat_geometry import LatticeVector, geodesic_spectrum, gram
-from latquot.lattice_core import Lattice, contains, scale, standard
+from latquot.lattice_core import Lattice, contains, equals, from_basis, scale, standard
 from latquot.moduli_spaces import gram_map
 from latquot.quotient_torus import TorusPoint, make_induced_map, reduce
 
-from conftest import rand_invertible, rand_matq, rand_unimodular, rand_unimodular_pm
+from conftest import rand_invertible, rand_matq, rand_unimodular, rand_unimodular_pm, time_limit
 
 
 def frac(p, q=1):
@@ -333,6 +333,15 @@ class TestToFloat:
             to_float(x)
 
 
+def _assert_hnf_shape(h: MatZ):
+    for i in range(h.n):
+        assert h.rows[i][i] > 0
+        for j in range(i + 1, h.n):
+            assert h.rows[i][j] == 0
+        for j in range(i):
+            assert 0 <= h.rows[i][j] < h.rows[i][i]
+
+
 class TestHnf:
     def test_identity(self):
         assert hnf(MatZ.identity(2)) == MatZ.identity(2)
@@ -356,14 +365,6 @@ class TestHnf:
         with pytest.raises(ValueError, match="^matrix has non-integer entries$"):
             hnf(MatQ(rows))
 
-    def _assert_hnf_shape(self, h: MatZ):
-        for i in range(h.n):
-            assert h.rows[i][i] > 0
-            for j in range(i + 1, h.n):
-                assert h.rows[i][j] == 0
-            for j in range(i):
-                assert 0 <= h.rows[i][j] < h.rows[i][i]
-
     def test_shape_and_lattice_preserved(self):
         rng = random.Random(21)
         for _ in range(40):
@@ -372,7 +373,7 @@ class TestHnf:
             if m.det() == 0:
                 continue
             h = hnf(m)
-            self._assert_hnf_shape(h)
+            _assert_hnf_shape(h)
             # same column lattice: the change of basis is integer and unimodular
             u = h.to_matq().inverse() @ m.to_matq()
             assert u.is_integral() and abs(u.det()) == 1
@@ -397,6 +398,150 @@ class TestHnf:
                 continue
             u = rand_unimodular(rng, n)
             assert hnf(m) == hnf(m @ u)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with x*a + y*b = g = gcd(a, b), g >= 0."""
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        g, x, y = -g, -x, -y
+    return g, x, y
+
+
+def xgcd_fold_hnf(m: MatZ) -> MatZ:
+    """The oracle: the pairwise extended-gcd fold that ``hnf``'s Euclidean row step replaced.
+    Each row i folds every entry right of column i into column i by one unimodular 2 x 2 step
+    on all n rows, then reduces the entries left of the pivot, as ``hnf`` does."""
+    n = m.n
+    a = [list(row) for row in m.ints]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] == 0:
+                continue
+            p, q = a[i][i], a[i][j]
+            g, u, v = _xgcd(p, q)
+            ps, qs = p // g, q // g
+            for r in range(n):
+                ci, cj = a[r][i], a[r][j]
+                a[r][i] = u * ci + v * cj
+                a[r][j] = ps * cj - qs * ci
+        if a[i][i] == 0:
+            raise SingularMatrix("matrix has determinant 0")
+        if a[i][i] < 0:
+            for r in range(n):
+                a[r][i] = -a[r][i]
+        piv = a[i][i]
+        for j in range(i):
+            f = a[i][j] // piv
+            if f:
+                for r in range(n):
+                    a[r][j] -= f * a[r][i]
+    return MatZ(a)
+
+
+@st.composite
+def _hermite_inputs(draw):
+    """Square integer rows: n <= 8 with about 30% of the entries zero and the rest in
+    [-6, 6], singular ones included, or n <= 4 with entries up to 10^30 in absolute value."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=8))
+        entries = st.tuples(st.integers(0, 9), st.integers(-6, 6)).map(lambda t: t[1] if t[0] > 2 else 0)
+    else:
+        n = draw(st.integers(min_value=1, max_value=4))
+        entries = st.integers(min_value=-10**30, max_value=10**30)
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _hermite_outcome(f, rows):
+    """f(MatZ(rows)), or the message of the SingularMatrix it raises."""
+    try:
+        return f(MatZ(rows))
+    except SingularMatrix as e:
+        return ("SingularMatrix", str(e))
+
+
+class TestEuclidHermite:
+    """``hnf``'s Euclidean row step answers what the extended-gcd fold answers, raises
+    included, and what sympy's ``hermite_normal_form`` answers once its upper-triangular
+    convention is turned into this lower-triangular one."""
+
+    @given(_hermite_inputs())
+    @example([[3, 2], [1, 1]])  # 3 / 2 is a tie: the nearest quotient 2 leaves -1
+    @example([[4, 1], [1, 0]])  # row 0's least entry is in column 1, swapped into column 0
+    @example([[-2, 0], [1, 3]])  # a negative pivot
+    @example([[-3]])
+    @example([[0]])
+    @example([[0, 0], [1, 2]])  # singular at row 0
+    @example([[1, 2, 3], [2, 4, 6], [1, 1, 1]])  # singular at row 1 (= 2 row 0)
+    @example([[1, 0, 0], [0, 1, 0], [1, 1, 0]])  # singular at the last row
+    def test_matches_the_fold(self, rows):
+        assert _hermite_outcome(hnf, rows) == _hermite_outcome(xgcd_fold_hnf, rows)
+
+    @given(_hermite_inputs())
+    def test_matches_sympy(self, rows):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form
+
+        # J m J, J the reversal, has the column lattice J L(m); sympy's upper-triangular
+        # form H of it turns into the lower-triangular form J H J of L(m)
+        theirs = sympy.Matrix([row[::-1] for row in rows[::-1]])
+        assume(theirs.det() != 0)
+        h = hermite_normal_form(theirs).tolist()
+        assert hnf(MatZ(rows)).rows == tuple(tuple(int(x) for x in row[::-1]) for row in h[::-1])
+
+
+def _sheared_identity(n: int, seed: int) -> list[list[int]]:
+    """I_n after 50 n row shears row_i += c row_j, with i != j and c in [-3, 3] drawn from
+    Random(seed): a unimodular basis of Z^n, its entries of 74-92 bits at n = 24."""
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(50 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+class TestHermiteBlowUps:
+    """Bases on which the extended-gcd fold's intermediate entries grew for seconds (up to
+    21 s at n = 24): each Hermite form, and each hash that reads it, finishes in time."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 8])
+    def test_sheared_unimodular_n24(self, seed):
+        rows = _sheared_identity(24, seed)
+        with time_limit(5):
+            assert hnf(MatZ(rows)) == MatZ.identity(24)
+            assert hash(from_basis(MatZ(rows))) == hash(standard(24))
+
+    def test_torus_point_hashes_alike_on_two_sheared_presentations(self):
+        l1, l2 = (from_basis(MatZ(_sheared_identity(24, seed))) for seed in (1, 2))
+        x = [Fraction(k, 7) for k in range(24)]
+        with time_limit(5):
+            p1, p2 = reduce(l1, x), reduce(l2, x)
+            assert p1 == p2
+            assert hash(p1) == hash(p2)
+
+    def test_sheared_unimodular_n40(self):
+        rows = _sheared_identity(40, 1)
+        with time_limit(5):
+            assert hnf(MatZ(rows)) == MatZ.identity(40)
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_random_one_digit(self, n):
+        rng = random.Random(n)
+        m = MatZ([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        with time_limit(5):
+            h = hnf(m)
+            _assert_hnf_shape(h)
+            assert abs(h.det()) == abs(m.det()) != 0
+            assert equals(Lattice(m), Lattice(h))  # solved through m, whose Hadamard bound is the narrower
 
 
 class TestLdl:

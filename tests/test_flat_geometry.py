@@ -1,11 +1,9 @@
-import contextlib
 import inspect
 import itertools
 import json
 import math
 import operator
 import random
-import signal
 import sys
 import threading
 from fractions import Fraction
@@ -49,7 +47,7 @@ from latquot.lattice_core import Lattice, covolume, equals, from_basis, scale, s
 from latquot.moduli_spaces import double_coset_equivalent, gram_map
 from latquot.serialize import lattice_to_json
 
-from conftest import rand_invertible, rand_lattice, rand_orthogonal, rand_unimodular, rand_unimodular_pm
+from conftest import rand_invertible, rand_lattice, rand_orthogonal, rand_unimodular, rand_unimodular_pm, time_limit
 
 
 def brute_force_classes(lattice, box):
@@ -426,22 +424,6 @@ class TestTargetDivisibility:
             assert math.gcd(s, *itertools.chain.from_iterable(b)) == 1
         for (_, scale1), (b2, scale2) in itertools.product(forms, repeat=2):
             assert (scale1 % scale2 == 0) == entrywise_target_rule(scale1, b2, scale2)
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail the test with TimeoutError instead of hanging past ``seconds``."""
-
-    def on_alarm(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestShearedPresentations:
