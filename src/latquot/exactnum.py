@@ -4,8 +4,8 @@ This is the bedrock of the package: arbitrary-precision rationals
 (``fractions.Fraction``), dense square rational matrices (``MatQ``) and
 integer matrices (``MatZ``), with exact determinants, linear solves and
 inverses, Hermite normal forms (one Euclidean step per row, by least
-remainders), one fraction-free LDL^T that ``ldl``, the
-positive-definiteness test and the integral LLL reduction of Gram forms
+remainders), one fraction-free LDL^T, two columns per pass, that ``ldl``,
+the positive-definiteness test and the integral LLL reduction of Gram forms
 share, and the positive-definite form type.  A matrix is its integer rows
 ``ints`` over one denominator ``den`` > 0 in lowest terms, and a ``MatZ`` is
 a ``MatQ`` of den 1: it is equal to, and multiplies with, any ``MatQ`` of the
@@ -19,13 +19,14 @@ int product itself); and each matrix keeps the
 fraction-free LU of its first elimination, two columns per pass by Bareiss's
 two-step method (Bareiss 1968), each entry one exact division of a
 three-term integer sum: its determinant is that LU's last
-pivot, and every solve and inverse after it is one forward and back
-substitution, with no Gauss-Jordan pass, that carries all the columns of a
-right-hand side at once, each row packed into one integer whose slots are
-wide enough, by Hadamard's bound, for the solution.  ``MatQ.rows`` builds
-the entries as Fractions on access, for output.  Nothing rounds but
-``to_float``, the one conversion behind the explicitly metric float outputs
-elsewhere (and ``float_sqrt``, its square-root form).
+pivot, and every solve and inverse after it is one forward substitution, two
+rows per step by the same identity, and one back substitution, with no
+Gauss-Jordan pass, that carries all the columns of a right-hand side at
+once, each row packed into one integer whose slots are wide enough for the
+solution by the lesser of Hadamard's bounds on its columns and on its rows.
+``MatQ.rows`` builds the entries as Fractions on access, for output.
+Nothing rounds but ``to_float``, the one conversion behind the explicitly
+metric float outputs elsewhere (and ``float_sqrt``, its square-root form).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -101,14 +102,15 @@ def _int_lift(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], in
     """(A, d) for a caller's rows of exact values: the least common denominator d of the
     entries and A = d * rows, as integer rows.  Each entry is read once, as the integer
     ratio of itself (an int or a Fraction) or of its ``_frac``, which refuses a float.
+    d is one lcm of the distinct denominators, and an entry already over d is not scaled.
 
     gcd(d, every entry of A) = 1, so (A, d) is in lowest terms: a prime
     power that d holds in full divides some entry's denominator, and that
     entry's integer is prime to it.
     """
     ratios = [[(x if type(x) in _EXACT else _frac(x)).as_integer_ratio() for x in row] for row in rows]
-    d = math.lcm(*[q for row in ratios for _, q in row])
-    return tuple(tuple(p * (d // q) for p, q in row) for row in ratios), d
+    d = math.lcm(*{q for row in ratios for _, q in row})
+    return tuple([tuple([p if q == d else p * (d // q) for p, q in row]) for row in ratios]), d
 
 
 def _int_entries(values: Sequence, message: str) -> tuple[int, ...]:
@@ -215,7 +217,7 @@ class MatQ:
     needs it, and kept for every later call.
     """
 
-    __slots__ = ("n", "ints", "den", "_lu")
+    __slots__ = ("n", "ints", "den", "_lu", "_h")
 
     def __init__(self, rows: Sequence[Sequence]):
         self._set(*_int_lift(rows))
@@ -228,6 +230,7 @@ class MatQ:
         self.ints = ints
         self.den = den
         self._lu: tuple | None = None
+        self._h: tuple | None = None
 
     @classmethod
     def _of(cls, ints: tuple, den: int = 1):
@@ -281,16 +284,13 @@ class MatQ:
         den = self.den * d
         return tuple([Fraction(sum(map(mul, row, x)), den) for row in self.ints])
 
-    def _factor(self) -> tuple[list[int], list[list[int]], int, int]:
-        """(perm, lu, det, h): what ``_bareiss`` leaves for the integers ``ints``, and the
-        Hadamard exponent h = sum of ((v . v).bit_length() + 1) // 2 over the columns v of
-        ints, so that the product of their norms is at most 2^h (``_width``).
+    def _factor(self) -> tuple[list[int], list[list[int]], int]:
+        """(perm, lu, det): what ``_bareiss`` leaves for the integers ``ints``.
         Computed on first use and kept; nothing mutates it afterwards."""
         if self._lu is None:
-            h = sum([(sum(map(mul, col, col)).bit_length() + 1) // 2 for col in zip(*self.ints)])
             lu = [list(row) for row in self.ints]
             det, perm = _bareiss(lu)
-            self._lu = (perm, lu, det, h)
+            self._lu = (perm, lu, det)
         return self._lu
 
     @property
@@ -357,8 +357,9 @@ class MatQ:
             if rhs.n != n:
                 raise DimensionMismatch(f"matrix sizes differ: {n} vs {rhs.n}")
             ints = rhs.ints
-            # each column c of rhs has |c| < sqrt(n) 2^b <= 2^(b + (bits(n) + 1) // 2), b the most bits of an entry
-            w = self._width(max(map(int.bit_length, chain.from_iterable(ints))) + (n.bit_length() + 1) // 2)
+            # each entry of rhs is below 2^b, so each column c has |c| < sqrt(n) 2^b <= 2^(b + (bits(n) + 1) // 2)
+            b = max(map(int.bit_length, chain.from_iterable(ints)))
+            w = self._width(b + (n.bit_length() + 1) // 2, b)
             shifts = range(0, n * w, w)
             x, q = self._substitute([sum(map(lshift, row, shifts)) for row in ints])
             return MatQ._of(_unpack(x, w, shifts), q * rhs.den)
@@ -372,21 +373,35 @@ class MatQ:
     def inverse(self) -> "MatQ":
         """Exact inverse: ``solve``'s identity case, the identity's row j packed as 2^(w j)."""
         n = self.n
-        w = self._width(0)
+        w = self._width(0, 0)
         shifts = range(0, n * w, w)
         x, q = self._substitute([1 << s for s in shifts])
         return MatQ._of(_unpack(x, w, shifts), q)
 
-    def _width(self, hc: int) -> int:
+    def _width(self, hc: int, b: int) -> int:
         """The slot width w, in bits, that holds every entry of den X = +-q A^-1 C when every
-        column c of the right-hand side C has |c| <= 2^hc.
+        column c of the right-hand side C has |c| <= 2^hc and every entry |c_r| <= 2^b.
 
-        By Cramer's rule X_i = D (M^-1 c)_i = +-det(M with column i replaced by c), so
-        Hadamard's bound gives |X_i| <= |c| prod_l |M_l| <= 2^(hc + h(M)), h(M) kept with
-        the LU (``_factor``).  Then |den X_i| < 2^(w - 1), a signed slot, when
-        w = h(M) + hc + bits(den) + 2.
+        By Cramer's rule X_i = D (M^-1 c)_i = +-det M_i, M_i the integers M = den A with
+        column i replaced by c, and Hadamard's bound holds on the columns and on the rows
+        of M_i.  Columns: |X_i| <= |c| prod_(l != i) |M_l| <= 2^(hc + h_col), as every
+        column of the nonsingular integer M has |M_l| >= 1, and
+        h_col = sum_l ((M_l . M_l).bit_length() + 1) // 2 >= sum_l log2 |M_l|.  Rows: row r
+        of M_i is M_r with entry i replaced by c_r, so its squared norm is at most
+        |M_r|^2 + 4^b <= (|M_r|^2 + 1) 4^b, and |X_i| <= 2^(n b + h_row) for
+        h_row = sum_r ((|M_r|^2 + 1).bit_length() + 1) // 2.  The column bound is the
+        lesser for a right-hand side of wide entries; the row bound for a basis with a
+        few long rows, such as a Hermite form, whose last row lengthens every column.
+        With the lesser, 2^h, |den X_i| < 2^(w - 1), a signed slot, for
+        w = h + bits(den) + 2.  The first call computes h_col and h_row, each plus
+        bits(den) + 2, and the matrix keeps them.
         """
-        return self._factor()[3] + hc + self.den.bit_length() + 2
+        if self._h is None:
+            e = self.den.bit_length() + 2
+            self._h = (e + sum([(sum(map(mul, col, col)).bit_length() + 1) // 2 for col in zip(*self.ints)]),
+                       e + sum([((sum(map(mul, row, row)) + 1).bit_length() + 1) // 2 for row in self.ints]))
+        col_w, row_w = self._h
+        return min(col_w + hc, row_w + self.n * b)
 
     def _substitute(self, c: Sequence[int]) -> tuple[list[int], int]:
         """(x, q): the integers x = q A^-1 C over q = |D| > 0 for the right-hand side C
@@ -400,28 +415,47 @@ class MatQ:
         step is an exact integer identity; only the final slots need the width
         bound of ``_width`` to be read back (``_unpack``).
 
-        Forward, y_i <- (p_k y_i - L_ik y_k) / p_{k-1} on P C is Bareiss run on
-        C as more columns.  Back, x_k = (den |D| y_k - sum_{j>k} U_kj x_j) / p_k
-        gives x = den |D| M^-1 C = +-den X, D the last pivot and X = D M^-1 C
-        integers by Cramer's rule.  A^-1 C = den M^-1 C, so q = |D|.
+        Forward (``_forward``) is Bareiss run on P C as more columns.  Back,
+        x_k = (den |D| y_k - sum_{j>k} U_kj x_j) / p_k gives x = den |D| M^-1 C = +-den X,
+        D the last pivot and X = D M^-1 C integers by Cramer's rule.  A^-1 C = den M^-1 C,
+        so q = |D|.
         """
-        perm, lu, top, _ = self._factor()
+        perm, lu, top = self._factor()
         if top == 0:
             raise SingularMatrix("matrix has determinant 0")
-        n = self.n
-        y = [c[p] for p in perm]
-        prev = 1
-        for k in range(n - 1):
-            pivot, yk = lu[k][k], y[k]
-            y[k + 1:] = [(pivot * yi - row[k] * yk) // prev for yi, row in zip(y[k + 1:], lu[k + 1:])]
-            prev = pivot
+        y = _forward(lu, [c[p] for p in perm])
         q = abs(top)
         d = self.den * q
         x = []  # x_{n-1}, x_{n-2}, ..., x_{k+1} while x_k is formed
-        for k in range(n - 1, -1, -1):
+        for k in range(self.n - 1, -1, -1):
             row = lu[k]
             x.append((d * y[k] - sum(map(mul, row[:k:-1], x))) // row[k])
         return x[::-1], q
+
+
+def _forward(lu: list[list[int]], y: list[int]) -> list[int]:
+    """The forward substitution of ``MatQ._substitute``, in place: the rows y of P C, whole
+    integers or packed, brought past every column of a nonsingular fraction-free LU.
+
+    One row per step would be y_i <- (p_k y_i - L_ik y_k) / p_(k-1), Bareiss run on
+    y as one more column.  Each step here takes two rows, k and k + 1, by the identity of
+    ``_bareiss``: y_(k+1) is first brought past column k, then every row below is updated
+    once, y_i <- (p_(k+1) p_k y_i - p_(k+1) L_ik y_k - p_(k-1) L_i(k+1) y_(k+1)) / (p_(k-1) p_k),
+    an exact division that leaves the y of one row per step, entry for entry.  For even n
+    the last row ends alone.
+    """
+    n = len(y)
+    prev = 1
+    for k in range(0, n - 1, 2):
+        j = k + 1
+        pk, yk = lu[k][k], y[k]
+        y[j] = yj = (pk * y[j] - lu[j][k] * yk) // prev
+        if j + 1 < n:
+            pj = lu[j][j]
+            c, e, f, g = pj * pk, pj * yk, prev * yj, prev * pk
+            y[j + 1:] = [(c * yi - row[k] * e - row[j] * f) // g for yi, row in zip(y[j + 1:], lu[j + 1:])]
+            prev = pj
+    return y
 
 
 def _unpack(rows: list[int], w: int, shifts: range) -> tuple[tuple[int, ...], ...]:
@@ -540,23 +574,56 @@ def _symmetric_bareiss(b: Sequence[Sequence[int]], scale: int) -> tuple[Sequence
     Bareiss on b without its row and column.  At any other zero pivot the
     elimination breaks down and stops, leaving d shorter than n + 1 and
     ending in that zero.  A matrix comes in through ``_symmetric``, its body.
+
+    Only the lower triangle is kept; by symmetry U_kc is the entry (c, k).
+    Each pass eliminates two columns, k and j = k + 1, as ``_bareiss`` does:
+    column j is brought past column k, which gives its pivot p_j and the
+    multipliers m = L_ij, then every entry x of a row i > j is updated at
+    once, x' = (p_j p_k x - p_j l y - q m z) / (q p_k), with q the last
+    nonzero pivot before p_k, l = L_ik, and y, z the entries (c, k) and
+    (c, j), c the column of x.  A skipped p_k starts the next pair at k + 1.
+    When p_j is 0, the rows below are finished past column k alone, as one
+    column at a time leaves them, and column j is skipped or breaks down as
+    the first of the next pair; for odd n the last column ends alone.  So d
+    and lam are those of one column per pass, entry for entry, and the rows
+    of lam are lists that ``_lll`` updates in place.
     """
     n = len(b)
     a = [list(row[:i + 1]) for i, row in enumerate(b)]  # lower triangle, eliminated in place
     d = [1]
     prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        d.append(pivot)
-        col = [a[i][k] for i in range(k + 1, n)]
-        if pivot == 0:
-            if any(col):
+    k = 0
+    while k < n:
+        pk = a[k][k]
+        d.append(pk)
+        low = a[k + 1:]
+        ys = [row[k] for row in low]
+        if not pk:
+            if any(ys):
                 break
+            k += 1
             continue
-        for i in range(k + 1, n):
-            row, factor = a[i], col[i - k - 1]
-            row[k + 1:] = [(pivot * x - factor * y) // prev for x, y in zip(row[k + 1:], col)]
-        prev = pivot
+        j = k + 1
+        if j == n:
+            break
+        u = ys[0]
+        for row, l in zip(low, ys):
+            row[j] = (pk * row[j] - l * u) // prev
+        pj = a[j][j]
+        low, ys = low[1:], ys[1:]
+        if not pj:  # column j alone: skipped or broken down at the top of the loop
+            for row, l in zip(low, ys):
+                row[j + 1:] = [(pk * x - l * y) // prev for x, y in zip(row[j + 1:], ys)]
+            prev, k = pk, j
+            continue
+        d.append(pj)
+        zs = [row[j] for row in low]
+        c, e = pj * pk, prev * pk
+        for row, l, m in zip(low, ys, zs):
+            cl, cm = pj * l, prev * m
+            row[j + 1:] = [(c * x - cl * y - cm * z) // e for x, y, z in zip(row[j + 1:], ys, zs)]
+        prev = pj
+        k += 2
     return b, scale, d, [row[:k] for k, row in enumerate(a)]
 
 
@@ -575,7 +642,8 @@ def _ldl(factors: tuple) -> tuple[MatQ, tuple[Fraction, ...]]:
     """``ldl`` read off a ``_symmetric_bareiss`` result already at hand.
 
     L_kj = lam[k][j] / d[j + 1], so L is formed over den, the lcm of the
-    nonzero pivots d[1..n-1]; a skipped pivot's column of lam is all zero.
+    nonzero pivots d[1..n-1], with den // d[j + 1] computed once per column;
+    a skipped pivot's column of lam is all zero, and so is its factor.
     """
     b, scale, d, lam = factors
     n = len(b)
@@ -590,8 +658,8 @@ def _ldl(factors: tuple) -> tuple[MatQ, tuple[Fraction, ...]]:
         diag.append(Fraction(pivot, prev * scale))
         prev = pivot or prev
     den = math.lcm(*[p for p in d[1:n] if p])
-    low = tuple(tuple(x * (den // d[j + 1]) if x else 0 for j, x in enumerate(row))
-                + (den,) + (0,) * (n - k - 1) for k, row in enumerate(lam))
+    scales = [den // p if p else 0 for p in d[1:n]]  # one per column of lam
+    low = tuple(tuple(map(mul, row, scales)) + (den,) + (0,) * (n - k - 1) for k, row in enumerate(lam))
     return MatQ._of(low, den), tuple(diag)
 
 

@@ -28,8 +28,11 @@ from latquot.exactnum import (
     MatZ,
     PosDefForm,
     _bareiss,
+    _forward,
     _frac,
+    _ldl,
     _lll,
+    _symmetric_bareiss,
     _unpack,
     det,
     float_sqrt,
@@ -280,6 +283,115 @@ class TestTwoStepElimination:
     def test_hermite_times_shears(self, seed, n):
         rows, det_ = _hermite_times_shears(seed, n)
         assert self._matches_oracle(rows)[0] == det_
+
+
+def one_column_symmetric_bareiss(b, scale) -> tuple:
+    """The oracle: the fraction-free LDL^T one column per pass, which ``_symmetric_bareiss``
+    replaced.  (b, scale, d, lam), as ``_symmetric_bareiss`` returns them."""
+    n = len(b)
+    a = [list(row[:i + 1]) for i, row in enumerate(b)]
+    d = [1]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        d.append(pivot)
+        col = [a[i][k] for i in range(k + 1, n)]
+        if pivot == 0:
+            if any(col):
+                break
+            continue
+        for i in range(k + 1, n):
+            row, factor = a[i], col[i - k - 1]
+            row[k + 1:] = [(pivot * x - factor * y) // prev for x, y in zip(row[k + 1:], col)]
+        prev = pivot
+    return b, scale, d, [row[:k] for k, row in enumerate(a)]
+
+
+@st.composite
+def _sparse_symmetric_forms(draw):
+    """Symmetric integer forms, 1 <= n <= 8, about half their entries zero: indefinite
+    ones drawn entry by entry, and L diag(D) L^T with D in [-3, 3], whose zero D skip a
+    pivot or, with a negative D, break the elimination down; with D >= 0, semidefinite."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    small = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+    if draw(st.booleans()):
+        upper = [[draw(small) for _ in range(n)] for _ in range(n)]
+        return [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    low = [[draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    diag = [draw(st.integers(min_value=0 if draw(st.booleans()) else -3, max_value=3)) for _ in range(n)]
+    return [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+class TestTwoStepSymmetric:
+    """``_symmetric_bareiss`` eliminates two columns per pass; its (d, lam) are those of
+    the one-column kernel entry by entry, through skipped pivots and breakdowns, and
+    ``ldl`` reads back S = L diag(D) L^T from them whenever no pivot breaks down."""
+
+    @given(_sparse_symmetric_forms(), st.sampled_from([1, 6]))
+    @example([[0, 0, 0], [0, 2, 1], [0, 1, 3]], 1)  # a skipped pivot at index 0
+    @example([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5]], 1)  # skipped at index 2
+    @example([[1, 1, 0], [1, 1, 0], [0, 0, 5]], 1)  # skipped at index 1, the second of a pair
+    @example([[1, 1, 2, 0], [1, 1, 2, 0], [2, 2, 5, 1], [0, 0, 1, 3]], 1)  # the same, rows below finished
+    @example([[0, 0, 0], [0, 0, 1], [0, 1, 0]], 1)  # skipped at index 0, breakdown at index 1
+    @example([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 1)  # skipped at 1, breakdown at 2
+    @example([[1, 1, 1], [1, 1, 0], [1, 0, 1]], 1)  # breakdown at the second pivot of a pair
+    @example([[2, 1, 0, 0, 1], [1, 3, 1, 0, 0], [0, 1, 4, 1, 0], [0, 0, 1, 5, 1], [1, 0, 0, 1, 6]], 1)  # n odd
+    @example([[0]], 1)
+    @example([[-3]], 6)
+    def test_matches_the_one_column_kernel(self, b, scale):
+        b = tuple(map(tuple, b))
+        got = _symmetric_bareiss(b, scale)
+        assert got == one_column_symmetric_bareiss(b, scale)
+        assert all(type(row) is list for row in got[3])  # ``_lll`` updates them in place
+        s = MatQ._of(b, scale)
+        if len(got[2]) <= s.n:
+            with pytest.raises(PivotBreakdown):
+                _ldl(got)
+            return
+        low, diag = _ldl(got)
+        dm = MatQ([[diag[i] if i == j else 0 for j in range(s.n)] for i in range(s.n)])
+        assert low @ dm @ low.transpose() == s
+
+    @pytest.mark.parametrize("seed, n", [(6, 6), (14, 14), (20, 20)])
+    def test_sheared_gram_forms(self, seed, n):
+        g = _sheared_gram(random.Random(seed), n, 3 * n, 3)
+        got = _symmetric_bareiss(g.ints, g.den)
+        assert got == one_column_symmetric_bareiss(g.ints, g.den) and all(x > 0 for x in got[2])
+
+
+def one_row_forward(lu: list[list[int]], y: list[int]) -> list[int]:
+    """The oracle: the forward substitution one row per step, which ``_forward`` replaced."""
+    n = len(y)
+    prev = 1
+    for k in range(n - 1):
+        pivot, yk = lu[k][k], y[k]
+        y[k + 1:] = [(pivot * yi - row[k] * yk) // prev for yi, row in zip(y[k + 1:], lu[k + 1:])]
+        prev = pivot
+    return y
+
+
+class TestTwoRowForward:
+    """``_forward`` takes two rows per step; its y are those of one row per step, entry for
+    entry, for a vector and for a packed block, through the LU of a nonsingular matrix."""
+
+    @given(_sparse_int_rows(), st.integers(min_value=0, max_value=2**32))
+    @example([[3]], 0)
+    @example([[0, 1], [2, 5]], 0)  # one step, after a swap
+    @example([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 1)  # one pair
+    @example([[0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 1]], 2)  # a pair, then the last row alone
+    def test_matches_one_row_per_step(self, rows, seed):
+        m = MatZ(rows)
+        assume(m.det() != 0)
+        perm, lu, _ = m._factor()
+        n, rng = m.n, random.Random(seed)
+        vec = [rng.choice([0, rng.randint(-10**6, 10**6)]) for _ in range(n)]
+        w = m._width(0, 0)
+        block = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        packed = [sum(x << s for x, s in zip(row, range(0, n * w, w))) for row in block]
+        identity = [1 << s for s in range(0, n * w, w)]
+        for c in (vec, packed, identity):
+            y = [c[p] for p in perm]
+            assert _forward(lu, list(y)) == one_row_forward(lu, list(y))
 
 
 class TestSolve:
@@ -541,7 +653,12 @@ class TestHermiteBlowUps:
             h = hnf(m)
             _assert_hnf_shape(h)
             assert abs(h.det()) == abs(m.det()) != 0
-            assert equals(Lattice(m), Lattice(h))  # solved through m, whose Hadamard bound is the narrower
+        with time_limit(1):
+            assert equals(Lattice(m), Lattice(h))  # solved through m: h's wide entries take its column bound
+            assert equals(Lattice(h), Lattice(m))  # solved through h, whose long last row takes its row bound
+        x = [Fraction(k, 7) for k in range(n)]
+        with time_limit(5):
+            assert hash(reduce(from_basis(m), x)) == hash(reduce(from_basis(h), x))
 
 
 class TestLdl:
@@ -1268,6 +1385,23 @@ def _big_systems(draw):
     return a, rhs, m
 
 
+def _hermite_system() -> tuple[MatQ, MatQ, int]:
+    """(a, rhs, m) for ``_big_systems``' test: a Hermite-form basis, diagonal 1, ..., 1, D and
+    a last row of 64-bit entries, against one-digit columns: its row bound is the lesser."""
+    rng = random.Random(6)
+    n, big = 6, 2**64 + 13
+    a = MatQ([[int(i == j) for j in range(n - 1)] + [0] for i in range(n - 1)]
+             + [[rng.randrange(big) for _ in range(n - 1)] + [big]])
+    return a, MatQ([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]), n
+
+
+def _wide_system() -> tuple[MatQ, MatQ, int]:
+    """(a, rhs, m): one-digit entries against 256-bit columns, over 3: the column bound is the lesser."""
+    rng = random.Random(7)
+    a = MatQ([[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 4, 1], [1, 0, 1, 5]])
+    return a, MatQ([[Fraction(rng.randint(-(2**256), 2**256), 3) for _ in range(4)] for _ in range(4)]), 4
+
+
 class TestPackedSubstitution:
     """Every column of a right-hand side rides in one packed integer per row through the
     kept LU, read back in slots of the width that Hadamard's bound gives: checked row for
@@ -1277,6 +1411,8 @@ class TestPackedSubstitution:
     @given(_big_systems())
     @example((MatQ([[1]]), MatQ([[2**256 - 1]]), 1))
     @example((MatQ([[0, 1], [1, 0]]), MatQ([[0, 0], [-(2**255), 0]]), 1))  # a swap and a zero leading entry
+    @example(_hermite_system())
+    @example(_wide_system())
     def test_matches_the_per_column_substitution(self, system):
         a, rhs, m = system
         kept = copy.deepcopy(a._factor())
@@ -1286,6 +1422,18 @@ class TestPackedSubstitution:
         assert a.inverse() == column_solve(a, MatQ.identity(a.n))
         assert a.solve(rhs.col(0)) == want.col(0)
         assert a._factor() == kept
+
+    @pytest.mark.parametrize("system, row_is_lesser", [(_hermite_system(), True), (_wide_system(), False)])
+    def test_the_width_takes_the_lesser_hadamard_bound(self, system, row_is_lesser):
+        a, rhs, _ = system
+        n = a.n
+        assert a.solve(rhs) == column_solve(a, rhs)
+        b = max(x.bit_length() for row in rhs.ints for x in row)
+        hc = b + (n.bit_length() + 1) // 2
+        col_w, row_w = a._h
+        assert (row_w + n * b < col_w + hc) is row_is_lesser
+        assert a._width(hc, b) == min(col_w + hc, row_w + n * b)
+        assert a._width(0, 0) == min(col_w, row_w)  # the unit columns of ``inverse``
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
     def test_sylvester_hadamard_matrices(self, n):
